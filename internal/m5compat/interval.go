@@ -29,7 +29,9 @@ func SimSeconds(d Dump, clockHz float64) (float64, error) {
 	if clockHz <= 0 {
 		return 0, fmt.Errorf("m5compat: clock required to derive interval duration from cycles")
 	}
-	if cycles, n := d.perCPU("numCycles"); n > 0 {
+	var cpu cpuTable
+	cpu.fold(d)
+	if cycles, n := cpu.get(ctrNumCycles); n > 0 {
 		return cycles / float64(n) / clockHz, nil
 	}
 	return 0, fmt.Errorf("m5compat: no duration (sim_seconds or numCycles) in dump")

@@ -1,6 +1,9 @@
 package m5compat
 
 import (
+	"bufio"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -154,5 +157,57 @@ system.cpu.committedInsts 800000 # n
 	}
 	if stats.CoreRun.Decode < 0.79 || stats.CoreRun.Decode > 0.81 {
 		t.Errorf("Decode = %v, want 0.8", stats.CoreRun.Decode)
+	}
+}
+
+// TestToChipStatsDeterministic pins core-order summation: four cores
+// with fractional counters, whose sum depends on the order of addition,
+// convert to the same bits on every call, equal to the sum taken in
+// core-index order (0, 1, 2, 10 - numeric, not lexicographic).
+func TestToChipStatsDeterministic(t *testing.T) {
+	c0, c1, c2, c10 := 0.1, 0.2, 0.3, 0.15 // float64 variables: runtime rounding
+	d := Dump{
+		"system.cpu0.numCycles":       1,
+		"system.cpu1.numCycles":       1,
+		"system.cpu2.numCycles":       1,
+		"system.cpu10.numCycles":      1,
+		"system.cpu0.committedInsts":  c0,
+		"system.cpu1.committedInsts":  c1,
+		"system.cpu2.committedInsts":  c2,
+		"system.cpu10.committedInsts": c10,
+	}
+	inOrder := ((c0 + c1) + c2) + c10
+	lexical, reversed := ((c0+c1)+c10)+c2, ((c10+c2)+c1)+c0
+	if inOrder == lexical || inOrder == reversed {
+		t.Fatal("fixture: the counter sum must depend on the order of addition")
+	}
+	want := math.Float64bits(inOrder / 4)
+	for i := 0; i < 200; i++ {
+		s, err := ToChipStats(d, 1e9, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(s.CoreRun.Decode); got != want {
+			t.Fatalf("call %d: Decode = %v, want %v (the core-ordered sum / 4)", i, s.CoreRun.Decode, inOrder/4)
+		}
+	}
+}
+
+// TestParseLineLimit pins the 1 MiB line limit: a line that fits with
+// its newline parses, one byte more fails with bufio.ErrTooLong.
+func TestParseLineLimit(t *testing.T) {
+	for _, n := range []int{maxLine - 1, maxLine} {
+		doc := "sim_seconds 0.001 #" + strings.Repeat("x", n-len("sim_seconds 0.001 #")) + "\nsystem.cpu0.numCycles 10\n"
+		dumps, err := Parse(strings.NewReader(doc))
+		_, refErr := refParse(strings.NewReader(doc))
+		if errText(err) != errText(refErr) {
+			t.Fatalf("%d-byte line: error %q, reference %q", n, errText(err), errText(refErr))
+		}
+		switch {
+		case n < maxLine && (err != nil || dumps[0]["sim_seconds"] != 0.001):
+			t.Fatalf("%d-byte line: %v, %v", n, dumps, err)
+		case n == maxLine && !errors.Is(err, bufio.ErrTooLong):
+			t.Fatalf("%d-byte line: err = %v, want bufio.ErrTooLong", n, err)
+		}
 	}
 }

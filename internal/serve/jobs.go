@@ -280,20 +280,18 @@ func (s *jobStore) requestCancel(id string) (JobStatus, bool) {
 	cancel := j.cancel
 	queued := j.status.State == JobQueued
 	if queued {
-		// The worker that eventually dequeues it will see the flag and
-		// finish it as canceled without running the sweep.
+		// User cancellation is terminal for good: journal it, before
+		// the state is visible, so the job does not resurrect on
+		// restart. The worker that eventually dequeues it will see the
+		// flag and finish it as canceled without running the sweep.
+		s.journal.ended(id, JobCanceled)
 		now := time.Now()
 		j.status.State = JobCanceled
 		j.status.FinishedAt = &now
 		j.status.Error = &APIError{Kind: kindCanceled, Message: "canceled before start"}
+		s.metrics.jobsCanceled.Add(1)
 	}
 	j.mu.Unlock()
-	if queued {
-		s.metrics.jobsCanceled.Add(1)
-		// User cancellation is terminal for good: journal it so the job
-		// does not resurrect on restart.
-		s.journal.ended(id, JobCanceled)
-	}
 	cancel()
 	return j.snapshot(), true
 }
@@ -374,41 +372,45 @@ func (s *jobStore) run(j *job) {
 // finish moves a job to its terminal state and records metrics. Every
 // terminal transition is journaled except a shutdown cancel: drain is
 // not completion, so the job stays live in the journal and re-runs on
-// the next start.
+// the next start. The end record is appended under j.mu before the
+// terminal state is set, so no reader sees a job finish whose end a
+// crash could still lose.
 func (s *jobStore) finish(j *job, res *explore.Result, err error) {
 	now := time.Now()
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.status.State.Terminal() {
-		j.mu.Unlock()
 		return
 	}
-	j.status.FinishedAt = &now
-	if res != nil {
-		j.status.Result = NewDSEReport(res, j.obj)
-	}
+	var state JobState
+	var apiErr *APIError
 	journalEnd := true
 	switch {
 	case err == nil:
-		j.status.State = JobDone
+		state = JobDone
 		s.metrics.jobsDone.Add(1)
 	case errors.Is(err, context.Canceled):
-		j.status.State = JobCanceled
+		state = JobCanceled
 		msg := "canceled"
 		if !j.cancelRequested {
 			msg = "canceled by server shutdown"
 			journalEnd = false
 		}
-		j.status.Error = &APIError{Kind: kindCanceled, Message: msg}
+		apiErr = &APIError{Kind: kindCanceled, Message: msg}
 		s.metrics.jobsCanceled.Add(1)
 	default:
-		j.status.State = JobFailed
-		j.status.Error = apiError(err)
+		state = JobFailed
+		apiErr = apiError(err)
 		s.metrics.jobsFailed.Add(1)
 	}
-	id, state := j.status.ID, j.status.State
-	j.mu.Unlock()
 	if journalEnd {
-		s.journal.ended(id, state)
+		s.journal.ended(j.status.ID, state)
+	}
+	j.status.State = state
+	j.status.Error = apiErr
+	j.status.FinishedAt = &now
+	if res != nil {
+		j.status.Result = NewDSEReport(res, j.obj)
 	}
 }
 

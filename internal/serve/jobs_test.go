@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"mcpat/internal/array"
 	"mcpat/internal/chip"
+	"mcpat/internal/component"
 	"mcpat/internal/explore"
 )
 
@@ -227,6 +229,13 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 // TestMetricsAcrossRequests scripts a request sequence and checks the
 // counters move accordingly.
 func TestMetricsAcrossRequests(t *testing.T) {
+	// The sweep must reach the array tier for its counters to move, so
+	// start from cold memos: after any earlier synthesis of the same
+	// configs (a repeat run, another test first in a shuffled order) the
+	// subsystem tier would serve the sweep on its own. Reset before the
+	// server snapshots its metric baselines.
+	array.ResetCache()
+	component.ResetCache()
 	_, ts := newTestServer(t, Config{})
 
 	snap := func() MetricsSnapshot {

@@ -64,6 +64,10 @@ type journal struct {
 	path   string
 	logf   func(string, ...any)
 	broken bool // a write failed; durability disabled, logged once
+
+	// testHook, when set, runs before each record is written; tests
+	// pin the order of appends against other state changes with it.
+	testHook func(journalRecord)
 }
 
 // openJournal replays the journal at path (creating it if absent),
@@ -178,6 +182,9 @@ func replayJournal(path string, logf func(string, ...any)) ([]recoveredJob, erro
 func (jl *journal) append(rec journalRecord) {
 	if jl == nil {
 		return
+	}
+	if jl.testHook != nil {
+		jl.testHook(rec)
 	}
 	data, err := json.Marshal(&rec)
 	if err != nil {

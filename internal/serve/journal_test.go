@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -235,6 +236,60 @@ func TestDeleteCompletedJob(t *testing.T) {
 		if rj.ID == id {
 			t.Error("done job still live in journal after DELETE")
 		}
+	}
+}
+
+// TestJobEndJournaledBeforeVisible pins the durability order of
+// terminal transitions: a job's end record is written before any reader
+// can see the job terminal, for a sweep that finishes and for a DELETE
+// of a queued job. Otherwise a client could see "done", the server
+// crash, and the job re-run on restart.
+func TestJobEndJournaledBeforeVisible(t *testing.T) {
+	s, ts := newTestServerJournal(t, Config{JobWorkers: 1, JournalPath: journalPath(t)})
+	stub := installStubSweep(t, s)
+	defer stub.releaseAll()
+	var mu sync.Mutex
+	var ended []string
+	s.jobs.journal.testHook = func(rec journalRecord) {
+		if rec.Op != "end" {
+			return
+		}
+		// A status read that can run now must not see the job
+		// terminal; one that has to wait is ordered after the append.
+		seen := make(chan JobState, 1)
+		go func() {
+			st, _ := s.jobs.get(rec.ID)
+			seen <- st.State
+		}()
+		select {
+		case st := <-seen:
+			if st.Terminal() {
+				t.Errorf("job %s read as %q before its end record was written", rec.ID, st)
+			}
+		case <-time.After(100 * time.Millisecond):
+		}
+		mu.Lock()
+		ended = append(ended, rec.ID)
+		mu.Unlock()
+	}
+
+	_, body := doJSON(t, "POST", ts+"/v1/dse", oneCandidateSweep())
+	running := decode[JobStatus](t, body).ID
+	<-stub.started
+	_, body = doJSON(t, "POST", ts+"/v1/dse", oneCandidateSweep())
+	queued := decode[JobStatus](t, body).ID
+	if resp, body := doJSON(t, "DELETE", ts+"/v1/jobs/"+queued, nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE queued job: %d %s", resp.StatusCode, body)
+	}
+	stub.releaseAll()
+	if final := pollJob(t, ts, running, 10*time.Second); final.State != JobDone {
+		t.Fatalf("running job: %+v", final)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ended) != 2 || ended[0] != queued || ended[1] != running {
+		t.Fatalf("end records for %v, want [%s %s]", ended, queued, running)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"mcpat/internal/array"
+	"mcpat/internal/component"
 	"mcpat/internal/distrib"
 )
 
@@ -116,7 +118,15 @@ func TestShardEndpointStreamsProgressThenResult(t *testing.T) {
 // TestDSEJobFansOutToRemoteWorkers wires a worker-mode server behind a
 // coordinator-mode server and submits a normal /v1/dse job: the job
 // must complete with the coordinator metrics populated in /metrics.
+//
+// The sweep spans two minimum-size shard ranges, so the coordinator's
+// initial partition has one range per worker, and it starts from cold
+// memos, so the local worker cannot finish its range and steal the
+// other before the remote worker asks for it. (A one-range sweep on
+// warm memos went entirely to the local worker.)
 func TestDSEJobFansOutToRemoteWorkers(t *testing.T) {
+	array.ResetCache()
+	component.ResetCache()
 	workerSrv := New(Config{WorkerMode: true})
 	workerTS := httptest.NewServer(workerSrv.Handler())
 	defer func() {
@@ -127,7 +137,7 @@ func TestDSEJobFansOutToRemoteWorkers(t *testing.T) {
 	coordSrv := New(Config{RemoteWorkers: []string{workerTS.URL}})
 	defer coordSrv.Shutdown(context.Background())
 
-	body := `{"cores":[2,4,8],"l2_per_core_kb":[64,128]}`
+	body := `{"cores":[2,4,8,16],"l2_per_core_kb":[64,128,256,512]}` // 2 x distrib.DefaultMinShard
 	rr := httptest.NewRecorder()
 	coordSrv.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/dse", strings.NewReader(body)))
 	if rr.Code != http.StatusAccepted {
@@ -153,7 +163,7 @@ func TestDSEJobFansOutToRemoteWorkers(t *testing.T) {
 	if final.State != JobDone {
 		t.Fatalf("job state %s, want done (error: %+v)", final.State, final.Error)
 	}
-	if final.Result == nil || len(final.Result.Candidates) != 6 {
+	if final.Result == nil || len(final.Result.Candidates) != 16 {
 		t.Fatalf("job result missing or wrong size: %+v", final.Result)
 	}
 

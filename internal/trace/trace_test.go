@@ -201,6 +201,60 @@ func TestWriteNDJSON(t *testing.T) {
 	}
 }
 
+// writeCounter counts Write calls and keeps the bytes written.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteRecordMatchesMarshal pins the NDJSON frame bytes: for chip,
+// open-loop sample, closed-loop sample and summary records, WriteRecord
+// writes exactly json.Marshal's bytes plus a newline, in one Write call.
+func TestWriteRecordMatchesMarshal(t *testing.T) {
+	openEng, ivs := fixtureEngine(t)
+	open, err := openEng.Run(context.Background(), ivs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closedEng, ivs := loopFixture(t)
+	closed, err := closedEng.Run(context.Background(), ivs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := open.Chip
+	hdr.Name = "<gem5 & co>" // exercises json.Marshal's HTML escaping
+	for _, tc := range []struct {
+		name string
+		rec  Record
+	}{
+		{"chip", Record{Type: "chip", Chip: &hdr}},
+		{"open-loop sample", Record{Type: "sample", Sample: &open.Samples[1]}},
+		{"closed-loop sample", Record{Type: "sample", Sample: &closed.Samples[1]}},
+		{"summary", Record{Type: "summary", Summary: &closed.Summary}},
+	} {
+		want, err := json.Marshal(tc.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		var w writeCounter
+		if err := WriteRecord(&w, tc.rec); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Errorf("%s: WriteRecord wrote\n%s\nwant\n%s", tc.name, w.Bytes(), want)
+		}
+		if w.writes != 1 {
+			t.Errorf("%s: %d Write calls, want 1", tc.name, w.writes)
+		}
+	}
+}
+
 // TestWriteCSV pins the tabular shape: a header with per-subsystem
 // columns and one row per interval.
 func TestWriteCSV(t *testing.T) {

@@ -7,15 +7,11 @@ import (
 	"strings"
 )
 
-// WriteRecord writes one NDJSON frame (a single line of JSON).
+// WriteRecord writes one NDJSON frame (a single line of JSON) in one
+// Write call: the bytes of json.Marshal plus a newline, encoded in the
+// encoder's pooled buffer rather than a fresh copy.
 func WriteRecord(w io.Writer, rec Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return json.NewEncoder(w).Encode(rec)
 }
 
 // WriteNDJSON streams the materialized trace in the same framing the

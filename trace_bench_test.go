@@ -12,8 +12,11 @@ package mcpat_test
 // FullEvaluate is the acceptance metric.
 
 import (
+	"bytes"
 	"context"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mcpat"
@@ -142,4 +145,67 @@ func BenchmarkTraceThermalLoop(b *testing.B) {
 		n += len(tr.Samples)
 	}
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "intervals/s")
+}
+
+// ingestStreamDumps is the dump count of the ingestion benchmarks'
+// stream, the length of one perfbench trace-replay stream.
+const ingestStreamDumps = 48
+
+// ingestStream repeats the checked-in gem5 example (three dumps) into a
+// 48-dump stats.txt stream.
+func ingestStream(b *testing.B) []byte {
+	b.Helper()
+	example, err := os.ReadFile("examples/gem5-trace/stats.txt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	per := strings.Count(string(example), "Begin Simulation Statistics")
+	if per == 0 || ingestStreamDumps%per != 0 {
+		b.Fatalf("example has %d dumps; want a divisor of %d", per, ingestStreamDumps)
+	}
+	return bytes.Repeat(example, ingestStreamDumps/per)
+}
+
+// benchStream runs op once per iteration, each op handling one 48-dump
+// stream, and reports time and allocations per dump.
+func benchStream(b *testing.B, op func() error) {
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	dumps := float64(b.N * ingestStreamDumps)
+	b.ReportMetric(b.Elapsed().Seconds()*1e6/dumps, "us/dump")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/dumps, "allocs/dump")
+}
+
+// BenchmarkM5Parse is the first stats-ingestion rung: reading a 48-dump
+// gem5 stats.txt stream into name->value dumps (m5compat.Parse).
+func BenchmarkM5Parse(b *testing.B) {
+	stream := ingestStream(b)
+	benchStream(b, func() error {
+		_, err := mcpat.ParseM5StatsAll(bytes.NewReader(stream))
+		return err
+	})
+}
+
+// BenchmarkIntervalsFromDumps is the second stats-ingestion rung:
+// converting the parsed dumps of a 48-dump stream into trace intervals
+// (ToChipStats plus SimSeconds per dump), the step before Score.
+func BenchmarkIntervalsFromDumps(b *testing.B) {
+	dumps, err := mcpat.ParseM5StatsAll(bytes.NewReader(ingestStream(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, _, cfg := traceBenchFixture(b)
+	benchStream(b, func() error {
+		_, err := mcpat.TraceIntervalsFromDumps(dumps, cfg.ClockHz, cfg.NumCores)
+		return err
+	})
 }
