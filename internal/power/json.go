@@ -3,48 +3,109 @@ package power
 import (
 	"encoding/json"
 	"io"
+	"math"
+	"reflect"
+	"strconv"
 )
 
-// jsonItem is the serialized form of a report node. Power is in watts and
-// area in mm^2, the units external tooling expects.
-type jsonItem struct {
-	Name          string     `json:"name"`
-	AreaMM2       float64    `json:"area_mm2"`
-	PeakDynamicW  float64    `json:"peak_dynamic_w"`
-	RuntimeDynW   float64    `json:"runtime_dynamic_w,omitempty"`
-	SubLeakW      float64    `json:"subthreshold_leakage_w"`
-	GateLeakW     float64    `json:"gate_leakage_w"`
-	LeakSavedW    float64    `json:"gated_leakage_w,omitempty"`
-	PeakTotalW    float64    `json:"peak_total_w"`
-	RuntimeTotalW float64    `json:"runtime_total_w,omitempty"`
-	Children      []jsonItem `json:"children,omitempty"`
-}
-
-func (it *Item) toJSON() jsonItem {
-	j := jsonItem{
-		Name:         it.Name,
-		AreaMM2:      it.Area * 1e6,
-		PeakDynamicW: it.PeakDynamic,
-		RuntimeDynW:  it.RuntimeDynamic,
-		SubLeakW:     it.SubLeak,
-		GateLeakW:    it.GateLeak,
-		LeakSavedW:   it.LeakSaved,
-		PeakTotalW:   it.Peak(),
+// AppendJSON appends the compact JSON form of the subtree to dst. It is
+// the one definition of the report's wire format: power in watts and
+// area in mm^2, the units external tooling expects, with the keys
+//
+//	name, area_mm2, peak_dynamic_w, runtime_dynamic_w, subthreshold_leakage_w,
+//	gate_leakage_w, gated_leakage_w, peak_total_w, runtime_total_w, children
+//
+// in that order. runtime_dynamic_w and gated_leakage_w are omitted when
+// zero, runtime_total_w unless runtime dynamic power is positive and the
+// total nonzero, and children when there are none. Numbers and strings
+// are written exactly as encoding/json writes them. A NaN or infinite
+// quantity has no JSON form: AppendJSON then returns dst unchanged and
+// encoding/json's *UnsupportedValueError.
+func (it *Item) AppendJSON(dst []byte) ([]byte, error) {
+	b := append(dst, `{"name":`...)
+	b = AppendJSONString(b, it.Name)
+	var err error
+	num := func(key string, v float64) {
+		if err == nil {
+			b = append(b, key...)
+			b, err = AppendJSONFloat(b, v)
+		}
 	}
+	num(`,"area_mm2":`, it.Area*1e6)
+	num(`,"peak_dynamic_w":`, it.PeakDynamic)
+	if it.RuntimeDynamic != 0 {
+		num(`,"runtime_dynamic_w":`, it.RuntimeDynamic)
+	}
+	num(`,"subthreshold_leakage_w":`, it.SubLeak)
+	num(`,"gate_leakage_w":`, it.GateLeak)
+	if it.LeakSaved != 0 {
+		num(`,"gated_leakage_w":`, it.LeakSaved)
+	}
+	num(`,"peak_total_w":`, it.Peak())
 	if it.RuntimeDynamic > 0 {
-		j.RuntimeTotalW = it.Runtime()
+		if rt := it.Runtime(); rt != 0 {
+			num(`,"runtime_total_w":`, rt)
+		}
 	}
-	for _, c := range it.Children {
-		j.Children = append(j.Children, c.toJSON())
+	if err != nil {
+		return dst, err
 	}
-	return j
+	if len(it.Children) > 0 {
+		b = append(b, `,"children":[`...)
+		for i, c := range it.Children {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = c.AppendJSON(b); err != nil {
+				return dst, err
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
 }
 
-// MarshalJSON serializes the report tree with engineering units (watts,
-// mm^2), so downstream tooling does not need to know the internal SI
-// conventions.
+// AppendJSONFloat appends f as encoding/json writes a float64: the
+// shortest representation that reads back as f, in exponent form below
+// 1e-6 and from 1e21 up (with e-07 written e-7), and -0 as -0. NaN and
+// ±Inf have no JSON form; for them it returns dst unchanged and
+// encoding/json's *UnsupportedValueError.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// AppendJSONString appends s as a JSON string, exactly as encoding/json
+// writes it. Printable ASCII without '"', '\\', '<', '>' or '&' is copied
+// as is; any other string goes through json.Marshal, so the HTML,
+// U+2028/U+2029 and invalid-UTF-8 escaping stay encoding/json's own.
+func AppendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // marshaling a string cannot fail
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// MarshalJSON serializes the report tree in the wire format AppendJSON
+// defines.
 func (it *Item) MarshalJSON() ([]byte, error) {
-	return json.Marshal(it.toJSON())
+	return it.AppendJSON(nil)
 }
 
 // WriteJSON writes the indented JSON form of the subtree.

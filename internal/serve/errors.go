@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"mcpat/internal/guard"
@@ -71,13 +72,28 @@ func firstLine(s string) string {
 	return s
 }
 
-// writeJSON writes a JSON response with the given status.
+// writeJSON writes body as compact JSON with the given status. The body
+// is encoded before anything is sent, so a value encoding/json rejects
+// becomes a 500 with the internal error body, never a status with an
+// empty body.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(body)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError,
+			&APIError{Kind: kindInternal, Message: "encode response: " + firstLine(err.Error())})
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// writeBody sends an encoded JSON body in one Write, with its length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body)
 }
 
 // writeError writes the structured error body for a classified failure.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"mcpat/internal/chip"
@@ -26,6 +27,10 @@ const maxBodyBytes = 8 << 20
 // test swaps the hook out.
 var testEvalHook atomic.Pointer[func(cfg *chip.Config) error]
 
+// replyBufs recycles /v1/evaluate reply buffers. A reply is ~10 KB and
+// written once, so a pooled buffer spares its allocation and regrowth.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleEvaluate serves POST /v1/evaluate: one synchronous chip
 // synthesis plus report. The body is either the native EvaluateRequest
 // JSON or, with an XML content type, a McPAT-style XML document.
@@ -35,13 +40,21 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// against a less-loaded replica instead of stacking latency here.
 	select {
 	case s.evalSem <- struct{}{}:
-		defer func() { <-s.evalSem }()
 	default:
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			&APIError{Kind: kindOverloaded, Message: "evaluation capacity saturated; retry"})
 		return
 	}
+	// The handler holds the slot until the evaluation goroutine takes it
+	// over; from then on the goroutine releases it, so an evaluation
+	// abandoned on deadline keeps its slot until it really stops.
+	handedOff := false
+	defer func() {
+		if !handedOff {
+			<-s.evalSem
+		}
+	}()
 
 	req, aerr := decodeEvaluateRequest(r)
 	if aerr != nil {
@@ -58,26 +71,48 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 	// The models are CPU-bound and cannot observe a context, so run the
 	// evaluation in a child goroutine and abandon it on deadline - the
-	// same containment strategy the DSE engine uses per candidate.
+	// same containment strategy the DSE engine uses per candidate. The
+	// goroutine also encodes the reply, and frees the slot before it
+	// hands the bytes over: a closed-loop client's next request must
+	// not find its own previous slot still taken.
 	type out struct {
-		resp *EvaluateResponse
+		body *[]byte
 		err  error
 	}
 	ch := make(chan out, 1)
+	handedOff = true
 	go func() {
-		resp, err := evaluateOnce(req)
-		ch <- out{resp, err}
+		body := replyBufs.Get().(*[]byte)
+		b, err := evaluateReply(req, (*body)[:0])
+		*body = b
+		<-s.evalSem
+		ch <- out{body, err}
 	}()
 	select {
 	case o := <-ch:
 		if o.err != nil {
 			writeModelError(w, o.err)
-			return
+		} else {
+			writeBody(w, http.StatusOK, *o.body)
 		}
-		writeJSON(w, http.StatusOK, o.resp)
+		replyBufs.Put(o.body)
 	case <-ctx.Done():
 		writeModelError(w, ctx.Err())
 	}
+}
+
+// evaluateReply evaluates req and appends the /v1/evaluate body, the
+// compact JSON response and a newline, to dst.
+func evaluateReply(req *EvaluateRequest, dst []byte) ([]byte, error) {
+	resp, err := evaluateOnce(req)
+	if err != nil {
+		return dst, err
+	}
+	b, err := resp.AppendJSON(dst)
+	if err != nil {
+		return dst, fmt.Errorf("encode response: %w", err)
+	}
+	return append(b, '\n'), nil
 }
 
 // decodeEvaluateRequest parses the request body in either accepted

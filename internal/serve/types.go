@@ -40,6 +40,45 @@ type EvaluateResponse struct {
 	Report *power.Item `json:"report"`
 }
 
+// AppendJSON appends the compact JSON form of the response to dst, in
+// the format the struct tags describe, through power's number, string
+// and report writers. On a NaN or infinite value it returns dst
+// unchanged and the encoding error.
+func (r *EvaluateResponse) AppendJSON(dst []byte) ([]byte, error) {
+	b := append(dst, `{"name":`...)
+	b = power.AppendJSONString(b, r.Name)
+	var err error
+	num := func(key string, v float64) {
+		if err == nil {
+			b = append(b, key...)
+			b, err = power.AppendJSONFloat(b, v)
+		}
+	}
+	num(`,"nm":`, r.NM)
+	num(`,"clock_hz":`, r.ClockHz)
+	num(`,"tdp_w":`, r.TDPW)
+	num(`,"area_mm2":`, r.AreaMM2)
+	if r.RuntimeW != 0 {
+		num(`,"runtime_w":`, r.RuntimeW)
+	}
+	if err != nil {
+		return dst, err
+	}
+	b = append(b, `,"report":`...)
+	if r.Report == nil {
+		b = append(b, "null"...)
+	} else if b, err = r.Report.AppendJSON(b); err != nil {
+		return dst, err
+	}
+	return append(b, '}'), nil
+}
+
+// MarshalJSON encodes the response with AppendJSON, so /v1/batch items
+// carry the bytes /v1/evaluate sends.
+func (r *EvaluateResponse) MarshalJSON() ([]byte, error) {
+	return r.AppendJSON(nil)
+}
+
 // APIError is the structured error detail inside every non-2xx body.
 type APIError struct {
 	// Kind classifies the failure: "config", "infeasible",
