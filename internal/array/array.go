@@ -21,6 +21,7 @@ import (
 
 	"mcpat/internal/circuit"
 	"mcpat/internal/guard"
+	"mcpat/internal/memo"
 	"mcpat/internal/power"
 	"mcpat/internal/tech"
 )
@@ -195,11 +196,11 @@ func New(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !CacheEnabled() {
-		memo.bypassed.Add(1)
+	key := canonicalKey(&cfg, wordBits)
+	codec := memo.Codec[*Result]{NS: arrayNS, Key: key.encodeKey, Encode: encodeResult, Decode: decodeResult}
+	return results.Do(0, key.shard(), key, &codec, func() (*Result, error) {
 		return synthesize(cfg, totalBits, wordBits)
-	}
-	return cachedSynthesize(cfg, totalBits, wordBits)
+	})
 }
 
 // synthesize dispatches one real (uncached) synthesis of a validated

@@ -1,143 +1,58 @@
 package array
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "mcpat/internal/memo"
 
-// Memoized synthesis with single-flight deduplication.
+// Memoized synthesis.
 //
 // The internal optimizer enumerates every (rows, column-mux, sub-word)
 // organization of a structure per solve, and chip-level sweeps re-solve
 // byte-identical structures hundreds of times (every DSE candidate
 // rebuilds the same L1s, TLBs, ROBs, MSHRs...). The package keeps one
-// process-wide result cache keyed by the canonical Key: a repeated solve
-// returns a copy of the cached Result, and concurrent solves of the same
-// structure share one in-flight computation instead of racing N copies.
-//
-// Correctness properties:
-//   - Cached results are bit-identical to uncached ones: hits return what
-//     the one real solve produced, copied so callers may mutate freely.
-//   - Only successful solves are cached. Errors carry the structure's
-//     Name, which is excluded from the key, so error values are never
-//     shared across callers; a waiter that joined a failing solve re-runs
-//     the synthesis itself to get an error with its own name in it.
-//   - A panic inside a solve (contained further up by chip-level
-//     recovery) unblocks all waiters and leaves no entry behind.
-//   - Technology-node mutations invalidate naturally: the key embeds the
-//     node's value fingerprint, recomputed per call, so a node that was
-//     retuned (OverrideVdd, temperature) simply keys differently.
+// process-wide table of internal/memo keyed by the canonical Key: a
+// repeated solve returns a copy of the cached Result, and concurrent
+// solves of the same structure share one in-flight computation instead
+// of racing N copies. internal/memo documents the shared properties
+// (errors never cached, panics unwind, retunes invalidate naturally);
+// this tier adds that hits are copies, so callers may mutate freely.
 
-// memoShards bounds lock contention between parallel DSE workers; 32 is
+// memoStripes bounds lock contention between parallel DSE workers; 32 is
 // comfortably above any sane GOMAXPROCS share for this workload.
-const memoShards = 32
+const memoStripes = 32
 
-type memoEntry struct {
-	done chan struct{} // closed when res/err are final
-	res  *Result       // immutable once done is closed
-	err  error
-}
-
-type memoShard struct {
-	mu      sync.Mutex
-	entries map[Key]*memoEntry
-}
-
-type memoCache struct {
-	disabled atomic.Bool
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	shared   atomic.Uint64
-	bypassed atomic.Uint64
-	shards   [memoShards]memoShard
-}
-
-var memo memoCache
+// results is the array tier: one counter set, and every Result it hands
+// out is a private copy.
+var results = memo.NewTable[Key, *Result](memoStripes, 1, (*Result).clone)
 
 // CacheStats is a snapshot of the synthesis-cache counters.
 type CacheStats struct {
-	// Hits counts solves served from the cache (including Shared).
-	Hits uint64
-	// Misses counts memory-tier misses that populated the cache: real
-	// synthesis runs, plus loads hydrated from the disk tier when a
-	// persistent cache directory is configured (the disk tier keeps its
-	// own hit/miss counters; see internal/persist).
-	Misses uint64
-	// Shared counts hits that joined an in-flight solve started by a
-	// concurrent caller instead of waiting on a completed entry - the
-	// single-flight deduplications.
-	Shared uint64
-	// Bypassed counts solves that ran uncached: caching disabled, or a
-	// waiter re-running a solve whose shared computation failed.
-	Bypassed uint64
+	memo.Stats
 	// Entries is the number of resident cached results (a gauge, not a
 	// counter; Delta keeps the newer snapshot's value).
 	Entries int
 }
 
-// HitRate returns the fraction of cache-served solves among all solves
-// that consulted the cache.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Delta returns the counter difference s - prev, for reporting one
 // sweep's cache behavior. Entries is carried from s unchanged.
 func (s CacheStats) Delta(prev CacheStats) CacheStats {
-	return CacheStats{
-		Hits:     s.Hits - prev.Hits,
-		Misses:   s.Misses - prev.Misses,
-		Shared:   s.Shared - prev.Shared,
-		Bypassed: s.Bypassed - prev.Bypassed,
-		Entries:  s.Entries,
-	}
+	return CacheStats{Stats: s.Stats.Delta(prev.Stats), Entries: s.Entries}
 }
 
 // Stats returns the current global cache counters.
 func Stats() CacheStats {
-	s := CacheStats{
-		Hits:     memo.hits.Load(),
-		Misses:   memo.misses.Load(),
-		Shared:   memo.shared.Load(),
-		Bypassed: memo.bypassed.Load(),
-	}
-	for i := range memo.shards {
-		sh := &memo.shards[i]
-		sh.mu.Lock()
-		s.Entries += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return s
+	return CacheStats{Stats: results.Stats(0), Entries: results.Len()}
 }
 
-// ResetCache drops every cached result and zeroes the counters. In-flight
-// solves complete normally but repopulate a fresh table.
-func ResetCache() {
-	for i := range memo.shards {
-		sh := &memo.shards[i]
-		sh.mu.Lock()
-		sh.entries = nil
-		sh.mu.Unlock()
-	}
-	memo.hits.Store(0)
-	memo.misses.Store(0)
-	memo.shared.Store(0)
-	memo.bypassed.Store(0)
-}
+// ResetCache drops every cached result and zeroes the counters.
+func ResetCache() { results.Reset() }
 
 // SetCacheEnabled turns result caching on or off (it is on by default)
-// and returns the previous setting. Disabling does not drop resident
-// entries; combine with ResetCache for a cold, cache-free run.
-func SetCacheEnabled(enabled bool) bool {
-	return !memo.disabled.Swap(!enabled)
-}
+// and returns the previous setting. It switches only this tier, not the
+// subsystem tier above it. Disabling does not drop resident entries;
+// combine with ResetCache for a cold, cache-free run.
+func SetCacheEnabled(enabled bool) bool { return results.SetEnabled(enabled) }
 
 // CacheEnabled reports whether synthesis results are being cached.
-func CacheEnabled() bool { return !memo.disabled.Load() }
+func CacheEnabled() bool { return results.Enabled() }
 
 // clone returns a copy of the result safe to hand to a caller that may
 // mutate it. Tag is the only pointer field, and tag arrays never nest.
@@ -149,94 +64,3 @@ func (r *Result) clone() *Result {
 	}
 	return &cp
 }
-
-// cachedSynthesize is the single-flight front of synthesize. cfg must be
-// validated; totalBits/wordBits are validate()'s outputs.
-func cachedSynthesize(cfg Config, totalBits, wordBits int) (*Result, error) {
-	key := canonicalKey(&cfg, wordBits)
-	sh := &memo.shards[key.shard()%memoShards]
-
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-e.done:
-		default:
-			// Joining a solve started by a concurrent caller.
-			memo.shared.Add(1)
-			<-e.done
-		}
-		if e.err != nil {
-			// The shared solve failed. Error text embeds the *other*
-			// caller's structure name, so re-run locally for a correctly
-			// attributed error (failures are rare and not hot).
-			memo.bypassed.Add(1)
-			return synthesize(cfg, totalBits, wordBits)
-		}
-		memo.hits.Add(1)
-		return e.res.clone(), nil
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	if sh.entries == nil {
-		sh.entries = make(map[Key]*memoEntry)
-	}
-	sh.entries[key] = e
-	sh.mu.Unlock()
-
-	// This goroutine owns the solve. The deferred cleanup also covers a
-	// panicking model (contained at the chip boundary): waiters are
-	// unblocked with an error entry and the key is removed so later
-	// callers retry rather than deadlock.
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		e.err = errSolvePanicked
-		sh.mu.Lock()
-		delete(sh.entries, key)
-		sh.mu.Unlock()
-		close(e.done)
-	}()
-
-	// Disk tier: only the flight owner consults it, preserving
-	// single-flight across memory -> disk -> synthesize. A verified disk
-	// entry hydrates the memory cache exactly like a synthesis would
-	// (counted as a memory-tier miss; the disk tier keeps its own hit
-	// counters); any disk problem is a miss and falls through to the
-	// cold solve below.
-	if res := diskLoad(&key); res != nil {
-		completed = true
-		memo.misses.Add(1)
-		e.res = res
-		close(e.done)
-		return res.clone(), nil
-	}
-
-	res, err := synthesize(cfg, totalBits, wordBits)
-	completed = true
-	if err != nil {
-		e.err = err
-		sh.mu.Lock()
-		delete(sh.entries, key)
-		sh.mu.Unlock()
-		close(e.done)
-		return nil, err
-	}
-	memo.misses.Add(1)
-	e.res = res
-	close(e.done)
-	// Publish to the disk tier so future processes warm-start. Runs
-	// after waiters are released; failures are counted by the store and
-	// never surface here.
-	diskStore(&key, res)
-	return res.clone(), nil
-}
-
-// errSolvePanicked marks entries whose owning solve unwound via panic.
-// Waiters never surface it; they re-synthesize (and re-panic) themselves.
-var errSolvePanicked = &panickedError{}
-
-type panickedError struct{}
-
-func (*panickedError) Error() string { return "array: shared synthesis panicked" }

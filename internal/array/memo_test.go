@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mcpat/internal/memo"
 	"mcpat/internal/tech"
 	"mcpat/internal/tech/techtest"
 )
@@ -252,10 +253,10 @@ func TestResetCacheAndDisable(t *testing.T) {
 }
 
 func TestCacheStatsDeltaAndHitRate(t *testing.T) {
-	prev := CacheStats{Hits: 10, Misses: 5, Shared: 2, Bypassed: 1, Entries: 5}
-	now := CacheStats{Hits: 40, Misses: 15, Shared: 4, Bypassed: 1, Entries: 15}
+	prev := CacheStats{Stats: memo.Stats{Hits: 10, Misses: 5, Shared: 2, Bypassed: 1}, Entries: 5}
+	now := CacheStats{Stats: memo.Stats{Hits: 40, Misses: 15, Shared: 4, Bypassed: 1}, Entries: 15}
 	d := now.Delta(prev)
-	want := CacheStats{Hits: 30, Misses: 10, Shared: 2, Bypassed: 0, Entries: 15}
+	want := CacheStats{Stats: memo.Stats{Hits: 30, Misses: 10, Shared: 2, Bypassed: 0}, Entries: 15}
 	if d != want {
 		t.Errorf("Delta = %+v, want %+v", d, want)
 	}

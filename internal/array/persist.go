@@ -5,19 +5,16 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"math"
-
-	"mcpat/internal/persist"
 )
 
-// Disk tier of the array synthesis cache.
+// Disk form of the array synthesis cache.
 //
-// The in-memory memo (memo.go) consults persist.Default() on every
-// miss, inside the single-flight owner path: memory -> disk ->
-// synthesize, with exactly one goroutine per key walking the tiers.
-// Disk entries are keyed by the canonical Key's explicit binary
-// encoding (the same identity the memory tier uses: normalized config
-// plus tech-node value fingerprint) and carry the gob-serialized
-// Result. Gob preserves float64 bit patterns exactly, so a
+// New hands the memo table a codec built from the functions below, and
+// the owner of a key's flight walks memory -> disk -> synthesize (see
+// internal/memo). Disk entries are keyed by the canonical Key's
+// explicit binary encoding (the same identity the memory tier uses:
+// normalized config plus tech-node value fingerprint) and carry the
+// gob-serialized Result. Gob preserves float64 bit patterns exactly, so a
 // disk-hydrated Result is bit-identical to the Result the publishing
 // process synthesized — the equivalence tests pin this at the array,
 // chip, and validation-target levels.
@@ -83,40 +80,4 @@ func decodeResult(data []byte) (*Result, error) {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// diskLoad returns the disk tier's Result for key, or nil. Called only
-// by the single-flight owner of a memory miss.
-func diskLoad(key *Key) *Result {
-	store := persist.Default()
-	if store == nil {
-		return nil
-	}
-	data, ok := store.Get(arrayNS, key.encodeKey())
-	if !ok {
-		return nil
-	}
-	res, err := decodeResult(data)
-	if err != nil {
-		// Framing was valid but the payload does not decode: a codec
-		// version skew that slipped past the namespace version. Treat as
-		// a miss; cold synthesis will republish the current shape.
-		return nil
-	}
-	return res
-}
-
-// diskStore publishes a freshly synthesized Result to the disk tier.
-// Never fails the caller: a dropped write only costs a future process
-// one cold synthesis.
-func diskStore(key *Key, res *Result) {
-	store := persist.Default()
-	if store == nil {
-		return
-	}
-	data, err := encodeResult(res)
-	if err != nil {
-		return
-	}
-	store.Put(arrayNS, key.encodeKey(), data)
 }

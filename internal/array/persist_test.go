@@ -7,11 +7,14 @@ package array
 // degrade to cold synthesis, never to a wrong Result or an error.
 
 import (
+	"encoding/hex"
 	"reflect"
 	"testing"
 
 	"mcpat/internal/persist"
 	"mcpat/internal/persist/faultfs"
+	"mcpat/internal/tech"
+	"mcpat/internal/tech/techtest"
 )
 
 // withStore installs a fresh disk tier for the test and removes it
@@ -88,6 +91,40 @@ func TestKeyEncodingDistinguishesKeys(t *testing.T) {
 			t.Errorf("configs %s and %s share a disk key", prev, cfg.Name)
 		}
 		seen[enc] = cfg.Name
+	}
+}
+
+// TestDiskKeyGolden pins the on-disk identity of one array solve: the
+// namespace and the exact key bytes New publishes under, one 8-byte
+// little-endian word per Key field, technology fingerprint first. A
+// cache directory filled by an earlier build is only served while these
+// bytes stay fixed, so any change to them needs a namespace bump
+// (arrayNS) in the same change; otherwise every existing entry is
+// silently stranded.
+func TestDiskKeyGolden(t *testing.T) {
+	const golden = "" +
+		"24c8a909a7357b3e000000000000000000000000000000000000000000000000" +
+		"0080000000000000000000000000000000000000000000000002000000000000" +
+		"0400000000000000000000000000000001000000000000000100000000000000" +
+		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"000000000000000000000000000000000000000000000000"
+	cfg := Config{Name: "dcache", Tech: techtest.Node(22), Periph: tech.HP, Cell: tech.HP,
+		Bytes: 32 << 10, BlockBits: 512, Assoc: 4, RWPorts: 1}
+	_, wordBits, err := cfg.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := canonicalKey(&cfg, wordBits)
+	if got := hex.EncodeToString(k.encodeKey()); got != golden {
+		t.Fatalf("array disk key changed:\n got %s\nwant %s", got, golden)
+	}
+	store := withStore(t, persist.Options{})
+	if _, err := New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	key, _ := hex.DecodeString(golden)
+	if _, ok := store.Get("array.v1", key); !ok {
+		t.Fatal("New published no array.v1 entry under the golden key")
 	}
 }
 

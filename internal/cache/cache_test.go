@@ -3,6 +3,8 @@ package cache
 import (
 	"testing"
 
+	"mcpat/internal/array"
+	"mcpat/internal/component"
 	"mcpat/internal/tech"
 	"mcpat/internal/tech/techtest"
 )
@@ -123,5 +125,41 @@ func TestCacheValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Tech: techtest.Node(65)}); err == nil {
 		t.Error("zero capacity must fail")
+	}
+}
+
+// TestTierSwitchesAreIndependent: each memo tier's switch turns off only
+// that tier. With the array tier off, the subsystem tier still memoizes
+// whole caches; with the subsystem tier off, every rebuild still finds
+// its arrays in the array tier.
+func TestTierSwitchesAreIndependent(t *testing.T) {
+	prevA, prevC := array.SetCacheEnabled(false), component.SetCacheEnabled(true)
+	resetTiers()
+	t.Cleanup(func() {
+		array.SetCacheEnabled(prevA)
+		component.SetCacheEnabled(prevC)
+		resetTiers()
+	})
+	synth2 := func() (array.CacheStats, component.KindStats) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if _, err := Synthesize(l2cfg()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return array.Stats(), component.Stats().Kinds[component.KindCache]
+	}
+
+	a, c := synth2()
+	if a.Bypassed == 0 || a.Hits+a.Misses != 0 || c.Misses != 1 || c.Hits != 1 {
+		t.Errorf("array tier off: array %+v, cache kind %+v", a, c)
+	}
+
+	array.SetCacheEnabled(true)
+	component.SetCacheEnabled(false)
+	resetTiers()
+	a, c = synth2()
+	if c.Bypassed != 2 || c.Hits+c.Misses != 0 || a.Misses == 0 || a.Hits < a.Misses || a.Bypassed != 0 {
+		t.Errorf("subsystem tier off: array %+v, cache kind %+v", a, c)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"math"
 
 	"mcpat/internal/array"
-	"mcpat/internal/component"
+	"mcpat/internal/memo"
 	"mcpat/internal/power"
 )
 
@@ -76,10 +76,10 @@ type cacheDisk struct {
 // persistCodec builds the per-call codec. norm is the caller's
 // normalized config (defaults applied), whose Tech pointer Decode
 // reattaches.
-func persistCodec(key synthKey, norm Config) *component.PersistCodec {
-	return &component.PersistCodec{
+func persistCodec(key synthKey, norm Config) *memo.Codec[any] {
+	return &memo.Codec[any]{
 		NS:  cacheDiskNS,
-		Key: func() ([]byte, error) { return key.encodeKey(), nil },
+		Key: key.encodeKey,
 		Encode: func(v any) ([]byte, error) {
 			c := v.(*Cache)
 			d := cacheDisk{

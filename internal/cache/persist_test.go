@@ -6,6 +6,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -13,6 +14,8 @@ import (
 	"mcpat/internal/component"
 	"mcpat/internal/persist"
 	"mcpat/internal/persist/faultfs"
+	"mcpat/internal/tech"
+	"mcpat/internal/tech/techtest"
 )
 
 func resetTiers() {
@@ -93,11 +96,8 @@ func TestCacheDiskKeyIsCanonical(t *testing.T) {
 	key.Cfg.Tech = nil
 	key.Cfg.Name = ""
 	pc := persistCodec(key, norm)
-	k1, err := pc.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, _ := pc.Key()
+	k1 := pc.Key()
+	k2 := pc.Key()
 	if !bytes.Equal(k1, k2) {
 		t.Fatal("key encoding is not deterministic")
 	}
@@ -124,6 +124,31 @@ func TestCacheDiskKeyIsCanonical(t *testing.T) {
 		if bytes.Equal(k1, k.encodeKey()) {
 			t.Errorf("mutation %d does not change the disk key", i)
 		}
+	}
+}
+
+// TestCacheDiskKeyGolden pins the on-disk identity of one shared-cache
+// synthesis: the namespace and the exact key bytes Synthesize publishes
+// under, one 8-byte little-endian word per synthKey field, technology
+// fingerprint first. A cache directory filled by an earlier build is
+// only served while these bytes stay fixed, so any change to them needs
+// a namespace bump (cacheDiskNS) in the same change; otherwise every
+// existing entry is silently stranded.
+func TestCacheDiskKeyGolden(t *testing.T) {
+	const golden = "" +
+		"24c8a909a7357b3e000000000000000001000000000000000000000000000000" +
+		"0000000000000000000040000000000040000000000000000800000000000000" +
+		"1000000000000000010000000000000010000000000000001000000000000000" +
+		"000000205fa0e24101000000000000001000000000000000"
+	cfg := Config{Name: "L2", Tech: techtest.Node(22), Dev: tech.HP, TargetHz: 2.5e9,
+		Bytes: 4 << 20, BlockBytes: 64, Assoc: 8, Banks: 16, Directory: true, Sharers: 16}
+	store := installStore(t, persist.Options{})
+	if _, err := Synthesize(cfg); err != nil {
+		t.Fatal(err)
+	}
+	key, _ := hex.DecodeString(golden)
+	if _, ok := store.Get("subsys.cache.v2", key); !ok {
+		t.Fatal("Synthesize published no subsys.cache.v2 entry under the golden key")
 	}
 }
 

@@ -1,14 +1,11 @@
 package component
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "mcpat/internal/memo"
 
-// Subsystem-level memoized synthesis with single-flight deduplication.
+// Subsystem-level memoized synthesis.
 //
-// This lifts the machinery of internal/array's result cache one level
-// up: instead of caching individual SRAM solves, it caches whole
+// This is the second table of internal/memo, one level above the array
+// tier: instead of caching individual SRAM solves, it caches whole
 // synthesized subsystems (a core with its twenty arrays, a banked cache,
 // a router). A DSE candidate that shares a subsystem configuration with
 // a previously evaluated candidate skips that subsystem's synthesis
@@ -16,7 +13,7 @@ import (
 // varies only NoC parameters re-synthesizes fabrics and clocks but never
 // cores or caches.
 //
-// Differences from the array cache, both deliberate:
+// Differences from the array tier, all deliberate:
 //
 //   - Values are shared, not cloned. Synthesized subsystems are
 //     immutable after construction (the Score phase is pure), so hits
@@ -32,56 +29,29 @@ import (
 //     results must key differently; Name never keys (it only labels
 //     reports and errors).
 //
-// The correctness properties carry over from the array cache: only
-// successful syntheses are cached; errors embed the caller's Name, so a
-// waiter that joined a failing flight re-runs locally for a correctly
-// attributed error; a panicking synthesis (contained at the chip
-// boundary) unblocks waiters and leaves no entry behind; node retunes
-// (OverrideVdd, temperature) invalidate naturally through the
-// fingerprint embedded in every key.
+//   - Counters and lock stripes are per kind. A caller's key is an any,
+//     which cannot be hashed here without reflection, and contention
+//     concentrates within one kind only during homogeneous sweeps,
+//     where the critical section is a single map operation.
+//
+//   - The disk tier is opt-in per call. Subsystem values are arbitrary
+//     Go structs, so there is no universal serialization: packages that
+//     can round-trip their value pass a codec to MemoizePersist. Kinds
+//     without one stop at the memory tier; their re-synthesis is already
+//     cheap when the array tier underneath is disk-warm, because a
+//     subsystem build decomposes into array solves (all disk hits) plus
+//     fast analytic logic.
 
-// memoShards bounds lock contention between parallel DSE workers.
-const memoShards = 16
-
+// memoKey scopes a caller's key to its kind, so equal keys of two kinds
+// never meet.
 type memoKey struct {
 	kind Kind
 	key  any // comparable, caller-supplied canonical key
 }
 
-type memoEntry struct {
-	done chan struct{} // closed when val/err are final
-	val  any           // immutable once done is closed
-	err  error
-}
-
-type memoShard struct {
-	mu      sync.Mutex
-	entries map[memoKey]*memoEntry
-}
-
-type kindCounters struct {
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	shared   atomic.Uint64
-	bypassed atomic.Uint64
-}
-
-type memoCache struct {
-	disabled atomic.Bool
-	kinds    [numKinds]kindCounters
-	shards   [memoShards]memoShard
-}
-
-var memo memoCache
-
-// shardOf picks the shard for a key. Go map keys of type any hash well,
-// but we cannot hash an any ourselves without reflection; instead shards
-// are selected by kind, which is enough because contention concentrates
-// within one kind only during homogeneous sweeps, where the critical
-// section is a single map operation.
-func shardOf(k memoKey) *memoShard {
-	return &memo.shards[int(k.kind)%memoShards]
-}
+// subsystems is the subsystem tier: one lock stripe and one counter set
+// per kind, and hits share the stored value.
+var subsystems = memo.NewTable[memoKey, any](NumKinds, NumKinds, nil)
 
 // Memoize returns the memoized result of synth for the given (kind, key)
 // pair, running synth at most once per key across the process.
@@ -98,133 +68,18 @@ func Memoize[T any](kind Kind, key any, synth func() (T, error)) (T, error) {
 // non-nil, the single-flight owner of a memory miss first tries to
 // hydrate the value from disk, and publishes freshly synthesized
 // values back. Disk problems of every kind degrade to cold synthesis.
-// A disk-hydrated value populates the memory cache and counts as a
-// memory-tier miss (the disk tier keeps its own counters).
-func MemoizePersist[T any](kind Kind, key any, pc *PersistCodec, synth func() (T, error)) (T, error) {
-	c := &memo.kinds[kind]
-	if memo.disabled.Load() {
-		c.bypassed.Add(1)
-		return synth()
-	}
-	mk := memoKey{kind: kind, key: key}
-	sh := shardOf(mk)
-
-	sh.mu.Lock()
-	if e, ok := sh.entries[mk]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-e.done:
-		default:
-			// Joining a synthesis started by a concurrent caller.
-			c.shared.Add(1)
-			<-e.done
-		}
-		if e.err != nil {
-			// The shared synthesis failed. Its error embeds the other
-			// caller's Name, so re-run locally for a correctly
-			// attributed error (failures are rare and not hot).
-			c.bypassed.Add(1)
-			return synth()
-		}
-		c.hits.Add(1)
-		return e.val.(T), nil
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	if sh.entries == nil {
-		sh.entries = make(map[memoKey]*memoEntry)
-	}
-	sh.entries[mk] = e
-	sh.mu.Unlock()
-
-	// This goroutine owns the synthesis. The deferred cleanup also
-	// covers a panicking model (contained at the chip boundary): waiters
-	// are unblocked with an error entry and the key is removed so later
-	// callers retry rather than deadlock.
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		e.err = errSynthPanicked
-		sh.mu.Lock()
-		delete(sh.entries, mk)
-		sh.mu.Unlock()
-		close(e.done)
-	}()
-
-	// Disk tier: only the flight owner consults it, preserving
-	// single-flight across memory -> disk -> synthesize.
-	if val, ok := diskLoad[T](pc); ok {
-		completed = true
-		c.misses.Add(1)
-		e.val = val
-		close(e.done)
-		return val, nil
-	}
-
-	val, err := synth()
-	completed = true
+// pc's Decode must return a T.
+func MemoizePersist[T any](kind Kind, key any, pc *memo.Codec[any], synth func() (T, error)) (T, error) {
+	v, err := subsystems.Do(int(kind), uint64(kind), memoKey{kind, key}, pc, func() (any, error) { return synth() })
 	if err != nil {
-		e.err = err
-		sh.mu.Lock()
-		delete(sh.entries, mk)
-		sh.mu.Unlock()
-		close(e.done)
 		var zero T
 		return zero, err
 	}
-	c.misses.Add(1)
-	e.val = val
-	close(e.done)
-	// Publish to the disk tier so future processes warm-start; runs
-	// after waiters are released and never fails the caller.
-	diskPublish(pc, val)
-	return val, nil
+	return v.(T), nil
 }
-
-// errSynthPanicked marks entries whose owning synthesis unwound via
-// panic. Waiters never surface it; they re-synthesize (and re-panic)
-// themselves.
-var errSynthPanicked = &panickedError{}
-
-type panickedError struct{}
-
-func (*panickedError) Error() string { return "component: shared synthesis panicked" }
 
 // KindStats is the counter snapshot for one component kind.
-type KindStats struct {
-	// Hits counts syntheses served from the cache (including Shared).
-	Hits uint64
-	// Misses counts memory-tier misses that populated the cache: real
-	// synthesis runs, plus values hydrated from the disk tier for kinds
-	// that register a PersistCodec (the disk tier keeps its own
-	// counters; see internal/persist).
-	Misses uint64
-	// Shared counts hits that joined an in-flight synthesis started by
-	// a concurrent caller — the single-flight deduplications.
-	Shared uint64
-	// Bypassed counts syntheses that ran uncached: caching disabled, or
-	// a waiter re-running a synthesis whose shared flight failed.
-	Bypassed uint64
-}
-
-func (k KindStats) add(o KindStats) KindStats {
-	return KindStats{
-		Hits:     k.Hits + o.Hits,
-		Misses:   k.Misses + o.Misses,
-		Shared:   k.Shared + o.Shared,
-		Bypassed: k.Bypassed + o.Bypassed,
-	}
-}
-
-func (k KindStats) sub(o KindStats) KindStats {
-	return KindStats{
-		Hits:     k.Hits - o.Hits,
-		Misses:   k.Misses - o.Misses,
-		Shared:   k.Shared - o.Shared,
-		Bypassed: k.Bypassed - o.Bypassed,
-	}
-}
+type KindStats = memo.Stats
 
 // CacheStats is a snapshot of the subsystem synthesis-cache counters,
 // broken down by component kind.
@@ -240,77 +95,42 @@ type CacheStats struct {
 func (s CacheStats) Total() KindStats {
 	var t KindStats
 	for _, k := range s.Kinds {
-		t = t.add(k)
+		t.Hits += k.Hits
+		t.Misses += k.Misses
+		t.Shared += k.Shared
+		t.Bypassed += k.Bypassed
 	}
 	return t
 }
 
 // HitRate returns the fraction of cache-served syntheses among all
 // syntheses that consulted the cache.
-func (s CacheStats) HitRate() float64 {
-	t := s.Total()
-	total := t.Hits + t.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Hits) / float64(total)
-}
+func (s CacheStats) HitRate() float64 { return s.Total().HitRate() }
 
 // Delta returns the counter difference s - prev, for reporting one
 // sweep's cache behavior. Entries is carried from s unchanged.
 func (s CacheStats) Delta(prev CacheStats) CacheStats {
 	d := CacheStats{Entries: s.Entries}
 	for i := range s.Kinds {
-		d.Kinds[i] = s.Kinds[i].sub(prev.Kinds[i])
+		d.Kinds[i] = s.Kinds[i].Delta(prev.Kinds[i])
 	}
 	return d
 }
 
 // Stats returns the current global cache counters.
 func Stats() CacheStats {
-	var s CacheStats
-	for i := range memo.kinds {
-		c := &memo.kinds[i]
-		s.Kinds[i] = KindStats{
-			Hits:     c.hits.Load(),
-			Misses:   c.misses.Load(),
-			Shared:   c.shared.Load(),
-			Bypassed: c.bypassed.Load(),
-		}
-	}
-	for i := range memo.shards {
-		sh := &memo.shards[i]
-		sh.mu.Lock()
-		s.Entries += len(sh.entries)
-		sh.mu.Unlock()
+	s := CacheStats{Entries: subsystems.Len()}
+	for i := range s.Kinds {
+		s.Kinds[i] = subsystems.Stats(i)
 	}
 	return s
 }
 
 // ResetCache drops every cached subsystem and zeroes the counters.
-// In-flight syntheses complete normally but repopulate a fresh table.
-func ResetCache() {
-	for i := range memo.shards {
-		sh := &memo.shards[i]
-		sh.mu.Lock()
-		sh.entries = nil
-		sh.mu.Unlock()
-	}
-	for i := range memo.kinds {
-		c := &memo.kinds[i]
-		c.hits.Store(0)
-		c.misses.Store(0)
-		c.shared.Store(0)
-		c.bypassed.Store(0)
-	}
-}
+func ResetCache() { subsystems.Reset() }
 
 // SetCacheEnabled turns subsystem-result caching on or off (it is on by
-// default) and returns the previous setting. Disabling does not drop
-// resident entries; combine with ResetCache for a cold, cache-free run.
-func SetCacheEnabled(enabled bool) bool {
-	return !memo.disabled.Swap(!enabled)
-}
-
-// CacheEnabled reports whether synthesized subsystems are being cached.
-func CacheEnabled() bool { return !memo.disabled.Load() }
+// default) and returns the previous setting. It switches only this
+// tier, not the array tier below it. Disabling does not drop resident
+// entries; combine with ResetCache for a cold, cache-free run.
+func SetCacheEnabled(enabled bool) bool { return subsystems.SetEnabled(enabled) }

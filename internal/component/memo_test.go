@@ -1,9 +1,7 @@
 package component
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -70,133 +68,6 @@ func TestMemoizeKeysAndKindsAreDistinct(t *testing.T) {
 	}
 	if cs := Stats(); cs.Entries != 3 || cs.Total().Misses != 3 {
 		t.Errorf("stats = %+v, want 3 entries / 3 misses", cs)
-	}
-}
-
-func TestMemoizeErrorNotCached(t *testing.T) {
-	resetForTest(t)
-	boom := errors.New("boom")
-	var runs int
-	synth := func() (int, error) {
-		runs++
-		if runs == 1 {
-			return 0, boom
-		}
-		return 7, nil
-	}
-	if _, err := Memoize(KindMC, testKey{1}, synth); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	v, err := Memoize(KindMC, testKey{1}, synth)
-	if err != nil || v != 7 {
-		t.Fatalf("retry after error: v=%d err=%v", v, err)
-	}
-	if runs != 2 {
-		t.Errorf("synthesis ran %d times, want 2 (errors must not be cached)", runs)
-	}
-}
-
-func TestMemoizeDisabledBypasses(t *testing.T) {
-	resetForTest(t)
-	SetCacheEnabled(false)
-	var runs int
-	synth := func() (int, error) { runs++; return 1, nil }
-	for i := 0; i < 3; i++ {
-		if _, err := Memoize(KindClock, testKey{1}, synth); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if runs != 3 {
-		t.Errorf("synthesis ran %d times with cache disabled, want 3", runs)
-	}
-	cs := Stats()
-	if k := cs.Kinds[KindClock]; k.Bypassed != 3 || k.Hits != 0 || k.Misses != 0 {
-		t.Errorf("counters = %+v, want 3 bypassed only", k)
-	}
-	if cs.Entries != 0 {
-		t.Errorf("Entries = %d, want 0 (disabled runs must not populate)", cs.Entries)
-	}
-}
-
-func TestMemoizePanicUnblocksAndRetries(t *testing.T) {
-	resetForTest(t)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected the synthesis panic to propagate")
-			}
-		}()
-		Memoize(KindFabric, testKey{1}, func() (int, error) { panic("model fault") })
-	}()
-	// The panicked entry must be gone: a later call runs a real synthesis.
-	v, err := Memoize(KindFabric, testKey{1}, func() (int, error) { return 5, nil })
-	if err != nil || v != 5 {
-		t.Fatalf("after panic: v=%d err=%v", v, err)
-	}
-	if cs := Stats(); cs.Entries != 1 {
-		t.Errorf("Entries = %d, want 1", cs.Entries)
-	}
-}
-
-// TestMemoizeConcurrentSingleFlight is the -race proof of the layer:
-// many goroutines synthesize overlapping keys; every key's synthesis
-// must run exactly once and every caller must observe the same shared
-// instance.
-func TestMemoizeConcurrentSingleFlight(t *testing.T) {
-	resetForTest(t)
-	const (
-		workers = 16
-		keys    = 8
-		rounds  = 25
-	)
-	var runs [keys]atomic.Int32
-	got := make([][]*int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			got[w] = make([]*int, keys)
-			for r := 0; r < rounds; r++ {
-				for k := 0; k < keys; k++ {
-					v, err := Memoize(KindCore, testKey{k}, func() (*int, error) {
-						runs[k].Add(1)
-						x := k
-						return &x, nil
-					})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if got[w][k] == nil {
-						got[w][k] = v
-					} else if got[w][k] != v {
-						t.Errorf("worker %d key %d: instance changed between calls", w, k)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for k := 0; k < keys; k++ {
-		if n := runs[k].Load(); n != 1 {
-			t.Errorf("key %d synthesized %d times, want 1", k, n)
-		}
-		for w := 1; w < workers; w++ {
-			if got[w][k] != got[0][k] {
-				t.Errorf("key %d: workers observed different instances", k)
-				break
-			}
-		}
-	}
-	cs := Stats()
-	k := cs.Kinds[KindCore]
-	if k.Misses != keys {
-		t.Errorf("misses = %d, want %d", k.Misses, keys)
-	}
-	if want := uint64(workers*rounds*keys - keys); k.Hits != want {
-		t.Errorf("hits = %d, want %d", k.Hits, want)
 	}
 }
 

@@ -492,11 +492,10 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 // mergeOutcomes reduces per-shard results to the exact serial Result:
 // candidates restore enumeration (proposal) order before the engine's
 // stable feasible-first/score ranking, so ordering and tie-breaks are
-// bit-identical; the front merges through ParetoFront (unbounded
-// dominance is order- and partition-independent), or — when a size cap
-// makes crowding truncation order-sensitive — replays the full
-// candidate list in proposal order, which is exactly what the serial
-// engine did.
+// bit-identical, and the front replays the full candidate list in
+// proposal order, which is exactly what the serial engine did. A
+// bounded front needs the replay (its crowding truncation is
+// order-sensitive), and the same path serves an unbounded one.
 func mergeOutcomes(size, frontSize int, shards []*ShardResult) *explore.Result {
 	res := &explore.Result{
 		Search:    explore.SearchExhaustive,
@@ -534,21 +533,11 @@ func mergeOutcomes(size, frontSize int, shards []*ShardResult) *explore.Result {
 		res.Failures = append(res.Failures, fails[i].fail)
 	}
 
-	if frontSize > 0 {
-		front := explore.NewParetoFront(frontSize)
-		for i := range cands {
-			front.Add(cands[i].cand)
-		}
-		res.Front = front.Members()
-	} else {
-		front := explore.NewParetoFront(0)
-		for _, s := range shards {
-			for i := range s.Front {
-				front.Add(fromWire(&s.Front[i]))
-			}
-		}
-		res.Front = front.Members()
+	front := explore.NewParetoFront(frontSize)
+	for i := range cands {
+		front.Add(cands[i].cand)
 	}
+	res.Front = front.Members()
 
 	for i := range cands {
 		if cands[i].cand.Feasible {

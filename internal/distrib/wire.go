@@ -205,16 +205,15 @@ type ShardFailure struct {
 }
 
 // ShardResult is the final frame of a shard evaluation: every evaluated
-// candidate (feasible and rejected alike) in global enumeration order,
-// the hard failures, and the shard's own Pareto front in the archive's
-// deterministic axis order.
+// candidate (feasible and rejected alike) in global enumeration order
+// and the hard failures. The coordinator rebuilds the Pareto front from
+// the candidates.
 type ShardResult struct {
 	Start      int              `json:"start"`
 	End        int              `json:"end"`
 	Evaluated  int              `json:"evaluated"`
 	Candidates []ShardCandidate `json:"candidates"`
 	Failures   []ShardFailure   `json:"failures,omitempty"`
-	Front      []ShardCandidate `json:"front,omitempty"`
 }
 
 // Frame is one NDJSON record of the shard stream: interleaved
@@ -331,10 +330,6 @@ func EvalShard(ctx context.Context, spec ShardSpec, onProgress func(done, total 
 	sort.Slice(out.Failures, func(i, j int) bool {
 		return out.Failures[i].Index < out.Failures[j].Index
 	})
-	for i := range res.Front {
-		c := &res.Front[i]
-		out.Front = append(out.Front, toWire(c, idx[keyOf(c)]))
-	}
 	return out, nil
 }
 

@@ -1,0 +1,307 @@
+// Package memo is the process-wide synthesis memo behind both reuse
+// tiers of the model: the array tier caches individual optimizer solves
+// (internal/array) and the subsystem tier caches whole synthesized
+// cores, caches, fabric pieces, controllers and clock networks
+// (internal/component). Each tier is one Table.
+//
+// A Table maps canonical keys to synthesized values. Concurrent lookups
+// of one key share a single in-flight synthesis (single flight), and
+// only the goroutine that owns a key's flight walks the tiers below
+// memory: the default persistent store (internal/persist), then the
+// synthesis itself, then a publish back to disk.
+//
+// Correctness properties, shared by both tiers:
+//   - Only successful syntheses are cached. Errors carry the caller's
+//     Name, which keys leave out, so error values are never shared: a
+//     waiter that joined a failing flight re-runs the synthesis itself
+//     to get an error naming its own structure.
+//   - A panic inside a synthesis (contained further up, at the chip
+//     boundary) releases every waiter and leaves no entry behind.
+//   - Technology-node retunes invalidate naturally: keys embed the
+//     node's value fingerprint, recomputed per lookup.
+package memo
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"mcpat/internal/persist"
+)
+
+// Table is one memo tier: a lock-striped, single-flight map from
+// canonical keys to synthesized values, with an enable switch and one
+// or more counter sets.
+type Table[K comparable, V any] struct {
+	disabled atomic.Bool
+	private  func(V) V
+	sets     []counters
+	stripes  []stripe[K, V]
+}
+
+type stripe[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries map[K]*entry[V]
+}
+
+// entry is one key's flight. val and ok are final once done is closed;
+// ok is false when the flight failed or panicked, and such an entry has
+// already left the table.
+type entry[V any] struct {
+	done chan struct{}
+	val  V
+	ok   bool
+}
+
+type counters struct {
+	hits, misses, shared, bypassed atomic.Uint64
+}
+
+// NewTable returns an empty, enabled table with the given numbers of
+// lock stripes and counter sets. private, when non-nil, copies every
+// value the table hands out, for tiers whose callers may mutate what
+// they get; with a nil private, every caller shares the stored value.
+func NewTable[K comparable, V any](stripes, sets int, private func(V) V) *Table[K, V] {
+	return &Table[K, V]{
+		private: private,
+		sets:    make([]counters, sets),
+		stripes: make([]stripe[K, V], stripes),
+	}
+}
+
+// Do returns the value memoized under key, running synth at most once
+// per key across the process. The lookup is counted on counter set set
+// and locks stripe (taken modulo the stripe count). codec, when
+// non-nil, adds the disk tier: the flight's owner tries the default
+// persistent store before synth and publishes what synth returns. A
+// disk-hydrated value fills the table and counts as a miss, like a
+// synthesis; the disk tier keeps its own counters.
+//
+// With the table disabled, Do runs synth uncached and counts a bypass.
+func (t *Table[K, V]) Do(set int, stripe uint64, key K, codec *Codec[V], synth func() (V, error)) (V, error) {
+	c := &t.sets[set]
+	if t.disabled.Load() {
+		c.bypassed.Add(1)
+		return synth()
+	}
+	s := &t.stripes[stripe%uint64(len(t.stripes))]
+
+	s.mu.Lock()
+	if e, ok := s.entries[key]; ok {
+		s.mu.Unlock()
+		select {
+		case <-e.done:
+		default:
+			// Joining a flight started by a concurrent caller.
+			c.shared.Add(1)
+			<-e.done
+		}
+		if !e.ok {
+			// The shared flight failed. Its error names the other
+			// caller's structure, so re-run for a correctly attributed
+			// error (failures are rare and not hot).
+			c.bypassed.Add(1)
+			return synth()
+		}
+		c.hits.Add(1)
+		return t.handOut(e.val), nil
+	}
+	e := &entry[V]{done: make(chan struct{})}
+	if s.entries == nil {
+		s.entries = make(map[K]*entry[V])
+	}
+	s.entries[key] = e
+	s.mu.Unlock()
+
+	// This goroutine owns the flight. If the walk panics, the deferred
+	// drop removes the entry and releases the waiters, who re-run synth
+	// themselves rather than deadlock.
+	landed := false
+	defer func() {
+		if !landed {
+			s.drop(key, e)
+		}
+	}()
+	v, fromDisk := codec.load()
+	if !fromDisk {
+		var err error
+		if v, err = synth(); err != nil {
+			landed = true
+			s.drop(key, e)
+			var zero V
+			return zero, err
+		}
+	}
+	landed = true
+	c.misses.Add(1)
+	e.val, e.ok = v, true
+	close(e.done)
+	if !fromDisk {
+		// Publish so future processes warm-start. This runs after the
+		// waiters are released and never fails the caller.
+		codec.store(v)
+	}
+	return t.handOut(v), nil
+}
+
+func (t *Table[K, V]) handOut(v V) V {
+	if t.private != nil {
+		return t.private(v)
+	}
+	return v
+}
+
+// drop removes a flight that did not land and releases its waiters. A
+// Reset during the flight may have given the key to a newer flight,
+// which stays.
+func (s *stripe[K, V]) drop(key K, e *entry[V]) {
+	s.mu.Lock()
+	if s.entries[key] == e {
+		delete(s.entries, key)
+	}
+	s.mu.Unlock()
+	close(e.done)
+}
+
+// Stats returns the counters of one set.
+func (t *Table[K, V]) Stats(set int) Stats {
+	c := &t.sets[set]
+	return Stats{
+		Hits:     c.hits.Load(),
+		Misses:   c.misses.Load(),
+		Shared:   c.shared.Load(),
+		Bypassed: c.bypassed.Load(),
+	}
+}
+
+// Len returns the number of resident entries, flights in progress
+// included.
+func (t *Table[K, V]) Len() int {
+	n := 0
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		n += len(s.entries)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// Reset drops every entry and zeroes every counter set. Flights in
+// progress still complete for their waiters, but their values do not
+// enter the emptied table.
+func (t *Table[K, V]) Reset() {
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		s.entries = nil
+		s.mu.Unlock()
+	}
+	for i := range t.sets {
+		c := &t.sets[i]
+		c.hits.Store(0)
+		c.misses.Store(0)
+		c.shared.Store(0)
+		c.bypassed.Store(0)
+	}
+}
+
+// SetEnabled turns caching on or off (it is on after NewTable) and
+// returns the previous setting. Disabling keeps resident entries;
+// combine it with Reset for a cold, cache-free run.
+func (t *Table[K, V]) SetEnabled(enabled bool) bool {
+	return !t.disabled.Swap(!enabled)
+}
+
+// Enabled reports whether the table caches.
+func (t *Table[K, V]) Enabled() bool { return !t.disabled.Load() }
+
+// Stats is a snapshot of one counter set.
+type Stats struct {
+	// Hits counts lookups served from the table (including Shared).
+	Hits uint64
+	// Misses counts lookups that filled the table: real syntheses, plus
+	// values hydrated from the disk tier when a persistent cache
+	// directory is configured (the disk tier keeps its own hit/miss
+	// counters; see internal/persist).
+	Misses uint64
+	// Shared counts hits that joined a flight started by a concurrent
+	// caller instead of finding a landed entry: the single-flight
+	// deduplications.
+	Shared uint64
+	// Bypassed counts syntheses that ran uncached: caching disabled, or
+	// a waiter re-running a synthesis whose shared flight failed.
+	Bypassed uint64
+}
+
+// HitRate returns the fraction of table-served lookups among all
+// lookups that consulted the table.
+func (s Stats) HitRate() float64 {
+	total := s.Hits + s.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(total)
+}
+
+// Delta returns the counter difference s - prev, for reporting one
+// sweep's or one serving window's memo behavior.
+func (s Stats) Delta(prev Stats) Stats {
+	return Stats{
+		Hits:     s.Hits - prev.Hits,
+		Misses:   s.Misses - prev.Misses,
+		Shared:   s.Shared - prev.Shared,
+		Bypassed: s.Bypassed - prev.Bypassed,
+	}
+}
+
+// Codec is one lookup's disk form. It is built per lookup, so Decode
+// may reattach live context the stored bytes leave out (the caller's
+// *tech.Node, which the key identifies by its value fingerprint).
+type Codec[V any] struct {
+	// NS is the disk namespace. It embeds a format version
+	// ("array.v1"), bumped whenever the key or value encoding changes so
+	// stale entries strand instead of decoding wrongly.
+	NS string
+	// Key returns the deterministic byte encoding of the lookup's key.
+	Key func() []byte
+	// Encode serializes a synthesized value.
+	Encode func(V) ([]byte, error)
+	// Decode reverses Encode. An error is a miss, and cold synthesis
+	// republishes; Decode must never panic.
+	Decode func([]byte) (V, error)
+}
+
+// load returns the disk tier's value for the lookup. Any disk problem
+// is a miss.
+func (c *Codec[V]) load() (V, bool) {
+	var zero V
+	store := persist.Default()
+	if c == nil || store == nil {
+		return zero, false
+	}
+	data, ok := store.Get(c.NS, c.Key())
+	if !ok {
+		return zero, false
+	}
+	v, err := c.Decode(data)
+	if err != nil {
+		// The framing verified but the payload does not decode: codec
+		// skew that slipped past the namespace version.
+		return zero, false
+	}
+	return v, true
+}
+
+// store publishes a synthesized value. A dropped write only costs a
+// later process one cold synthesis.
+func (c *Codec[V]) store(v V) {
+	store := persist.Default()
+	if c == nil || store == nil {
+		return
+	}
+	data, err := c.Encode(v)
+	if err != nil {
+		return
+	}
+	store.Put(c.NS, c.Key(), data)
+}

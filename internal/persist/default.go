@@ -3,9 +3,9 @@ package persist
 import "sync/atomic"
 
 // The process-wide default store is the wiring point between the
-// synthesis memo layers and disk: internal/array and internal/component
-// consult Default() on every memory miss. No default (the zero state)
-// means no disk tier — exactly the pre-persistence behavior.
+// synthesis memo layers and disk: internal/memo consults Default() on
+// every memory miss of either tier. No default (the zero state) means
+// no disk tier — exactly the pre-persistence behavior.
 
 var defaultStore atomic.Pointer[Store]
 

@@ -50,19 +50,26 @@ type BatchResponse struct {
 
 // handleBatch serves POST /v1/batch. Admission takes one synchronous
 // evaluation slot up front (shed with 429 when saturated, like
-// /v1/evaluate); additional intra-batch workers then acquire further
-// slots as they free up, so a batch can use idle capacity but never
-// push total evaluation concurrency past MaxInFlight.
+// /v1/evaluate), and the first worker's first evaluation takes it
+// over. Every item's evaluation frees its slot when it really stops, as
+// on the evaluate path, so intra-batch workers acquire a slot before
+// each further item: a batch can use idle capacity but never push total
+// evaluation concurrency past MaxInFlight, abandoned items included.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.evalSem <- struct{}{}:
-		defer func() { <-s.evalSem }()
 	default:
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			&APIError{Kind: kindOverloaded, Message: "evaluation capacity saturated; retry"})
 		return
 	}
+	handedOff := false // to the first worker, once the batch is valid
+	defer func() {
+		if !handedOff {
+			<-s.evalSem
+		}
+	}()
 
 	var req BatchRequest
 	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
@@ -96,12 +103,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
 	ctx := r.Context()
+	handedOff = true
 	for w := 0; w < workers; w++ {
-		first := w == 0 // the admission slot already held above
 		wg.Add(1)
-		go func(holdsSlot bool) {
+		go func(holdsSlot bool) { // worker 0 starts with the admission slot
 			defer wg.Done()
+			defer func() {
+				if holdsSlot {
+					<-s.evalSem
+				}
+			}()
 			for i := range idxCh {
+				item := &req.Items[i]
+				if item.Preset == "" && item.Config == nil {
+					resp.Items[i] = BatchItemResult{Index: i,
+						Error: &APIError{Kind: kindBadRequest, Message: "one of preset or config is required"}}
+					continue
+				}
 				if !holdsSlot {
 					select {
 					case s.evalSem <- struct{}{}:
@@ -110,12 +128,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 						continue
 					}
 				}
-				resp.Items[i] = s.evalBatchItem(ctx, i, &req.Items[i])
-				if !holdsSlot {
-					<-s.evalSem
-				}
+				holdsSlot = false // the item's evaluation frees it
+				resp.Items[i] = s.evalBatchItem(ctx, i, item)
 			}
-		}(first)
+		}(w == 0)
 	}
 	for i := range req.Items {
 		select {
@@ -153,13 +169,10 @@ func batchCanceled(i int) BatchItemResult {
 	return BatchItemResult{Index: i, Error: &APIError{Kind: kindCanceled, Message: "batch canceled"}}
 }
 
-// evalBatchItem runs one item under the per-request timeout, reusing
-// the single-evaluation containment (abandon on deadline).
+// evalBatchItem runs one item under the per-request timeout with the
+// evaluate path's hand-off: the item's evaluation takes over the slot
+// the caller holds and frees it when it really stops.
 func (s *Server) evalBatchItem(ctx context.Context, i int, item *EvaluateRequest) BatchItemResult {
-	if item.Preset == "" && item.Config == nil {
-		return BatchItemResult{Index: i,
-			Error: &APIError{Kind: kindBadRequest, Message: "one of preset or config is required"}}
-	}
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -169,18 +182,15 @@ func (s *Server) evalBatchItem(ctx context.Context, i int, item *EvaluateRequest
 		resp *EvaluateResponse
 		err  error
 	}
-	ch := make(chan out, 1)
-	go func() {
+	o, err := handOff(ctx, s.evalSem, func() out {
 		resp, err := evaluateOnce(item)
-		ch <- out{resp, err}
-	}()
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			return BatchItemResult{Index: i, Error: apiError(o.err)}
-		}
-		return BatchItemResult{Index: i, Result: o.resp}
-	case <-ctx.Done():
-		return BatchItemResult{Index: i, Error: apiError(ctx.Err())}
+		return out{resp, err}
+	})
+	if err == nil {
+		err = o.err
 	}
+	if err != nil {
+		return BatchItemResult{Index: i, Error: apiError(err)}
+	}
+	return BatchItemResult{Index: i, Result: o.resp}
 }

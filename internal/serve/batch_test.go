@@ -3,8 +3,11 @@ package serve
 import (
 	"net/http"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"mcpat/internal/chip"
 	"mcpat/internal/persist"
 )
 
@@ -104,5 +107,51 @@ func TestBatchReportsDiskTier(t *testing.T) {
 	}
 	if snap := decode[MetricsSnapshot](t, body); !snap.Disk.Enabled {
 		t.Error("metrics must report the disk tier as enabled")
+	}
+}
+
+// TestAbandonedBatchItemKeepsSlot is TestAbandonedEvaluationKeepsSlot
+// for /v1/batch: a batch item abandoned on its deadline keeps its
+// evaluation slot until the evaluation really finishes, so a batch
+// cannot push running evaluations past MaxInFlight either.
+func TestAbandonedBatchItemKeepsSlot(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unstall := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unstall)
+	withServeEvalHook(t, func(cfg *chip.Config) error {
+		<-release
+		return nil
+	})
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, RequestTimeout: 50 * time.Millisecond})
+	cfg := tinyChip()
+
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/batch", BatchRequest{Items: []EvaluateRequest{{Config: &cfg}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
+	}
+	br := decode[BatchResponse](t, body)
+	if len(br.Items) != 1 || br.Items[0].Error == nil || br.Items[0].Error.Kind != kindTimeout {
+		t.Fatalf("stalled batch item: want a %q error, got %s", kindTimeout, body)
+	}
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{Config: &cfg})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("the abandoned batch item still runs: want 429, got %d: %s", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 must carry Retry-After")
+	}
+
+	// Once the stalled evaluation returns, its goroutine frees the slot.
+	unstall()
+	select {
+	case s.evalSem <- struct{}{}:
+		<-s.evalSem
+	case <-time.After(30 * time.Second):
+		t.Fatal("the abandoned batch item never released its slot")
+	}
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{Config: &cfg})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the slot is freed: want 200, got %d: %s", resp.StatusCode, body)
 	}
 }

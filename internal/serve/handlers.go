@@ -69,35 +69,52 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// The models are CPU-bound and cannot observe a context, so run the
-	// evaluation in a child goroutine and abandon it on deadline - the
-	// same containment strategy the DSE engine uses per candidate. The
-	// goroutine also encodes the reply, and frees the slot before it
-	// hands the bytes over: a closed-loop client's next request must
-	// not find its own previous slot still taken.
+	// The evaluation goroutine also encodes the reply, and frees the
+	// slot before it hands the bytes over: a closed-loop client's next
+	// request must not find its own previous slot still taken.
 	type out struct {
 		body *[]byte
 		err  error
 	}
-	ch := make(chan out, 1)
 	handedOff = true
-	go func() {
+	o, err := handOff(ctx, s.evalSem, func() out {
 		body := replyBufs.Get().(*[]byte)
 		b, err := evaluateReply(req, (*body)[:0])
 		*body = b
-		<-s.evalSem
-		ch <- out{body, err}
+		return out{body, err}
+	})
+	if err != nil {
+		writeModelError(w, err)
+		return
+	}
+	if o.err != nil {
+		writeModelError(w, o.err)
+	} else {
+		writeBody(w, http.StatusOK, *o.body)
+	}
+	replyBufs.Put(o.body)
+}
+
+// handOff runs eval in a child goroutine that takes over the caller's
+// evaluation slot and frees it when eval returns, then waits for eval
+// or ctx, whichever ends first. The models are CPU-bound and cannot
+// observe a context, so on deadline the evaluation is abandoned - the
+// same containment the DSE engine uses per candidate - and keeps its
+// slot until it really stops: MaxInFlight bounds running evaluations,
+// not waiting handlers.
+func handOff[T any](ctx context.Context, sem chan struct{}, eval func() T) (T, error) {
+	ch := make(chan T, 1)
+	go func() {
+		v := eval()
+		<-sem
+		ch <- v
 	}()
 	select {
-	case o := <-ch:
-		if o.err != nil {
-			writeModelError(w, o.err)
-		} else {
-			writeBody(w, http.StatusOK, *o.body)
-		}
-		replyBufs.Put(o.body)
+	case v := <-ch:
+		return v, nil
 	case <-ctx.Done():
-		writeModelError(w, ctx.Err())
+		var zero T
+		return zero, ctx.Err()
 	}
 }
 

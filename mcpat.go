@@ -81,18 +81,12 @@ type (
 	NoCSpec = chip.NoCSpec
 	// CoreConfig describes one processor core.
 	CoreConfig = core.Config
-	// CoreActivity is the per-cycle activity vector of a core.
-	CoreActivity = core.Activity
 	// CacheParams configures a private L1 cache inside a core.
 	CacheParams = core.CacheParams
 	// CacheConfig describes a shared cache level (L2/L3).
 	CacheConfig = cache.Config
 	// MCConfig describes the memory controller.
 	MCConfig = mc.Config
-	// NIUConfig describes a network interface unit.
-	NIUConfig = mc.NIUConfig
-	// PCIeConfig describes a PCIe controller.
-	PCIeConfig = mc.PCIeConfig
 	// Report is a node of the hierarchical power/area report.
 	Report = power.Item
 	// DeviceType selects the ITRS transistor class.
@@ -101,20 +95,11 @@ type (
 	InterconnectKind = chip.InterconnectKind
 )
 
-// Device classes.
-const (
-	// HP is the high-performance (fast, leaky) device class.
-	HP = tech.HP
-	// LSTP is the low-standby-power device class.
-	LSTP = tech.LSTP
-	// LOP is the low-operating-power device class.
-	LOP = tech.LOP
-)
+// HP is the high-performance (fast, leaky) device class.
+const HP = tech.HP
 
 // Interconnect kinds.
 const (
-	// NoInterconnect connects cores to the shared cache directly.
-	NoInterconnect = chip.NoneIC
 	// Bus is a shared multi-drop bus.
 	Bus = chip.Bus
 	// Crossbar is a flat crossbar (Niagara style).
@@ -128,33 +113,18 @@ const (
 // New synthesizes a processor from a chip configuration.
 //
 // New never panics: faults inside the model layers are contained at this
-// boundary and classified into the error taxonomy below (ErrConfig,
-// ErrInfeasible, ErrModelDomain, ErrInternal). Inspect with errors.Is.
+// boundary and classified into the error taxonomy (configuration,
+// infeasible, model domain, internal); every error escaping the public
+// API wraps exactly one kind.
 func New(cfg Config) (*Processor, error) { return chip.New(cfg) }
 
-// Error taxonomy. Every error escaping the public API wraps exactly one
-// of these sentinel kinds; test with errors.Is.
-var (
-	// ErrConfig marks a malformed or out-of-range configuration.
-	ErrConfig = guard.ErrConfig
-	// ErrInfeasible marks a well-formed request with no physical
-	// solution (e.g. no array organization meets the clock target).
-	ErrInfeasible = guard.ErrInfeasible
-	// ErrModelDomain marks model output outside its validity domain
-	// (NaN/Inf/negative power, inconsistent component trees).
-	ErrModelDomain = guard.ErrModelDomain
-	// ErrInternal marks a contained panic or framework bug.
-	ErrInternal = guard.ErrInternal
-)
+// ErrConfig marks a malformed or out-of-range configuration, the
+// error-taxonomy kind to test for with errors.Is.
+var ErrConfig = guard.ErrConfig
 
-// Output sanity guard.
-type (
-	// Diagnostic is one sanity violation found in a report tree.
-	Diagnostic = guard.Diagnostic
-	// Diagnostics is the full list from a sanity pass; Err() folds it
-	// into a single ErrModelDomain error.
-	Diagnostics = guard.Diagnostics
-)
+// Diagnostics is the full list from an output sanity pass; Err() folds
+// it into a single model-domain error.
+type Diagnostics = guard.Diagnostics
 
 // CheckReport walks a power/area report and flags non-finite or negative
 // values, component trees whose children exceed their parent, and runtime
@@ -336,29 +306,13 @@ func M5ToStatsAt(dumps []M5Dump, i int, clockHz float64, numCores int) (*Stats, 
 	return m5compat.ToChipStatsAt(dumps, i, clockHz, numCores)
 }
 
-// M5DumpSeconds reports the simulated duration one dump covers
-// (sim_seconds when present, cycles over the clock otherwise).
-func M5DumpSeconds(d M5Dump, clockHz float64) (float64, error) {
-	return m5compat.SimSeconds(d, clockHz)
-}
-
 // Native gem5 ingestion: template-free mapping of a gem5 config.json
 // onto a chip configuration, with per-field provenance.
 type (
 	// Gem5Result is a mapped gem5 configuration: the chip description
 	// plus the provenance trail and the preset that filled the gaps.
 	Gem5Result = gem5.Result
-	// Gem5Note records where one mapped field came from (config.json
-	// path or preset default).
-	Gem5Note = gem5.Note
 )
-
-// MapGem5Config maps a gem5 config.json document onto a chip
-// configuration. Fields the dump records are taken verbatim; everything
-// else defaults from a processor-class preset keyed to the CPU type,
-// and every field carries a provenance note. Malformed documents are
-// ErrConfig with a path into the JSON — never a panic.
-func MapGem5Config(r io.Reader) (*Gem5Result, error) { return gem5.Map(r) }
 
 // Time-series power traces: synthesize the chip once, score one cheap
 // pure pass per statistics interval.
@@ -367,32 +321,18 @@ type (
 	TraceEngine = trace.Engine
 	// TraceInterval is one statistics window (runtime vector + seconds).
 	TraceInterval = trace.Interval
-	// TraceSample is the scored power of one interval.
-	TraceSample = trace.Sample
-	// TraceSummary aggregates a finished trace (energy, average, peak).
-	TraceSummary = trace.Summary
-	// TraceHeader describes the chip a trace was scored against.
-	TraceHeader = trace.Header
 	// PowerTrace is a materialized trace: header, samples, summary. Its
 	// WriteNDJSON/WriteCSV methods serialize it in the same formats the
 	// service and mcpat-trace emit.
 	PowerTrace = trace.Trace
-	// TraceRecord is one NDJSON frame of a streamed trace.
-	TraceRecord = trace.Record
 	// TraceLoopOptions configures the closed power/thermal/DVFS feedback
 	// loop of a trace run (see TraceEngine.EnableLoop).
 	TraceLoopOptions = trace.LoopOptions
 	// Governor picks the DVFS operating point of each trace interval.
 	Governor = trace.Governor
-	// GovernorInput is the state a governor decides from.
-	GovernorInput = trace.GovernorInput
-	// GovernorDecision is a governor's per-interval operating point.
-	GovernorDecision = trace.GovernorDecision
 	// ThermalHeadroomGovernor throttles proportionally to the thermal
 	// headroom deficit.
 	ThermalHeadroomGovernor = trace.ThermalHeadroom
-	// ScheduleGovernor plays back a fixed per-interval DVFS schedule.
-	ScheduleGovernor = trace.Schedule
 )
 
 // NewGovernor resolves a DVFS governor by policy name ("none",
@@ -428,8 +368,6 @@ type (
 	DSEConstraints = explore.Constraints
 	// DSEParams fixes the non-swept parameters.
 	DSEParams = explore.Params
-	// DSECandidate is one evaluated design point.
-	DSECandidate = explore.Candidate
 	// DSEResult is a completed exploration.
 	DSEResult = explore.Result
 	// DSEObjective ranks feasible candidates.
@@ -500,9 +438,6 @@ type (
 	// DistribMetrics accumulates coordinator counters across sweeps;
 	// pass one instance via DistribOptions.Metrics and snapshot it.
 	DistribMetrics = distrib.Metrics
-	// DistribStats is a point-in-time snapshot of coordinator activity
-	// (shards dispatched/stolen/retried, per-worker throughput).
-	DistribStats = distrib.Stats
 )
 
 // ExploreDesignSpaceDistributed runs an exhaustive sweep sharded across
@@ -524,24 +459,9 @@ type (
 	// Server is the mcpatd HTTP service; mount Handler() on an
 	// http.Server and call Shutdown to drain.
 	Server = serve.Server
-	// EvaluateRequest is the POST /v1/evaluate JSON body.
-	EvaluateRequest = serve.EvaluateRequest
-	// EvaluateResponse is the POST /v1/evaluate success body.
-	EvaluateResponse = serve.EvaluateResponse
-	// DSERequest is the POST /v1/dse JSON body describing one sweep.
-	DSERequest = serve.DSERequest
 	// DSEReport is the machine-readable sweep result, shared by the
 	// service's job results and mcpat-dse -json.
 	DSEReport = serve.DSEReport
-	// DSEReportCandidate is the wire form of one evaluated point.
-	DSEReportCandidate = serve.DSECandidate
-	// JobStatus is the wire form of an async DSE job.
-	JobStatus = serve.JobStatus
-	// APIError is the structured error detail of non-2xx responses.
-	APIError = serve.APIError
-	// TraceRequest is the POST /v1/trace JSON body (gem5 config.json or
-	// preset/config plus a multi-dump stats.txt).
-	TraceRequest = serve.TraceRequest
 )
 
 // NewServer builds the evaluation service; see cmd/mcpatd for the
@@ -561,11 +481,6 @@ type (
 	PackageSpec = thermal.PackageSpec
 	// ThermalResult is a converged power/temperature operating point.
 	ThermalResult = thermal.Result
-	// ThermalBlock is one lumped node of the transient thermal network.
-	ThermalBlock = thermal.Block
-	// ThermalModel is the per-block lumped RC network the closed-loop
-	// trace engine steps once per interval.
-	ThermalModel = thermal.Model
 )
 
 // SolveThermal finds the self-consistent junction temperature of the
@@ -612,9 +527,6 @@ func DRAMChannelPower(ch DRAMChannel, tr DRAMTraffic) (*DRAMPower, error) {
 // leakage, area, and access time chosen by the internal optimizer.
 type Cache = cache.Cache
 
-// TimingEntry reports one component's latency against the cycle budget.
-type TimingEntry = chip.TimingEntry
-
 // VFPoint is one operating point of a voltage-frequency scan.
 type VFPoint = chip.VFPoint
 
@@ -653,18 +565,6 @@ func ResetArraySynthCache() { array.ResetCache() }
 // cold, cache-free run.
 func SetArraySynthCache(enabled bool) bool { return array.SetCacheEnabled(enabled) }
 
-// ArrayOptimizerStats is a snapshot of the array optimizer's enumeration
-// counters: organizations fully evaluated vs skipped by the
-// branch-and-bound lower bound. See ArrayOptStats.
-type ArrayOptimizerStats = array.OptimizerStats
-
-// ArrayOptStats returns the process-wide array-optimizer counters. They
-// move only on real (uncached) syntheses, so their delta over a window
-// measures cold-path enumeration work and how much of it the pruning
-// bound eliminated. Pruning never changes a winner - skipped
-// organizations provably could not beat the incumbent.
-func ArrayOptStats() ArrayOptimizerStats { return array.OptStats() }
-
 // SetSynthWorkers sets the process-wide default for concurrent subsystem
 // synthesis during chip assembly (cores, shared caches, memory and I/O
 // controllers build in parallel on a bounded worker pool) and returns
@@ -673,9 +573,6 @@ func ArrayOptStats() ArrayOptimizerStats { return array.OptStats() }
 // bit-identical reports; results always fold in the pinned report
 // order.
 func SetSynthWorkers(n int) int { return chip.SetSynthWorkers(n) }
-
-// SynthWorkers reports the resolved process-wide assembly parallelism.
-func SynthWorkers() int { return chip.SynthWorkers() }
 
 // SynthInflight reports how many subsystem builders are executing right
 // now across all concurrent evaluations (an observability gauge).
@@ -751,14 +648,12 @@ func EnablePersistentCache(dir string, maxBytes int64) (func(), error) {
 // installed.
 func PersistentCacheStats() DiskCacheStats { return persist.DefaultStats() }
 
-// Indices into SubsysCacheStats.Kinds, one per memoized subsystem
-// family.
+// Indices into SubsysCacheStats.Kinds for the core, cache and fabric
+// families; SubsysKindName names every index.
 const (
 	SubsysKindCore   = int(component.KindCore)
 	SubsysKindCache  = int(component.KindCache)
 	SubsysKindFabric = int(component.KindFabric)
-	SubsysKindMC     = int(component.KindMC)
-	SubsysKindClock  = int(component.KindClock)
 )
 
 // SubsysKindName returns the display name of a SubsysCacheStats.Kinds
