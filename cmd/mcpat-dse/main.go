@@ -39,6 +39,8 @@ import (
 
 	"mcpat"
 	"mcpat/internal/cliutil"
+	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 )
 
 func main() {
@@ -71,16 +73,9 @@ func main() {
 		defer closeCache()
 	}
 
-	var obj mcpat.DSEObjective
-	switch *objName {
-	case "throughput":
-		obj = mcpat.MaxThroughput
-	case "perf/watt":
-		obj = mcpat.MaxPerfPerWatt
-	case "ed2ap":
-		obj = mcpat.MinED2AP
-	default:
-		cliutil.Usagef("mcpat-dse", "unknown objective %q", *objName)
+	obj, err := explore.ParseObjective(*objName)
+	if err != nil {
+		cliutil.Usagef("mcpat-dse", "%v", err)
 	}
 
 	searchKind, err := mcpat.ParseDSESearchKind(*search)
@@ -135,7 +130,7 @@ func main() {
 	}
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
-		fmt.Fprintln(os.Stderr, "mcpat-dse:", cliutil.FirstLine(err.Error()))
+		fmt.Fprintln(os.Stderr, "mcpat-dse:", guard.FirstLine(err.Error()))
 		if res == nil {
 			os.Exit(cliutil.ExitCode(err))
 		}
@@ -185,7 +180,7 @@ func main() {
 	if len(res.Failures) > 0 {
 		fmt.Printf("\n%d candidate(s) failed to evaluate:\n", len(res.Failures))
 		for _, f := range res.Failures {
-			fmt.Printf("  %s\n", firstLine(f.String()))
+			fmt.Printf("  %s\n", guard.FirstLine(f.String()))
 		}
 	}
 	if res.Best != nil {
@@ -279,12 +274,4 @@ func splitCSV(csv string) []string {
 		}
 	}
 	return out
-}
-
-// firstLine trims a multi-line failure (panic stacks) for terminal output.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

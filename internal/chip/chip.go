@@ -54,6 +54,17 @@ func (k InterconnectKind) String() string {
 	return fmt.Sprintf("InterconnectKind(%d)", int(k))
 }
 
+// ParseInterconnect maps a fabric name, as String writes it, to its
+// kind.
+func ParseInterconnect(name string) (InterconnectKind, error) {
+	for k := NoneIC; k <= Ring; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown fabric %q (none|bus|crossbar|mesh|ring)", name)
+}
+
 // NoCSpec configures the chip fabric.
 type NoCSpec struct {
 	Kind            InterconnectKind

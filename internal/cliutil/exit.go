@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 
 	"mcpat/internal/guard"
 )
@@ -45,7 +44,7 @@ func ExitCode(err error) int {
 // Multi-line details (recovered panic stacks) are trimmed to their
 // headline.
 func Fatal(tool string, err error) {
-	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, FirstLine(err.Error()))
+	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, guard.FirstLine(err.Error()))
 	os.Exit(ExitCode(err))
 }
 
@@ -54,12 +53,4 @@ func Fatal(tool string, err error) {
 func Usagef(tool, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, tool+": "+format+"\n", args...)
 	os.Exit(ExitConfig)
-}
-
-// FirstLine trims a message to its first line.
-func FirstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

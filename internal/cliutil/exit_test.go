@@ -21,19 +21,14 @@ func TestExitCodeMapping(t *testing.T) {
 		{errors.New("plain I/O error"), ExitInternal},
 		// Wrapping must not change the classification.
 		{fmt.Errorf("outer: %w", guard.Configf("chip", "bad")), ExitConfig},
+		// Nor must decoding a remote error.
+		{fmt.Errorf("remote: %w", &guard.WireError{Kind: guard.KindConfig}), ExitConfig},
+		{&guard.WireError{Kind: guard.KindModelDomain}, ExitInfeasible},
+		{&guard.WireError{Kind: guard.KindTimeout}, ExitInternal},
 	}
 	for _, c := range cases {
 		if got := ExitCode(c.err); got != c.want {
 			t.Errorf("ExitCode(%v) = %d, want %d", c.err, got, c.want)
 		}
-	}
-}
-
-func TestFirstLine(t *testing.T) {
-	if got := FirstLine("head\ntail"); got != "head" {
-		t.Errorf("FirstLine = %q", got)
-	}
-	if got := FirstLine("single"); got != "single" {
-		t.Errorf("FirstLine = %q", got)
 	}
 }

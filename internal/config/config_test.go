@@ -1,11 +1,15 @@
 package config
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"mcpat/internal/cache"
 	"mcpat/internal/chip"
 	"mcpat/internal/core"
+	"mcpat/internal/mc"
+	"mcpat/internal/tech"
 
 	"mcpat/internal/validation"
 )
@@ -304,4 +308,56 @@ func TestFromStatsRoundTrip(t *testing.T) {
 func TestFromStatsNilSafe(t *testing.T) {
 	FromStats(nil, &chip.Stats{})
 	FromStats(&Component{ID: "x"}, nil) // must not panic
+}
+
+// TestEveryMappedFieldRoundTrips sets every field ToChipConfig reads to
+// a non-default value that survives the unit scaling of its parameter
+// (MHz, mm², GB/s, Gbps, pJ), and requires config -> XML -> config to
+// give back an equal config.
+func TestEveryMappedFieldRoundTrips(t *testing.T) {
+	l2 := cache.Config{Name: "L2", Bytes: 1 << 21, BlockBytes: 64, Assoc: 8, Banks: 4, Ports: 2,
+		MSHRs: 24, WBDepth: 12, Directory: true, Sharers: 8, CellHP: true}
+	l3 := cache.Config{Name: "L3", Bytes: 1 << 23, BlockBytes: 128, Assoc: 16, Banks: 8, Ports: 1,
+		MSHRs: 32, WBDepth: 20, EDRAM: true}
+	want := chip.Config{
+		Name: "every-field", NM: 32, ClockHz: 2.5e9, Vdd: 0.9, Temperature: 350,
+		Dev: tech.LOP, LongChannel: true, WireProjection: tech.Conservative,
+		NumCores: 8, SharedFPUs: 2,
+		L2PeakDuty: 0.5, L3PeakDuty: 0.3, MCPeakUtil: 0.6,
+		ClockGating: 0.5, ClockSinkMult: 2, OtherArea: 75e-6,
+		NoC: chip.NoCSpec{Kind: chip.Mesh, FlitBits: 64, MeshX: 2, MeshY: 4, VirtualChannels: 3, BuffersPerVC: 5},
+		Core: core.Config{
+			Name: "big", OoO: true, X86: true, Threads: 4,
+			FetchWidth: 4, DecodeWidth: 4, IssueWidth: 6, CommitWidth: 4, PipelineDepth: 14,
+			ROBEntries: 128, IQEntries: 48, FPIQEntries: 32, PhysIntRegs: 160, PhysFPRegs: 144,
+			ArchIntRegs: 32, ArchFPRegs: 32, BTBEntries: 4096, LocalPredEntries: 1024,
+			GlobalPredEntries: 4096, ChooserEntries: 4096, RASEntries: 16,
+			ITLBEntries: 64, DTLBEntries: 64, IntALUs: 4, FPUs: 2, MulDivs: 1,
+			LQEntries: 48, SQEntries: 32, GlueGates: 50000, GlueActivity: 0.25,
+			RenameCAM: true, PowerGating: true,
+			ICache: core.CacheParams{Bytes: 32 << 10, BlockBytes: 64, Assoc: 4, Banks: 2, Ports: 1},
+			DCache: core.CacheParams{Bytes: 64 << 10, BlockBytes: 64, Assoc: 8, Banks: 4, Ports: 2},
+		},
+		L2: &l2,
+		L3: &l3,
+		MC: &mc.Config{Channels: 2, DataBusBits: 72, PeakBandwidth: 25.6e9,
+			RequestDepth: 48, ReadDepth: 40, WriteDepth: 24, PHYPJPerBit: 3e-12},
+		NIU:  &mc.NIUConfig{Bandwidth: 20e9, Count: 2, PJPerBit: 4e-12},
+		PCIe: &mc.PCIeConfig{Lanes: 16, GbpsPerLane: 5},
+	}
+	got, err := ToChipConfig(mustParse(t, FromChipConfig(want).String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip changed the config:\n got %+v\nwant %+v", got, want)
+		for _, c := range []struct {
+			name      string
+			got, want any
+		}{{"L2", *got.L2, l2}, {"L3", *got.L3, l3}, {"MC", *got.MC, *want.MC}} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%s: got %+v, want %+v", c.name, c.got, c.want)
+			}
+		}
+	}
 }

@@ -21,7 +21,7 @@ import (
 //	  <param name="device_type"     value="HP"/>         (HP|LSTP|LOP)
 //	  <param name="long_channel"    value="0"/>
 //	  <param name="num_cores"       value="8"/>
-//	  <param name="interconnect"    value="crossbar"/>   (none|bus|crossbar|mesh)
+//	  <param name="interconnect"    value="crossbar"/>   (none|bus|crossbar|mesh|ring)
 //	  <param name="flit_bits"       value="128"/>
 //	  <param name="mesh_x"          value="4"/> <param name="mesh_y" value="2"/>
 //	  <param name="other_area_mm2"  value="75"/>
@@ -71,19 +71,9 @@ func ToChipConfig(root *Component) (chip.Config, error) {
 	cfg.ClockSinkMult = root.ParamFloat("clock_sink_mult", 0)
 	cfg.OtherArea = root.ParamFloat("other_area_mm2", 0) * 1e-6
 
-	switch root.ParamString("interconnect", "none") {
-	case "none":
-		cfg.NoC.Kind = chip.NoneIC
-	case "bus":
-		cfg.NoC.Kind = chip.Bus
-	case "crossbar":
-		cfg.NoC.Kind = chip.Crossbar
-	case "mesh":
-		cfg.NoC.Kind = chip.Mesh
-	case "ring":
-		cfg.NoC.Kind = chip.Ring
-	default:
-		return cfg, guard.Configf("config", "unknown interconnect %q", root.ParamString("interconnect", ""))
+	ic := root.ParamString("interconnect", "none")
+	if cfg.NoC.Kind, err = chip.ParseInterconnect(ic); err != nil {
+		return cfg, guard.Configf("config", "unknown interconnect %q", ic)
 	}
 	cfg.NoC.FlitBits = root.ParamInt("flit_bits", 128)
 	cfg.NoC.MeshX = root.ParamInt("mesh_x", 0)
@@ -276,7 +266,10 @@ func ToStats(root *Component) *chip.Stats {
 }
 
 // FromChipConfig builds the XML tree describing cfg, suitable for
-// Write. It inverts ToChipConfig (round-trip safe for the mapped fields).
+// Write. It inverts ToChipConfig: every field ToChipConfig reads comes
+// back equal, up to the unit scaling of float parameters. Fields with
+// no XML parameter, such as CorePeak, NoC.ClusterSize and a cache's
+// TargetHz, are not carried; only the native JSON form carries them.
 func FromChipConfig(cfg chip.Config) *Component {
 	root := &Component{ID: "system", Type: "System"}
 	root.SetParam("name", cfg.Name)
@@ -302,6 +295,9 @@ func FromChipConfig(cfg chip.Config) *Component {
 	}
 	if cfg.L3PeakDuty > 0 {
 		root.SetParam("l3_peak_duty", ftoa(cfg.L3PeakDuty))
+	}
+	if cfg.MCPeakUtil > 0 {
+		root.SetParam("mc_peak_util", ftoa(cfg.MCPeakUtil))
 	}
 	if cfg.ClockGating > 0 {
 		root.SetParam("clock_gating", ftoa(cfg.ClockGating))
@@ -337,6 +333,15 @@ func FromChipConfig(cfg chip.Config) *Component {
 		m.SetParam("channels", itoa(cfg.MC.Channels))
 		m.SetParam("data_bus_bits", itoa(cfg.MC.DataBusBits))
 		m.SetParam("peak_bandwidth_gbs", ftoa(cfg.MC.PeakBandwidth/1e9))
+		if cfg.MC.RequestDepth > 0 {
+			m.SetParam("request_depth", itoa(cfg.MC.RequestDepth))
+		}
+		if cfg.MC.ReadDepth > 0 {
+			m.SetParam("read_depth", itoa(cfg.MC.ReadDepth))
+		}
+		if cfg.MC.WriteDepth > 0 {
+			m.SetParam("write_depth", itoa(cfg.MC.WriteDepth))
+		}
 		m.SetParam("lvds", boolStr(cfg.MC.LVDS))
 		if cfg.MC.PHYPJPerBit > 0 {
 			m.SetParam("phy_pj_per_bit", ftoa(cfg.MC.PHYPJPerBit*1e12))
@@ -436,6 +441,12 @@ func fromCacheConfig(cc cache.Config, id string) *Component {
 	}
 	if cc.Ports > 0 {
 		c.SetParam("ports", itoa(cc.Ports))
+	}
+	if cc.MSHRs > 0 {
+		c.SetParam("mshrs", itoa(cc.MSHRs))
+	}
+	if cc.WBDepth > 0 {
+		c.SetParam("wb_depth", itoa(cc.WBDepth))
 	}
 	c.SetParam("directory", boolStr(cc.Directory))
 	if cc.Sharers > 0 {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+
+	"mcpat/internal/guard"
 )
 
 // Client evaluates shards on one remote mcpatd worker by streaming
@@ -65,24 +68,16 @@ func (c *Client) EvalShard(ctx context.Context, spec ShardSpec, onProgress func(
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// Pre-stream failures arrive as a plain HTTP error body — for
-		// mcpatd, the JSON error envelope with the guard classification.
-		// Extract its message; fall back to the squashed raw body.
+		// mcpatd, the JSON error envelope with the guard classification,
+		// which the returned error keeps. Any other body is reported
+		// squashed.
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		detail := strings.Join(strings.Fields(string(msg)), " ")
-		var env struct {
-			Error struct {
-				Kind    string `json:"kind"`
-				Path    string `json:"path"`
-				Message string `json:"message"`
-			} `json:"error"`
+		var body map[string]*guard.WireError // {"error": {...}}
+		var cause error = errors.New(strings.Join(strings.Fields(string(msg)), " "))
+		if json.Unmarshal(msg, &body) == nil && body["error"] != nil && body["error"].Message != "" {
+			cause = body["error"]
 		}
-		if json.Unmarshal(msg, &env) == nil && env.Error.Message != "" {
-			detail = env.Error.Message
-			if env.Error.Path != "" {
-				detail = env.Error.Path + ": " + detail
-			}
-		}
-		err := fmt.Errorf("distrib: %s: HTTP %d: %s", c.Base, resp.StatusCode, detail)
+		err := fmt.Errorf("distrib: %s: HTTP %d: %w", c.Base, resp.StatusCode, cause)
 		switch resp.StatusCode {
 		case http.StatusBadRequest, http.StatusNotFound, http.StatusUnprocessableEntity:
 			// The request itself was rejected (bad sweep, bad range, or

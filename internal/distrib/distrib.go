@@ -147,14 +147,7 @@ func isPermanent(err error) bool {
 	if errors.As(err, &pe) {
 		return true
 	}
-	if errors.Is(err, guard.ErrConfig) {
-		return true
-	}
-	var se *ShardError
-	if errors.As(err, &se) {
-		return se.Kind == "config"
-	}
-	return false
+	return errors.Is(err, guard.ErrConfig)
 }
 
 // worker is one evaluation endpoint the coordinator can dispatch to.

@@ -6,6 +6,9 @@ package distrib_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -19,6 +22,7 @@ import (
 	"mcpat/internal/chip"
 	"mcpat/internal/distrib"
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 	"mcpat/internal/serve"
 )
 
@@ -73,6 +77,26 @@ func assertSameSweep(t *testing.T, serial, dist *explore.Result) {
 		t.Fatalf("counts differ: distributed eval=%d feas=%d, serial eval=%d feas=%d",
 			dist.Evaluated, dist.Feasible, serial.Evaluated, serial.Feasible)
 	}
+	if d, s := failuresJSON(t, dist), failuresJSON(t, serial); d != s {
+		t.Fatalf("failures differ:\ndistributed %s\nserial      %s", d, s)
+	}
+	for i := range serial.Failures {
+		d, s := guard.FirstLine(dist.Failures[i].String()), guard.FirstLine(serial.Failures[i].String())
+		if d != s {
+			t.Fatalf("failure %d reads differently:\ndistributed %s\nserial      %s", i, d, s)
+		}
+	}
+}
+
+// failuresJSON is the failure list as the service and mcpat-dse -json
+// report it.
+func failuresJSON(t *testing.T, res *explore.Result) string {
+	t.Helper()
+	b, err := json.Marshal(serve.NewDSEReport(res, explore.MaxThroughput).Failures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestDistributedSweepBitIdentical is the tentpole acceptance test: a
@@ -244,5 +268,105 @@ func TestCancellationReturnsPartialMerge(t *testing.T) {
 	}
 	if res == nil {
 		t.Fatal("want a (possibly empty) partial result, got nil")
+	}
+}
+
+// TestDistributedFailuresMatchSerial pins the failure half of the
+// exactness contract. Under a deadline no candidate can meet, every
+// candidate fails, and the distributed failure list must report each
+// with the serial kind, path and message, whether its shard ran on the
+// local worker or behind HTTP.
+func TestDistributedFailuresMatchSerial(t *testing.T) {
+	space := explore.Space{
+		Cores:        []int{2, 4},
+		L2PerCoreKB:  []int{64},
+		Fabrics:      []chip.InterconnectKind{chip.Mesh},
+		ClusterSizes: []int{1},
+	}
+	cons := explore.Constraints{}
+	ctx := context.Background()
+	serial, err := explore.SearchContext(ctx, explore.Params{}, space, cons, explore.MaxThroughput,
+		&explore.Options{CandidateTimeout: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Failures) != 2 {
+		t.Fatalf("serial sweep: %d failures, want 2", len(serial.Failures))
+	}
+
+	// The wire carries the deadline in whole milliseconds, so this
+	// worker applies the nanosecond one itself; everything after the
+	// evaluation is the real shard protocol.
+	remote := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req distrib.ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		spec, err := req.Spec()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		spec.CandidateTimeout = time.Nanosecond
+		res, err := distrib.EvalShard(r.Context(), spec, nil)
+		f := distrib.Frame{Type: "result", Result: res}
+		if err != nil {
+			f = distrib.Frame{Type: "error", Error: guard.Classify(err)}
+		}
+		_ = json.NewEncoder(w).Encode(f)
+	}))
+	t.Cleanup(remote.Close)
+
+	for _, tc := range []struct {
+		name string
+		opts distrib.Options
+	}{
+		{"local", distrib.Options{CandidateTimeout: time.Nanosecond}},
+		{"remote", distrib.Options{NoLocal: true, Remotes: []string{remote.URL}, CandidateTimeout: time.Nanosecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dist, err := distrib.Run(ctx, explore.Params{}, space, cons, explore.MaxThroughput, &tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameSweep(t, serial, dist)
+		})
+	}
+}
+
+// TestRemoteErrorKeepsClassification: a remote's classified rejection,
+// in-band or as a pre-stream error body, reaches the caller with the
+// guard kind and path it carried, and aborts without a retry.
+func TestRemoteErrorKeepsClassification(t *testing.T) {
+	const detail = `{"kind":"config","path":"dse.shard","message":"invalid configuration at dse.shard: unknown fabric \"warp\" (none|bus|crossbar|mesh|ring)"}`
+	space, cons := e2eSpace()
+	for _, tc := range []struct {
+		name string
+		h    http.HandlerFunc
+	}{
+		{"error frame", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_, _ = io.WriteString(w, `{"type":"error","error":`+detail+"}\n")
+		}},
+		{"error body", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			_, _ = io.WriteString(w, `{"error":`+detail+"}\n")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.h)
+			t.Cleanup(ts.Close)
+			m := &distrib.Metrics{}
+			_, err := distrib.Run(context.Background(), explore.Params{}, space, cons,
+				explore.MaxThroughput, &distrib.Options{NoLocal: true, Remotes: []string{ts.URL}, Metrics: m})
+			if !errors.Is(err, guard.ErrConfig) || guard.PathOf(err) != "dse.shard" {
+				t.Fatalf("want a config error at dse.shard, got %v (path %q)", err, guard.PathOf(err))
+			}
+			if st := m.Snapshot(); st.ShardsRetried != 0 {
+				t.Errorf("a config rejection burned %d retries; want 0", st.ShardsRetried)
+			}
+		})
 	}
 }

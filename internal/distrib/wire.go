@@ -16,10 +16,7 @@ package distrib
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"mcpat/internal/chip"
@@ -50,24 +47,10 @@ type ShardSpec struct {
 	CandidateTimeout time.Duration
 }
 
-// ShardRequest is the JSON body of POST /v1/dse/shard. The sweep fields
-// deliberately mirror the /v1/dse request schema so one description
-// serves both endpoints; Start/End select the shard.
+// ShardRequest is the JSON body of POST /v1/dse/shard: the /v1/dse
+// sweep description, then the shard range and engine options.
 type ShardRequest struct {
-	NM      float64 `json:"nm,omitempty"`
-	ClockHz float64 `json:"clock_hz,omitempty"`
-	Threads int     `json:"threads,omitempty"`
-	MemBW   float64 `json:"mem_bw_bytes_per_s,omitempty"`
-
-	Cores        []int    `json:"cores,omitempty"`
-	L2PerCoreKB  []int    `json:"l2_per_core_kb,omitempty"`
-	Fabrics      []string `json:"fabrics,omitempty"`
-	ClusterSizes []int    `json:"cluster_sizes,omitempty"`
-
-	MaxAreaMM2 float64 `json:"max_area_mm2,omitempty"`
-	MaxTDPW    float64 `json:"max_tdp_w,omitempty"`
-
-	Objective string `json:"objective,omitempty"`
+	explore.Sweep
 
 	Start int `json:"start"`
 	End   int `json:"end"`
@@ -76,85 +59,32 @@ type ShardRequest struct {
 	CandidateTimeoutMS int `json:"candidate_timeout_ms,omitempty"`
 }
 
-// parseFabric maps a fabric name (the chip.InterconnectKind.String()
-// form, as used by the /v1/dse wire schema) back to its kind.
-func parseFabric(name string) (chip.InterconnectKind, error) {
-	for _, k := range []chip.InterconnectKind{chip.NoneIC, chip.Bus, chip.Crossbar, chip.Mesh, chip.Ring} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown fabric %q (none|bus|crossbar|mesh|ring)", name)
-}
-
-// parseObjective maps an objective name to the engine constant,
-// accepting both the wire aliases and the String() forms.
-func parseObjective(name string) (explore.Objective, error) {
-	switch name {
-	case "", "throughput":
-		return explore.MaxThroughput, nil
-	case "perf/watt":
-		return explore.MaxPerfPerWatt, nil
-	case "ed2ap", "1/ED2AP":
-		return explore.MinED2AP, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q (throughput|perf/watt|ed2ap)", name)
-}
-
 // Spec validates the wire request and converts it to engine inputs.
 // Range-vs-space validation is left to the engine (via ShardRange), so
 // worker and coordinator reject identical ranges identically.
 func (r *ShardRequest) Spec() (ShardSpec, error) {
-	spec := ShardSpec{
-		Params: explore.Params{NM: r.NM, ClockHz: r.ClockHz, Threads: r.Threads, MemBW: r.MemBW},
-		Space: explore.Space{
-			Cores:        r.Cores,
-			L2PerCoreKB:  r.L2PerCoreKB,
-			ClusterSizes: r.ClusterSizes,
-		},
-		Cons:             explore.Constraints{MaxAreaMM2: r.MaxAreaMM2, MaxTDP: r.MaxTDPW},
+	p, space, cons, obj, err := r.Inputs()
+	if err != nil {
+		return ShardSpec{}, guard.Configf("dse.shard", "%v", err)
+	}
+	return ShardSpec{
+		Params: p, Space: space, Cons: cons, Obj: obj,
 		Start:            r.Start,
 		End:              r.End,
 		Workers:          r.Workers,
 		CandidateTimeout: time.Duration(r.CandidateTimeoutMS) * time.Millisecond,
-	}
-	for _, name := range r.Fabrics {
-		k, err := parseFabric(name)
-		if err != nil {
-			return spec, guard.Configf("dse.shard", "%v", err)
-		}
-		spec.Space.Fabrics = append(spec.Space.Fabrics, k)
-	}
-	obj, err := parseObjective(r.Objective)
-	if err != nil {
-		return spec, guard.Configf("dse.shard", "%v", err)
-	}
-	spec.Obj = obj
-	return spec, nil
+	}, nil
 }
 
 // Wire converts the spec to its request form.
 func (s *ShardSpec) Wire() ShardRequest {
-	req := ShardRequest{
-		NM:                 s.Params.NM,
-		ClockHz:            s.Params.ClockHz,
-		Threads:            s.Params.Threads,
-		MemBW:              s.Params.MemBW,
-		Cores:              s.Space.Cores,
-		L2PerCoreKB:        s.Space.L2PerCoreKB,
-		ClusterSizes:       s.Space.ClusterSizes,
-		MaxAreaMM2:         s.Cons.MaxAreaMM2,
-		MaxTDPW:            s.Cons.MaxTDP,
-		Objective:          s.Obj.String(),
+	return ShardRequest{
+		Sweep:              explore.NewSweep(s.Params, s.Space, s.Cons, s.Obj),
 		Start:              s.Start,
 		End:                s.End,
 		Workers:            s.Workers,
 		CandidateTimeoutMS: int(s.CandidateTimeout / time.Millisecond),
 	}
-	for _, k := range s.Space.Fabrics {
-		req.Fabrics = append(req.Fabrics, k.String())
-	}
-	return req
 }
 
 // ShardCandidate is the wire form of one evaluated design point inside
@@ -181,27 +111,11 @@ type ShardCandidate struct {
 	Score    float64 `json:"score"`
 }
 
-// ShardError is the wire form of a classified failure: the guard kind
-// name, the component path, and the headline message. It implements
-// error so client-side code can surface it directly.
-type ShardError struct {
-	Kind    string `json:"kind"`
-	Path    string `json:"path,omitempty"`
-	Message string `json:"message"`
-}
-
-func (e *ShardError) Error() string {
-	if e.Path != "" {
-		return fmt.Sprintf("%s at %s: %s", e.Kind, e.Path, e.Message)
-	}
-	return fmt.Sprintf("%s: %s", e.Kind, e.Message)
-}
-
 // ShardFailure is one hard per-candidate failure inside a shard.
 type ShardFailure struct {
-	Index     int            `json:"index"`
-	Candidate ShardCandidate `json:"candidate"`
-	Error     ShardError     `json:"error"`
+	Index     int             `json:"index"`
+	Candidate ShardCandidate  `json:"candidate"`
+	Error     guard.WireError `json:"error"`
 }
 
 // ShardResult is the final frame of a shard evaluation: every evaluated
@@ -220,11 +134,11 @@ type ShardResult struct {
 // "progress" frames while the worker evaluates, then exactly one
 // terminal "result" or "error" frame.
 type Frame struct {
-	Type   string       `json:"type"` // "progress" | "result" | "error"
-	Done   int          `json:"done,omitempty"`
-	Total  int          `json:"total,omitempty"`
-	Result *ShardResult `json:"result,omitempty"`
-	Error  *ShardError  `json:"error,omitempty"`
+	Type   string           `json:"type"` // "progress" | "result" | "error"
+	Done   int              `json:"done,omitempty"`
+	Total  int              `json:"total,omitempty"`
+	Result *ShardResult     `json:"result,omitempty"`
+	Error  *guard.WireError `json:"error,omitempty"`
 }
 
 // axisKey identifies a design point by its swept axes; unique within a
@@ -270,7 +184,7 @@ func toWire(c *explore.Candidate, index int) ShardCandidate {
 // String()); a corrupted name degrades to the zero kind rather than
 // failing the merge, and the property tests pin the round-trip.
 func fromWire(c *ShardCandidate) explore.Candidate {
-	k, _ := parseFabric(c.Fabric)
+	k, _ := chip.ParseInterconnect(c.Fabric)
 	return explore.Candidate{
 		Cores:       c.Cores,
 		L2PerCoreKB: c.L2PerCoreKB,
@@ -324,34 +238,11 @@ func EvalShard(ctx context.Context, spec ShardSpec, onProgress func(done, total 
 		out.Failures = append(out.Failures, ShardFailure{
 			Index:     idx[keyOf(&f.Candidate)],
 			Candidate: toWire(&f.Candidate, idx[keyOf(&f.Candidate)]),
-			Error:     *WireError(f.Err),
+			Error:     *guard.Classify(f.Err),
 		})
 	}
 	sort.Slice(out.Failures, func(i, j int) bool {
 		return out.Failures[i].Index < out.Failures[j].Index
 	})
 	return out, nil
-}
-
-// WireError maps an evaluation error to the wire form using the
-// guard taxonomy kind names shared with the HTTP error bodies.
-func WireError(err error) *ShardError {
-	kind := "internal"
-	switch {
-	case errors.Is(err, guard.ErrConfig):
-		kind = "config"
-	case errors.Is(err, guard.ErrInfeasible):
-		kind = "infeasible"
-	case errors.Is(err, guard.ErrModelDomain):
-		kind = "model_domain"
-	case errors.Is(err, context.DeadlineExceeded):
-		kind = "timeout"
-	case errors.Is(err, context.Canceled):
-		kind = "canceled"
-	}
-	msg := err.Error()
-	if i := strings.IndexByte(msg, '\n'); i >= 0 {
-		msg = msg[:i]
-	}
-	return &ShardError{Kind: kind, Path: guard.PathOf(err), Message: msg}
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"mcpat/internal/chip"
@@ -174,5 +175,41 @@ func TestParseSearchKind(t *testing.T) {
 	}
 	if SearchExhaustive.String() != "exhaustive" || SearchPareto.String() != "pareto" {
 		t.Error("SearchKind strings must round-trip the flag values")
+	}
+}
+
+// TestSweepRoundTrip pins the one wire description of a sweep: every
+// objective and fabric survives NewSweep -> Inputs, the CLI spelling
+// "ed2ap" names the same objective as its String form, and unknown
+// names are rejected with the messages the endpoints report.
+func TestSweepRoundTrip(t *testing.T) {
+	p := Params{NM: 22, ClockHz: 2.5e9, Threads: 4, MemBW: 64e9}
+	space := Space{
+		Cores:        []int{2, 4},
+		L2PerCoreKB:  []int{64, 256},
+		Fabrics:      []chip.InterconnectKind{chip.NoneIC, chip.Bus, chip.Crossbar, chip.Mesh, chip.Ring},
+		ClusterSizes: []int{1, 2},
+	}
+	cons := Constraints{MaxAreaMM2: 400, MaxTDP: 250}
+	for _, obj := range []Objective{MaxThroughput, MaxPerfPerWatt, MinED2AP} {
+		s := NewSweep(p, space, cons, obj)
+		gp, gs, gc, gobj, err := s.Inputs()
+		if err != nil || !reflect.DeepEqual(gp, p) || !reflect.DeepEqual(gs, space) || gc != cons || gobj != obj {
+			t.Errorf("%v: round trip gave %+v %+v %+v %v, %v", obj, gp, gs, gc, gobj, err)
+		}
+	}
+	if obj, err := ParseObjective("ed2ap"); err != nil || obj != MinED2AP {
+		t.Errorf(`ParseObjective("ed2ap") = %v, %v`, obj, err)
+	}
+	for _, tc := range []struct {
+		s    Sweep
+		want string
+	}{
+		{Sweep{Fabrics: []string{"hypercube"}}, `unknown fabric "hypercube" (none|bus|crossbar|mesh|ring)`},
+		{Sweep{Objective: "fastest"}, `unknown objective "fastest" (throughput|perf/watt|ed2ap)`},
+	} {
+		if _, _, _, _, err := tc.s.Inputs(); err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: error %v, want %s", tc.s, err, tc.want)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package guard hardens the model evaluation pipeline. It defines the
 // structured error taxonomy shared by every layer (configuration errors,
 // infeasible designs, model-domain violations, and internal faults), each
-// carrying a component path such as "core[2].ifu.btb"; a Recover boundary
+// carrying a component path such as "core[2].ifu.btb", and its one wire
+// form (WireError, filled by Classify); a Recover boundary
 // that converts panics escaping the model internals into ErrInternal
 // values so no caller-supplied configuration can crash a host process;
 // and an output sanity pass (CheckReport) that verifies a synthesized
@@ -9,6 +10,7 @@
 package guard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -142,7 +144,89 @@ func PathOf(err error) string {
 	if errors.As(err, &ge) {
 		return ge.Path
 	}
+	var we *WireError
+	if errors.As(err, &we) {
+		return we.Path
+	}
 	return ""
+}
+
+// The kind names of the wire form: one per guard kind, plus the two
+// context ends.
+const (
+	KindConfig      = "config"
+	KindInfeasible  = "infeasible"
+	KindModelDomain = "model_domain"
+	KindInternal    = "internal"
+	KindTimeout     = "timeout"
+	KindCanceled    = "canceled"
+)
+
+// WireError is the wire form of a classified error, {kind, path,
+// message}: the detail of every mcpatd error body, shard error frame
+// and shard failure. Decoded from a remote, it stands in for the error
+// it reports: errors.Is matches the guard kind its Kind names, PathOf
+// returns Path, and Error returns Message, the original headline.
+type WireError struct {
+	// Kind is one of the Kind* names, or a transport kind of the
+	// service ("bad_request", "overloaded", ...).
+	Kind string `json:"kind"`
+	// Path is the component path, e.g. "core[2].ifu.btb"; may be empty.
+	Path string `json:"path,omitempty"`
+	// Message is the first line of the reported error.
+	Message string `json:"message"`
+}
+
+func (e *WireError) Error() string { return e.Message }
+
+// Is reports whether target is the guard sentinel Kind names. A remote
+// "timeout" or "canceled" matches no context error: no context of this
+// process ended.
+func (e *WireError) Is(target error) bool {
+	switch target {
+	case ErrConfig:
+		return e.Kind == KindConfig
+	case ErrInfeasible:
+		return e.Kind == KindInfeasible
+	case ErrModelDomain:
+		return e.Kind == KindModelDomain
+	case ErrInternal:
+		return e.Kind == KindInternal
+	}
+	return false
+}
+
+// Classify reports err in wire form. Its kind is the guard kind err
+// carries, KindTimeout for a deadline, KindCanceled for a cancellation,
+// and KindInternal otherwise, except that a WireError anywhere in the
+// chain lends its kind and path. Message is err's first line: a
+// recovered panic's stack belongs in logs, not replies.
+func Classify(err error) *WireError {
+	out := &WireError{Kind: KindInternal, Path: PathOf(err), Message: FirstLine(err.Error())}
+	var we *WireError
+	switch {
+	case errors.As(err, &we):
+		out.Kind, out.Path = we.Kind, we.Path
+	case errors.Is(err, ErrConfig):
+		out.Kind = KindConfig
+	case errors.Is(err, ErrInfeasible):
+		out.Kind = KindInfeasible
+	case errors.Is(err, ErrModelDomain):
+		out.Kind = KindModelDomain
+	case errors.Is(err, context.DeadlineExceeded):
+		out.Kind = KindTimeout
+	case errors.Is(err, context.Canceled):
+		out.Kind = KindCanceled
+	}
+	return out
+}
+
+// FirstLine trims a message to its first line.
+func FirstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }
 
 // Recover is the panic-containment boundary of the public API. Deferred

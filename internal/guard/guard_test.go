@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -106,6 +107,52 @@ func TestRecoverNoPanicKeepsError(t *testing.T) {
 	}
 	if err := f(); err == nil || err.Error() != "original" {
 		t.Fatalf("Recover must not disturb a normal return, got %v", err)
+	}
+}
+
+func TestFirstLine(t *testing.T) {
+	if got := FirstLine("head\ntail"); got != "head" {
+		t.Errorf("FirstLine = %q", got)
+	}
+	if got := FirstLine("single"); got != "single" {
+		t.Errorf("FirstLine = %q", got)
+	}
+}
+
+// TestWireErrorStandsInForItsError pins the decoded form: classifying
+// a WireError, however wrapped, gives back its kind and path with the
+// wrapper's headline, and it matches exactly the guard kind it names.
+func TestWireErrorStandsInForItsError(t *testing.T) {
+	sentinels := []error{ErrConfig, ErrInfeasible, ErrModelDomain, ErrInternal,
+		context.Canceled, context.DeadlineExceeded}
+	cases := []struct {
+		err   error
+		match error // the one sentinel the decoded form matches, or nil
+	}{
+		{Configf("dse.shard", "unknown fabric"), ErrConfig},
+		{Infeasiblef("chip.L2", "no organization"), ErrInfeasible},
+		{Domainf("chip", "NaN area"), ErrModelDomain},
+		{Internalf("dse[x]", "recovered panic: boom\nstack"), ErrInternal},
+		{At(context.DeadlineExceeded, "dse[x]"), nil},
+		{context.Canceled, nil},
+	}
+	for _, c := range cases {
+		we := Classify(c.err)
+		if we.Message != FirstLine(c.err.Error()) || we.Error() != we.Message {
+			t.Errorf("%v: message %q, Error() %q", c.err, we.Message, we.Error())
+		}
+		if PathOf(we) != PathOf(c.err) {
+			t.Errorf("%v: PathOf(decoded) = %q, want %q", c.err, PathOf(we), PathOf(c.err))
+		}
+		for _, s := range sentinels {
+			if got := errors.Is(we, s); got != (s == c.match) {
+				t.Errorf("kind %q: errors.Is(decoded, %v) = %v", we.Kind, s, got)
+			}
+		}
+		wrapped := fmt.Errorf("giving up: %w", we)
+		if got := Classify(wrapped); *got != (WireError{we.Kind, we.Path, "giving up: " + we.Message}) {
+			t.Errorf("wrapped %q reclassified as %+v", we.Kind, *got)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"sync"
 
+	"mcpat/internal/guard"
 	"mcpat/internal/persist"
 )
 
@@ -56,12 +57,7 @@ type BatchResponse struct {
 // each further item: a batch can use idle capacity but never push total
 // evaluation concurrency past MaxInFlight, abandoned items included.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	select {
-	case s.evalSem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			&APIError{Kind: kindOverloaded, Message: "evaluation capacity saturated; retry"})
+	if !s.admit(w) {
 		return
 	}
 	handedOff := false // to the first worker, once the batch is valid
@@ -166,7 +162,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func batchCanceled(i int) BatchItemResult {
-	return BatchItemResult{Index: i, Error: &APIError{Kind: kindCanceled, Message: "batch canceled"}}
+	return BatchItemResult{Index: i, Error: &APIError{Kind: guard.KindCanceled, Message: "batch canceled"}}
 }
 
 // evalBatchItem runs one item under the per-request timeout with the
@@ -190,7 +186,7 @@ func (s *Server) evalBatchItem(ctx context.Context, i int, item *EvaluateRequest
 		err = o.err
 	}
 	if err != nil {
-		return BatchItemResult{Index: i, Error: apiError(err)}
+		return BatchItemResult{Index: i, Error: guard.Classify(err)}
 	}
 	return BatchItemResult{Index: i, Result: o.resp}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mcpat/internal/chip"
+	"mcpat/internal/guard"
 	"mcpat/internal/persist"
 )
 
@@ -131,8 +132,8 @@ func TestAbandonedBatchItemKeepsSlot(t *testing.T) {
 		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
 	}
 	br := decode[BatchResponse](t, body)
-	if len(br.Items) != 1 || br.Items[0].Error == nil || br.Items[0].Error.Kind != kindTimeout {
-		t.Fatalf("stalled batch item: want a %q error, got %s", kindTimeout, body)
+	if len(br.Items) != 1 || br.Items[0].Error == nil || br.Items[0].Error.Kind != guard.KindTimeout {
+		t.Fatalf("stalled batch item: want a %q error, got %s", guard.KindTimeout, body)
 	}
 	resp, body = doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{Config: &cfg})
 	if resp.StatusCode != http.StatusTooManyRequests {

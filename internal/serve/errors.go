@@ -1,75 +1,42 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"mcpat/internal/guard"
 )
 
-// Error kinds beyond the guard taxonomy, used for transport-level
-// failures.
+// Transport error kinds, beside the guard.Kind* names.
 const (
 	kindBadRequest = "bad_request"
 	kindNotFound   = "not_found"
 	kindOverloaded = "overloaded"
-	kindTimeout    = "timeout"
 	kindDraining   = "draining"
-	kindCanceled   = "canceled"
-	kindInternal   = "internal"
 )
 
-// classify maps an evaluation error onto its HTTP status and error
-// kind. The guard taxonomy drives the mapping: caller mistakes are 4xx,
-// model bugs are 5xx.
+// statusOf maps an error kind onto its HTTP status. The guard taxonomy
+// drives the mapping: caller mistakes are 4xx, model bugs are 5xx.
 //
-//	ErrConfig      -> 400 "config"        (malformed / out-of-range input)
-//	ErrInfeasible  -> 422 "infeasible"    (well-formed, no physical solution)
-//	ErrModelDomain -> 422 "model_domain"  (outputs left the validity domain)
-//	ErrInternal    -> 500 "internal"      (contained panic / framework bug)
+//	config        -> 400 (malformed / out-of-range input)
+//	infeasible    -> 422 (well-formed, no physical solution)
+//	model_domain  -> 422 (outputs left the validity domain)
+//	internal      -> 500 (contained panic / framework bug)
 //
 // Context errors from per-request deadlines and drain map to 504/503.
-func classify(err error) (status int, kind string) {
-	switch {
-	case errors.Is(err, guard.ErrConfig):
-		return http.StatusBadRequest, "config"
-	case errors.Is(err, guard.ErrInfeasible):
-		return http.StatusUnprocessableEntity, "infeasible"
-	case errors.Is(err, guard.ErrModelDomain):
-		return http.StatusUnprocessableEntity, "model_domain"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, kindTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, kindCanceled
+func statusOf(kind string) int {
+	switch kind {
+	case guard.KindConfig:
+		return http.StatusBadRequest
+	case guard.KindInfeasible, guard.KindModelDomain:
+		return http.StatusUnprocessableEntity
+	case guard.KindTimeout:
+		return http.StatusGatewayTimeout
+	case guard.KindCanceled:
+		return http.StatusServiceUnavailable
 	}
-	return http.StatusInternalServerError, kindInternal
-}
-
-// apiError converts any evaluation error into the wire form, preserving
-// the guard component path and classifying the kind.
-func apiError(err error) *APIError {
-	if err == nil {
-		return nil
-	}
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae
-	}
-	_, kind := classify(err)
-	return &APIError{Kind: kind, Path: guard.PathOf(err), Message: firstLine(err.Error())}
-}
-
-// firstLine trims multi-line diagnostics (recovered panic stacks) to
-// their headline; the full trace belongs in server logs, not responses.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+	return http.StatusInternalServerError
 }
 
 // writeJSON writes body as compact JSON with the given status. The body
@@ -80,7 +47,7 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError,
-			&APIError{Kind: kindInternal, Message: "encode response: " + firstLine(err.Error())})
+			&APIError{Kind: guard.KindInternal, Message: "encode response: " + guard.FirstLine(err.Error())})
 		return
 	}
 	writeBody(w, status, append(b, '\n'))
@@ -104,6 +71,20 @@ func writeError(w http.ResponseWriter, status int, e *APIError) {
 // writeModelError classifies a model error and writes both status and
 // body from it.
 func writeModelError(w http.ResponseWriter, err error) {
-	status, _ := classify(err)
-	writeError(w, status, apiError(err))
+	e := guard.Classify(err)
+	writeError(w, statusOf(e.Kind), e)
+}
+
+// admit takes an evaluation slot without waiting. When none is free it
+// sheds the request with 429 and Retry-After and reports false.
+func (s *Server) admit(w http.ResponseWriter) bool {
+	select {
+	case s.evalSem <- struct{}{}:
+		return true
+	default:
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests,
+			&APIError{Kind: kindOverloaded, Message: "evaluation capacity saturated; retry"})
+		return false
+	}
 }

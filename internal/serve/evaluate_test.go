@@ -15,6 +15,7 @@ import (
 	"mcpat/internal/chip"
 	"mcpat/internal/config"
 	"mcpat/internal/core"
+	"mcpat/internal/guard"
 	"mcpat/internal/presets"
 )
 
@@ -221,8 +222,8 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Errorf("%s: Content-Type %q", name, ct)
 		}
-		if eb := decode[ErrorBody](t, rec.Body.Bytes()); eb.Error.Kind != kindInternal {
-			t.Errorf("%s: kind %q, want %q", name, eb.Error.Kind, kindInternal)
+		if eb := decode[ErrorBody](t, rec.Body.Bytes()); eb.Error.Kind != guard.KindInternal {
+			t.Errorf("%s: kind %q, want %q", name, eb.Error.Kind, guard.KindInternal)
 		}
 	}
 	rec := httptest.NewRecorder()

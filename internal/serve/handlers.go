@@ -38,12 +38,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// Admission control: never queue synchronous work. A saturated
 	// semaphore sheds the request immediately so the client can retry
 	// against a less-loaded replica instead of stacking latency here.
-	select {
-	case s.evalSem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			&APIError{Kind: kindOverloaded, Message: "evaluation capacity saturated; retry"})
+	if !s.admit(w) {
 		return
 	}
 	// The handler holds the slot until the evaluation goroutine takes it

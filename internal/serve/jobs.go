@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 )
 
 // errQueueFull is returned by submit when the bounded job queue cannot
@@ -288,7 +289,7 @@ func (s *jobStore) requestCancel(id string) (JobStatus, bool) {
 		now := time.Now()
 		j.status.State = JobCanceled
 		j.status.FinishedAt = &now
-		j.status.Error = &APIError{Kind: kindCanceled, Message: "canceled before start"}
+		j.status.Error = &APIError{Kind: guard.KindCanceled, Message: "canceled before start"}
 		s.metrics.jobsCanceled.Add(1)
 	}
 	j.mu.Unlock()
@@ -396,11 +397,11 @@ func (s *jobStore) finish(j *job, res *explore.Result, err error) {
 			msg = "canceled by server shutdown"
 			journalEnd = false
 		}
-		apiErr = &APIError{Kind: kindCanceled, Message: msg}
+		apiErr = &APIError{Kind: guard.KindCanceled, Message: msg}
 		s.metrics.jobsCanceled.Add(1)
 	default:
 		state = JobFailed
-		apiErr = apiError(err)
+		apiErr = guard.Classify(err)
 		s.metrics.jobsFailed.Add(1)
 	}
 	if journalEnd {

@@ -35,7 +35,7 @@ func TestJobFrontObservableWhileRunning(t *testing.T) {
 	}
 
 	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{
-		Cores: []int{4, 16}, Search: "pareto", Budget: 24, Seed: 1,
+		Sweep: explore.Sweep{Cores: []int{4, 16}}, Search: "pareto", Budget: 24, Seed: 1,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
@@ -86,12 +86,14 @@ func TestJobFrontObservableWhileRunning(t *testing.T) {
 func TestJobParetoEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{JobWorkers: 1})
 	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{
-		Cores:       []int{2, 4, 8, 16, 32},
-		L2PerCoreKB: []int{64, 256, 1024},
-		Fabrics:     []string{"ring"},
-		Search:      "pareto",
-		Budget:      10,
-		Seed:        3,
+		Sweep: explore.Sweep{
+			Cores:       []int{2, 4, 8, 16, 32},
+			L2PerCoreKB: []int{64, 256, 1024},
+			Fabrics:     []string{"ring"},
+		},
+		Search: "pareto",
+		Budget: 10,
+		Seed:   3,
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
@@ -130,7 +132,7 @@ func TestJobParetoEndToEnd(t *testing.T) {
 func TestDSERequestRejectsUnknownSearch(t *testing.T) {
 	_, ts := newTestServer(t, Config{JobWorkers: 1})
 	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{
-		Cores: []int{2}, Search: "annealing",
+		Sweep: explore.Sweep{Cores: []int{2}}, Search: "annealing",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown search must 400, got %d %s", resp.StatusCode, body)

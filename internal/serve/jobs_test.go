@@ -12,6 +12,7 @@ import (
 	"mcpat/internal/chip"
 	"mcpat/internal/component"
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 )
 
 // stubSweep replaces the job store's sweep runner with a script: it
@@ -48,7 +49,7 @@ func TestJobCancelViaDelete(t *testing.T) {
 	stub := installStubSweep(t, s)
 	defer stub.releaseAll()
 
-	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{2}})
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{2}}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
@@ -64,7 +65,7 @@ func TestJobCancelViaDelete(t *testing.T) {
 	if final.State != JobCanceled {
 		t.Fatalf("want canceled, got %+v", final)
 	}
-	if final.Error == nil || final.Error.Kind != kindCanceled {
+	if final.Error == nil || final.Error.Kind != guard.KindCanceled {
 		t.Errorf("canceled job must carry a canceled error: %+v", final.Error)
 	}
 	if final.Result == nil || final.Result.Evaluated != 1 {
@@ -79,12 +80,12 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	defer stub.releaseAll()
 
 	// First job occupies the only worker.
-	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{2}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{2}}})
 	blocked := decode[JobStatus](t, body).ID
 	<-stub.started
 
 	// Second job sits in the queue.
-	_, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{4}})
+	_, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{4}}})
 	queued := decode[JobStatus](t, body).ID
 
 	resp, body := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+queued, nil)
@@ -116,16 +117,16 @@ func TestJobQueueSaturation(t *testing.T) {
 	stub := installStubSweep(t, s)
 	defer stub.releaseAll()
 
-	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{2}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{2}}})
 	running := decode[JobStatus](t, body).ID
 	<-stub.started // worker busy
 
-	resp, _ := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{4}})
+	resp, _ := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{4}}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queue slot should admit the second job: %d", resp.StatusCode)
 	}
 
-	resp, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{8}})
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{8}}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full queue must shed with 429, got %d: %s", resp.StatusCode, body)
 	}
@@ -160,7 +161,7 @@ func TestGracefulDrain(t *testing.T) {
 	defer stub.releaseAll()
 
 	// A job is running...
-	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{2}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{2}}})
 	jobID := decode[JobStatus](t, body).ID
 	<-stub.started
 
@@ -254,7 +255,7 @@ func TestMetricsAcrossRequests(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{Config: &cfg})
 	doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{})
 	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{
-		Cores: []int{2}, L2PerCoreKB: []int{64}, Fabrics: []string{"crossbar"},
+		Sweep: explore.Sweep{Cores: []int{2}, L2PerCoreKB: []int{64}, Fabrics: []string{"crossbar"}},
 	})
 	pollJob(t, ts.URL, decode[JobStatus](t, body).ID, 60*time.Second)
 

@@ -7,10 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mcpat/internal/explore"
 )
 
 // journalPath returns a journal location inside a fresh temp dir.
@@ -22,7 +25,7 @@ func journalPath(t *testing.T) string {
 // oneCandidateSweep is a DSE request whose real sweep is a single tiny
 // candidate — fast enough that recovery tests can run it for real.
 func oneCandidateSweep() DSERequest {
-	return DSERequest{Cores: []int{1}, L2PerCoreKB: []int{64}, Fabrics: []string{"none"}}
+	return DSERequest{Sweep: explore.Sweep{Cores: []int{1}, L2PerCoreKB: []int{64}, Fabrics: []string{"none"}}}
 }
 
 func TestJournalReplaySemantics(t *testing.T) {
@@ -327,7 +330,7 @@ func TestRecoveryOfUnparseableRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DSERequest{Cores: []int{2}, Fabrics: []string{"warp-drive"}}
+	bad := DSERequest{Sweep: explore.Sweep{Cores: []int{2}, Fabrics: []string{"warp-drive"}}}
 	jl.submitted("job-bad", time.Now(), &bad)
 	jl.close()
 
@@ -434,4 +437,37 @@ func newTestServerJournal(t *testing.T, cfg Config) (*Server, string) {
 		}
 	})
 	return s, url
+}
+
+// TestJournalReplaysLiteralLine pins the journal's bytes: a submit line
+// with every request field set replays into the request it describes
+// and compacts back to the same bytes, so journals written by earlier
+// builds keep replaying.
+func TestJournalReplaysLiteralLine(t *testing.T) {
+	const line = `{"op":"submit","id":"job-parent","time":"2026-08-08T10:00:00Z","req":{"nm":22,"clock_hz":2500000000,"threads":4,"mem_bw_bytes_per_s":64000000000,"cores":[2,4],"l2_per_core_kb":[64,256],"fabrics":["mesh","ring"],"cluster_sizes":[1,2],"max_area_mm2":400,"max_tdp_w":250,"objective":"perf/watt","search":"pareto","budget":12,"seed":7,"workers":2,"candidate_timeout_ms":5000,"fail_fast":true}}` + "\n"
+	want := &DSERequest{
+		Sweep: explore.Sweep{
+			NM: 22, ClockHz: 2.5e9, Threads: 4, MemBW: 64e9,
+			Cores: []int{2, 4}, L2PerCoreKB: []int{64, 256},
+			Fabrics: []string{"mesh", "ring"}, ClusterSizes: []int{1, 2},
+			MaxAreaMM2: 400, MaxTDPW: 250, Objective: "perf/watt",
+		},
+		Search: "pareto", Budget: 12, Seed: 7,
+		Workers: 2, CandidateTimeoutMS: 5000, FailFast: true,
+	}
+	path := journalPath(t)
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, live, err := openJournal(path, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.close()
+	if len(live) != 1 || !reflect.DeepEqual(live[0].Req, want) {
+		t.Fatalf("replayed %+v, want one job with %+v", live, want)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != line {
+		t.Errorf("compacted journal differs from the line it replayed (%v):\n got %s\nwant %s", err, data, line)
+	}
 }

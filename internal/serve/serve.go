@@ -29,6 +29,7 @@ import (
 
 	"mcpat/internal/distrib"
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 )
 
 // Config tunes the server. The zero value selects the documented
@@ -262,6 +263,10 @@ func (w *statusRecorder) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap lets http.NewResponseController reach the connection's
+// Flush through the recorder.
+func (w *statusRecorder) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument is the outermost middleware: panic recovery, drain
 // refusal, in-flight tracking, metrics, and logging.
 func (s *Server) instrument(next http.Handler) http.Handler {
@@ -280,7 +285,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				s.cfg.Logf("mcpatd: panic serving %s: %v", route, p)
 				if rec.status == 0 {
 					writeError(rec, http.StatusInternalServerError,
-						&APIError{Kind: kindInternal, Message: "internal server error"})
+						&APIError{Kind: guard.KindInternal, Message: "internal server error"})
 				}
 			}
 			dur := time.Since(start)

@@ -14,6 +14,7 @@ import (
 	"mcpat/internal/chip"
 	"mcpat/internal/config"
 	"mcpat/internal/core"
+	"mcpat/internal/explore"
 	"mcpat/internal/guard"
 )
 
@@ -279,7 +280,7 @@ func TestRequestTimeout(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("want 504, got %d: %s", resp.StatusCode, body)
 	}
-	if decode[ErrorBody](t, body).Error.Kind != kindTimeout {
+	if decode[ErrorBody](t, body).Error.Kind != guard.KindTimeout {
 		t.Errorf("want kind timeout, body %s", body)
 	}
 }
@@ -289,7 +290,7 @@ func TestRequestTimeout(t *testing.T) {
 func TestJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{
-		Cores: []int{2}, L2PerCoreKB: []int{64}, Fabrics: []string{"crossbar"},
+		Sweep: explore.Sweep{Cores: []int{2}, L2PerCoreKB: []int{64}, Fabrics: []string{"crossbar"}},
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d body %s", resp.StatusCode, body)
@@ -370,11 +371,11 @@ func TestJobNotFound(t *testing.T) {
 
 func TestDSEBadRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Fabrics: []string{"hypercube"}})
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Fabrics: []string{"hypercube"}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown fabric: status %d body %s", resp.StatusCode, body)
 	}
-	resp, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Objective: "fastest"})
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Objective: "fastest"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown objective: status %d body %s", resp.StatusCode, body)
 	}

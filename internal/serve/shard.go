@@ -7,6 +7,7 @@ import (
 
 	"mcpat/internal/distrib"
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 )
 
 // maxShardBodyBytes bounds POST /v1/dse/shard bodies; a shard request
@@ -35,15 +36,10 @@ func (s *Server) handleDSEShard(w http.ResponseWriter, r *http.Request) {
 	// Shards run whole sub-sweeps, so they compete with /v1/evaluate
 	// for the admission slots; shedding here makes the coordinator
 	// retry elsewhere instead of queueing unboundedly.
-	select {
-	case s.evalSem <- struct{}{}:
-		defer func() { <-s.evalSem }()
-	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			&APIError{Kind: kindOverloaded, Message: "evaluation capacity saturated; retry"})
+	if !s.admit(w) {
 		return
 	}
+	defer func() { <-s.evalSem }()
 
 	var req distrib.ShardRequest
 	body := http.MaxBytesReader(nil, r.Body, maxShardBodyBytes)
@@ -74,7 +70,7 @@ func (s *Server) handleDSEShard(w http.ResponseWriter, r *http.Request) {
 	s.cfg.Logf("mcpatd: shard [%d,%d) accepted (%d candidates)", spec.Start, spec.End, total)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	writeFrame := func(f distrib.Frame) error {
 		b, err := json.Marshal(f)
 		if err != nil {
@@ -83,10 +79,7 @@ func (s *Server) handleDSEShard(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write(append(b, '\n')); err != nil {
 			return err
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return rc.Flush()
 	}
 
 	// Progress frames are paced so a big shard streams ~64 updates
@@ -106,7 +99,7 @@ func (s *Server) handleDSEShard(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		s.metrics.shardsFailed.Add(1)
-		_ = writeFrame(distrib.Frame{Type: "error", Error: distrib.WireError(err)})
+		_ = writeFrame(distrib.Frame{Type: "error", Error: guard.Classify(err)})
 		return
 	}
 	s.metrics.shardCandidates.Add(uint64(len(res.Candidates)))

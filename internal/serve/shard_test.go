@@ -13,6 +13,7 @@ import (
 	"mcpat/internal/array"
 	"mcpat/internal/component"
 	"mcpat/internal/distrib"
+	"mcpat/internal/explore"
 )
 
 func shardBody(t *testing.T, req distrib.ShardRequest) *bytes.Reader {
@@ -26,10 +27,12 @@ func shardBody(t *testing.T, req distrib.ShardRequest) *bytes.Reader {
 
 func shardTestRequest() distrib.ShardRequest {
 	return distrib.ShardRequest{
-		Cores:       []int{2, 4, 8},
-		L2PerCoreKB: []int{64, 128},
-		Start:       1,
-		End:         4,
+		Sweep: explore.Sweep{
+			Cores:       []int{2, 4, 8},
+			L2PerCoreKB: []int{64, 128},
+		},
+		Start: 1,
+		End:   4,
 	}
 }
 

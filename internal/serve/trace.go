@@ -102,16 +102,17 @@ func (o *TraceThermalOptions) loopOptions() (trace.LoopOptions, error) {
 // streaming has begun arrive as a final {"type":"error"} record.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Trace setup runs a full chip synthesis, so it competes with
-	// /v1/evaluate for the same admission slots.
-	select {
-	case s.evalSem <- struct{}{}:
-		defer func() { <-s.evalSem }()
-	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			&APIError{Kind: kindOverloaded, Message: "evaluation capacity saturated; retry"})
+	// /v1/evaluate for the same admission slots. The slot covers setup
+	// alone: streaming only scores intervals.
+	if !s.admit(w) {
 		return
 	}
+	handedOff := false // to the setup goroutine, once the body parses
+	defer func() {
+		if !handedOff {
+			<-s.evalSem
+		}
+	}()
 
 	var req TraceRequest
 	body := http.MaxBytesReader(nil, r.Body, maxTraceBodyBytes)
@@ -122,8 +123,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Setup (mapping + the one synthesis) honors the request deadline
-	// with the same goroutine containment as /v1/evaluate; the streaming
-	// phase afterwards is bounded by the client connection instead.
+	// with the same goroutine containment as /v1/evaluate, slot
+	// included; the streaming phase afterwards is bounded by the client
+	// connection instead.
 	setupCtx := r.Context()
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -135,20 +137,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		ivs []trace.Interval
 		err error
 	}
-	ch := make(chan out, 1)
-	go func() {
+	handedOff = true
+	o, err := handOff(setupCtx, s.evalSem, func() out {
 		eng, ivs, err := traceSetup(&req)
-		ch <- out{eng, ivs, err}
-	}()
-	var o out
-	select {
-	case o = <-ch:
-	case <-setupCtx.Done():
-		writeModelError(w, setupCtx.Err())
-		return
+		return out{eng, ivs, err}
+	})
+	if err == nil {
+		err = o.err
 	}
-	if o.err != nil {
-		writeModelError(w, o.err)
+	if err != nil {
+		writeModelError(w, err)
 		return
 	}
 
@@ -158,12 +156,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	rc := http.NewResponseController(w)
+	// A failed flush means the client is gone; the next write says so.
+	flush := func() { _ = rc.Flush() }
 	h := o.eng.Header(len(o.ivs))
 	if err := trace.WriteRecord(w, trace.Record{Type: "chip", Chip: &h}); err != nil {
 		return // client went away before the header flushed
@@ -187,7 +182,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		if b, merr := json.Marshal(struct {
 			Type  string   `json:"type"`
 			Error APIError `json:"error"`
-		}{Type: "error", Error: *apiError(err)}); merr == nil {
+		}{Type: "error", Error: *guard.Classify(err)}); merr == nil {
 			_, _ = w.Write(append(b, '\n'))
 		}
 		flush()
@@ -234,6 +229,11 @@ func traceSetup(req *TraceRequest) (*trace.Engine, []trace.Interval, error) {
 	}
 	if cfg == nil {
 		return nil, nil, guard.Configf("trace", "one of gem5_config, preset, or config is required")
+	}
+	if hook := testEvalHook.Load(); hook != nil {
+		if err := (*hook)(cfg); err != nil {
+			return nil, nil, err
+		}
 	}
 	eng, err := trace.NewEngine(*cfg)
 	if err != nil {

@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"mcpat/internal/chip"
 	"mcpat/internal/trace"
 )
 
@@ -332,5 +336,75 @@ func TestTraceThermalOptions(t *testing.T) {
 		if r.StatusCode != 400 || body.Error.Kind != "config" {
 			t.Fatalf("bad case %d: %d/%s (%s)", i, r.StatusCode, body.Error.Kind, body.Error.Message)
 		}
+	}
+}
+
+// TestStreamsFlushThroughHandler drives both NDJSON endpoints through
+// the middleware chain: each must flush as it streams, or a shard's
+// progress frames sit in the connection buffer until its result frame.
+func TestStreamsFlushThroughHandler(t *testing.T) {
+	s := New(Config{WorkerMode: true})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	cfgJSON, statsTxt := gem5Fixture(t)
+	traceBody, err := json.Marshal(TraceRequest{Gem5Config: json.RawMessage(cfgJSON), StatsTxt: statsTxt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		body io.Reader
+	}{
+		{"/v1/trace", bytes.NewReader(traceBody)},
+		{"/v1/dse/shard", shardBody(t, shardTestRequest())},
+	} {
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest("POST", tc.path, tc.body))
+		if rr.Code != http.StatusOK || !rr.Flushed {
+			t.Errorf("%s: status %d, flushed %v; want 200 and flushed", tc.path, rr.Code, rr.Flushed)
+		}
+	}
+}
+
+// TestAbandonedTraceSetupKeepsSlot checks that a trace setup abandoned
+// on its deadline keeps its admission slot until the synthesis really
+// stops, as an abandoned evaluation does.
+func TestAbandonedTraceSetupKeepsSlot(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unstall := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unstall)
+	withServeEvalHook(t, func(cfg *chip.Config) error {
+		<-release
+		return nil
+	})
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, RequestTimeout: 50 * time.Millisecond})
+	_, statsTxt := gem5Fixture(t)
+	cfg := tinyChip()
+
+	resp := postTrace(t, ts.URL, TraceRequest{Config: &cfg, StatsTxt: statsTxt})
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("stalled trace setup: want 504, got %d: %s", resp.StatusCode, body)
+	}
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{Config: &cfg})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("the abandoned setup still runs: want 429, got %d: %s", resp.StatusCode, body)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 must carry Retry-After")
+	}
+
+	// Once the stalled setup returns, its goroutine frees the slot.
+	unstall()
+	select {
+	case s.evalSem <- struct{}{}:
+		<-s.evalSem
+	case <-time.After(30 * time.Second):
+		t.Fatal("the abandoned setup never released its slot")
+	}
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{Config: &cfg})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the slot is freed: want 200, got %d: %s", resp.StatusCode, body)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
 	"mcpat/internal/array"
@@ -9,6 +8,7 @@ import (
 	"mcpat/internal/component"
 	"mcpat/internal/distrib"
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 	"mcpat/internal/persist"
 	"mcpat/internal/power"
 )
@@ -80,54 +80,20 @@ func (r *EvaluateResponse) MarshalJSON() ([]byte, error) {
 }
 
 // APIError is the structured error detail inside every non-2xx body.
-type APIError struct {
-	// Kind classifies the failure: "config", "infeasible",
-	// "model_domain", "internal" (the guard taxonomy), or a transport
-	// kind ("bad_request", "not_found", "overloaded", "timeout",
-	// "draining", "canceled").
-	Kind string `json:"kind"`
-	// Path is the component path the guard error carried, e.g.
-	// "core[2].ifu.btb"; empty for transport errors.
-	Path string `json:"path,omitempty"`
-	// Message is the human-readable detail.
-	Message string `json:"message"`
-}
-
-func (e *APIError) Error() string {
-	if e.Path != "" {
-		return fmt.Sprintf("%s at %s: %s", e.Kind, e.Path, e.Message)
-	}
-	return fmt.Sprintf("%s: %s", e.Kind, e.Message)
-}
+// Its Kind is a guard kind or a transport kind ("bad_request",
+// "not_found", "overloaded", "timeout", "draining", "canceled").
+type APIError = guard.WireError
 
 // ErrorBody is the envelope of every non-2xx JSON response.
 type ErrorBody struct {
 	Error APIError `json:"error"`
 }
 
-// DSERequest is the JSON body of POST /v1/dse: the design space, fixed
-// parameters, budget, objective, and engine options of one sweep job.
-// Zero values select the same defaults as the library engine.
+// DSERequest is the JSON body of POST /v1/dse: the sweep, then the
+// search strategy and engine options of one sweep job. Zero values
+// select the same defaults as the library engine.
 type DSERequest struct {
-	// Fixed parameters (explore.Params).
-	NM      float64 `json:"nm,omitempty"`
-	ClockHz float64 `json:"clock_hz,omitempty"`
-	Threads int     `json:"threads,omitempty"`
-	MemBW   float64 `json:"mem_bw_bytes_per_s,omitempty"`
-
-	// Swept axes (explore.Space). Fabrics use the fabric names
-	// "none", "bus", "crossbar", "mesh", "ring".
-	Cores        []int    `json:"cores,omitempty"`
-	L2PerCoreKB  []int    `json:"l2_per_core_kb,omitempty"`
-	Fabrics      []string `json:"fabrics,omitempty"`
-	ClusterSizes []int    `json:"cluster_sizes,omitempty"`
-
-	// Budget (explore.Constraints); 0 = unconstrained.
-	MaxAreaMM2 float64 `json:"max_area_mm2,omitempty"`
-	MaxTDPW    float64 `json:"max_tdp_w,omitempty"`
-
-	// Objective: "throughput" (default), "perf/watt", or "ed2ap".
-	Objective string `json:"objective,omitempty"`
+	explore.Sweep
 
 	// Search selects the strategy: "exhaustive" (default) sweeps the
 	// full cross-product, "pareto" runs the adaptive multi-objective
@@ -146,51 +112,13 @@ type DSERequest struct {
 	FailFast           bool `json:"fail_fast,omitempty"`
 }
 
-// ParseObjective maps an objective name to the engine constant. The
-// empty string selects MaxThroughput.
-func ParseObjective(name string) (explore.Objective, error) {
-	switch name {
-	case "", "throughput":
-		return explore.MaxThroughput, nil
-	case "perf/watt":
-		return explore.MaxPerfPerWatt, nil
-	case "ed2ap", "1/ED2AP":
-		return explore.MinED2AP, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q (throughput|perf/watt|ed2ap)", name)
-}
-
-// ParseFabric maps a fabric name to the chip-level kind.
-func ParseFabric(name string) (chip.InterconnectKind, error) {
-	for _, k := range []chip.InterconnectKind{chip.NoneIC, chip.Bus, chip.Crossbar, chip.Mesh, chip.Ring} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown fabric %q (none|bus|crossbar|mesh|ring)", name)
-}
-
 // explore converts the wire request into engine inputs, validating the
 // enumerated fields.
 func (r *DSERequest) explore() (explore.Params, explore.Space, explore.Constraints, explore.Objective, *explore.Options, error) {
-	p := explore.Params{NM: r.NM, ClockHz: r.ClockHz, Threads: r.Threads, MemBW: r.MemBW}
-	space := explore.Space{
-		Cores:        r.Cores,
-		L2PerCoreKB:  r.L2PerCoreKB,
-		ClusterSizes: r.ClusterSizes,
-	}
-	for _, name := range r.Fabrics {
-		k, err := ParseFabric(name)
-		if err != nil {
-			return p, space, explore.Constraints{}, 0, nil, err
-		}
-		space.Fabrics = append(space.Fabrics, k)
-	}
-	obj, err := ParseObjective(r.Objective)
+	p, space, cons, obj, err := r.Inputs()
 	if err != nil {
-		return p, space, explore.Constraints{}, 0, nil, err
+		return p, space, cons, obj, nil, err
 	}
-	cons := explore.Constraints{MaxAreaMM2: r.MaxAreaMM2, MaxTDP: r.MaxTDPW}
 	search, err := explore.ParseSearchKind(r.Search)
 	if err != nil {
 		return p, space, cons, obj, nil, err
@@ -421,7 +349,7 @@ func NewDSEReport(res *explore.Result, obj explore.Objective) *DSEReport {
 	for _, f := range res.Failures {
 		rep.Failures = append(rep.Failures, DSEFailureJSON{
 			Candidate: newDSECandidate(f.Candidate),
-			Error:     *apiError(f.Err),
+			Error:     *guard.Classify(f.Err),
 		})
 	}
 	return rep
