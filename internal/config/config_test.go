@@ -1,6 +1,8 @@
 package config
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -152,6 +154,38 @@ func TestRoundTripValidationTargets(t *testing.T) {
 		}
 		if w, g := pw.Area(), pg.Area(); !close(w, g, 1e-9) {
 			t.Errorf("%s: area changed across round trip: %v -> %v", target.Ref.Name, w, g)
+		}
+	}
+}
+
+// TestZeroVCsRoundTrip: a ring or mesh chip with VirtualChannels 0, the
+// JSON default, must keep its TDP and area bits across config -> XML ->
+// config. The reader defaults an absent noc_vcs to 2, while a router
+// reads 0 as one virtual channel.
+func TestZeroVCsRoundTrip(t *testing.T) {
+	for _, noc := range []chip.NoCSpec{
+		{Kind: chip.Ring, FlitBits: 128},
+		{Kind: chip.Mesh, FlitBits: 128, MeshX: 4, MeshY: 2},
+	} {
+		want := validation.Niagara().Chip
+		want.NoC = noc
+		got, err := ToChipConfig(mustParse(t, FromChipConfig(want).String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw, err := chip.New(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := chip.New(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, g := pw.TDP(), pg.TDP(); math.Float64bits(w) != math.Float64bits(g) {
+			t.Errorf("%v: TDP changed across round trip: %v -> %v", noc.Kind, w, g)
+		}
+		if w, g := pw.Area(), pg.Area(); math.Float64bits(w) != math.Float64bits(g) {
+			t.Errorf("%v: area changed across round trip: %v -> %v", noc.Kind, w, g)
 		}
 	}
 }
@@ -360,4 +394,176 @@ func TestEveryMappedFieldRoundTrips(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Fields that XML does not carry. A field added to chip.Config or
+// chip.Stats needs a schema entry or a place on one of these lists.
+var (
+	// jsonOnly fields have no XML entry; only the native JSON form
+	// carries them.
+	jsonOnly = []string{
+		"Config.CorePeak", "Config.NoC.ClusterSize", "Config.Core.DatapathBits",
+		"Config.Core.ICache.MSHRs", "Config.Core.DCache.MSHRs",
+		"Config.L2.CellDev", "Config.L2.TargetHz", "Config.L3.CellDev", "Config.L3.TargetHz",
+		"Stats.ClusterBusTransfers",
+	}
+	// fromChip fields of the parts are overwritten by chip.New with
+	// the chip's own values.
+	fromChip = []string{
+		"Config.Core.Tech", "Config.Core.Dev", "Config.Core.LongChannel", "Config.Core.ClockHz",
+		"Config.L2.Tech", "Config.L2.Dev", "Config.L2.LongChannel",
+		"Config.L3.Tech", "Config.L3.Dev", "Config.L3.LongChannel",
+		"Config.MC.Tech", "Config.MC.Dev", "Config.MC.LongChannel",
+		"Config.NIU.Tech", "Config.NIU.Dev", "Config.NIU.LongChannel",
+		"Config.PCIe.Tech", "Config.PCIe.Dev", "Config.PCIe.LongChannel",
+	}
+)
+
+// TestEveryFieldIsMappedOrListed fills every exported field of
+// chip.Config and chip.Stats, twice with different values, and sends
+// them through XML and back. A field that comes back both times must
+// not be listed in jsonOnly or fromChip; one that does not must be. A
+// listed struct covers its fields.
+func TestEveryFieldIsMappedOrListed(t *testing.T) {
+	listed := map[string]bool{}
+	for _, p := range append(append([]string(nil), jsonOnly...), fromChip...) {
+		listed[p] = true
+	}
+	covered := func(path string) string {
+		for p := path; ; p = p[:strings.LastIndex(p, ".")] {
+			if listed[p] {
+				return p
+			}
+			if !strings.Contains(p, ".") {
+				return ""
+			}
+		}
+	}
+	type document struct {
+		Config chip.Config
+		Stats  chip.Stats
+	}
+	carried := map[string]int{}
+	for run := 1; run <= 2; run++ {
+		var want, got document
+		i := 0
+		leaves(reflect.ValueOf(&want).Elem(), "", true, func(path string, f reflect.Value) {
+			fill(t, path, f, run, i)
+			i++
+		})
+		root := FromChipConfig(want.Config)
+		FromStats(root, &want.Stats)
+		parsed := mustParse(t, root.String())
+		var err error
+		if got.Config, err = ToChipConfig(parsed); err != nil {
+			t.Fatal(err)
+		}
+		got.Stats = *ToStats(parsed)
+		filled := map[string]reflect.Value{}
+		leaves(reflect.ValueOf(&want).Elem(), "", false, func(path string, f reflect.Value) {
+			filled[path] = f
+			carried[path] += 0
+		})
+		leaves(reflect.ValueOf(&got).Elem(), "", false, func(path string, f reflect.Value) {
+			if sameLeaf(filled[path], f) {
+				carried[path]++
+			}
+		})
+	}
+	used := map[string]bool{}
+	for path, n := range carried {
+		list := covered(path)
+		used[list] = true
+		switch {
+		case n == 2 && list != "":
+			t.Errorf("%s round-trips through XML but is listed as not carried", path)
+		case n < 2 && list == "":
+			t.Errorf("%s does not round-trip through XML: add a schema entry or list it", path)
+		}
+	}
+	for path := range listed {
+		if !used[path] {
+			t.Errorf("listed field %s does not exist", path)
+		}
+	}
+}
+
+// leaves calls fn on every leaf field under v with its dotted path.
+// Nil pointers to structs are allocated when alloc is set and skipped
+// otherwise; a struct with unexported fields, such as tech.Node, is a
+// leaf.
+func leaves(v reflect.Value, path string, alloc bool, fn func(string, reflect.Value)) {
+	join := func(name string) string {
+		if path == "" {
+			return name
+		}
+		return path + "." + name
+	}
+	switch {
+	case v.Kind() == reflect.Pointer && exportedStruct(v.Type().Elem()):
+		if v.IsNil() {
+			if !alloc {
+				return
+			}
+			v.Set(reflect.New(v.Type().Elem()))
+		}
+		leaves(v.Elem(), path, alloc, fn)
+	case exportedStruct(v.Type()):
+		for i := 0; i < v.NumField(); i++ {
+			leaves(v.Field(i), join(v.Type().Field(i).Name), alloc, fn)
+		}
+	default:
+		fn(path, v)
+	}
+}
+
+func exportedStruct(t reflect.Type) bool {
+	if t.Kind() != reflect.Struct {
+		return false
+	}
+	for i := 0; i < t.NumField(); i++ {
+		if !t.Field(i).IsExported() {
+			return false
+		}
+	}
+	return true
+}
+
+// fill sets leaf i to a value of run that no reader default matches.
+func fill(t *testing.T, path string, f reflect.Value, run, i int) {
+	switch p := f.Addr().Interface().(type) {
+	case *tech.DeviceType:
+		*p = [...]tech.DeviceType{tech.LSTP, tech.LOP}[run-1]
+	case *tech.Projection:
+		*p = tech.Conservative
+	case *chip.InterconnectKind:
+		*p = chip.Mesh
+	default:
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(1000*run + i))
+		case reflect.Float64:
+			f.SetFloat(float64(1000*run+i) + 0.5)
+		case reflect.Bool:
+			f.SetBool(run == 1)
+		case reflect.String:
+			f.SetString(fmt.Sprintf("s%d-%d", run, i))
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			t.Fatalf("%s: no filler for %v", path, f.Type())
+		}
+	}
+}
+
+// sameLeaf compares floats to a relative 1e-9, which the unit scaling
+// of float parameters keeps.
+func sameLeaf(want, got reflect.Value) bool {
+	if !want.IsValid() {
+		return false
+	}
+	if want.Kind() == reflect.Float64 {
+		return close(want.Float(), got.Float(), 1e-9)
+	}
+	return reflect.DeepEqual(want.Interface(), got.Interface())
 }

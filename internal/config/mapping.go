@@ -1,7 +1,9 @@
 package config
 
 import (
+	"math"
 	"strconv"
+	"strings"
 
 	"mcpat/internal/cache"
 	"mcpat/internal/chip"
@@ -35,6 +37,345 @@ import (
 //
 // <stat> entries on the same components carry runtime statistics (see
 // ToStats). Unknown parameters are ignored; absent ones take defaults.
+//
+// Each component's entries are listed once, in the tables below, and
+// both directions walk them. Only the root's name, the required
+// tech_node_nm and clock_mhz, and the optional children are code.
+
+// An entry is one <param> or <stat> of a component whose Go form is S,
+// bound to the field it fills. The constructors below build both of
+// its directions from one description: the name, the reader default,
+// the unit and the writer policy.
+type entry[S any] struct {
+	read  func(*Component, *S)
+	write func(*Component, *S)
+	check func(*Component) error // nil unless a value can be invalid
+}
+
+// A table lists a component's entries in document order. Its methods
+// take a nil component as an absent one.
+type table[S any] []entry[S]
+
+func (t table[S]) read(c *Component, s *S) {
+	if c == nil {
+		return
+	}
+	for _, e := range t {
+		e.read(c, s)
+	}
+}
+
+func (t table[S]) write(c *Component, s *S) {
+	if c == nil {
+		return
+	}
+	for _, e := range t {
+		e.write(c, s)
+	}
+}
+
+// check returns the error of the first invalid entry in c.
+func (t table[S]) check(c *Component) error {
+	for _, e := range t {
+		if e.check != nil {
+			if err := e.check(c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// A policy says whether the writer emits an entry holding v in s.
+// Flags count as 0 or 1 and strings as their lengths.
+type policy[S any] func(s *S, v float64) bool
+
+func always[S any](*S, float64) bool       { return true }
+func positive[S any](_ *S, v float64) bool { return v > 0 }
+
+// nonZero writes statistics when ≠ 0 and flags only when set.
+func nonZero[S any](_ *S, v float64) bool { return v != 0 }
+
+func meshOnly(c *chip.Config, _ float64) bool { return c.NoC.Kind == chip.Mesh }
+
+func conservative(c *chip.Config, _ float64) bool { return c.WireProjection == tech.Conservative }
+
+// withRouters writes noc_vcs whenever the fabric has routers: the
+// reader defaults an absent noc_vcs to 2, but a router reads 0 as one
+// virtual channel.
+func withRouters(c *chip.Config, v float64) bool {
+	return v > 0 || c.NoC.Kind == chip.Mesh || c.NoC.Kind == chip.Ring
+}
+
+// A unit is the power of ten between a float field's SI value and its
+// XML spelling. Reading multiplies by it. Writing divides by a positive
+// power and multiplies by the inverse of a negative one, because x*1e6
+// and x/1e-6 do not always format alike.
+type unit int
+
+const (
+	si   unit = 0
+	mhz  unit = 6   // MHz
+	giga unit = 9   // GB/s and Gb/s
+	mm2  unit = -6  // mm²
+	pj   unit = -12 // pJ
+)
+
+func (u unit) fromXML(v float64) float64 { return v * math.Pow10(int(u)) }
+
+func (u unit) toXML(v float64) float64 {
+	if u < 0 {
+		return v * math.Pow10(-int(u))
+	}
+	return v / math.Pow10(int(u))
+}
+
+func integer[S any](name string, def int, when policy[S], at func(*S) *int) entry[S] {
+	return entry[S]{
+		read: func(c *Component, s *S) { *at(s) = c.ParamInt(name, def) },
+		write: func(c *Component, s *S) {
+			if v := *at(s); when(s, float64(v)) {
+				c.SetParam(name, strconv.Itoa(v))
+			}
+		},
+	}
+}
+
+// float binds a float parameter spelled in unit u; def is in u too.
+func float[S any](name string, def float64, u unit, when policy[S], at func(*S) *float64) entry[S] {
+	return entry[S]{
+		read: func(c *Component, s *S) { *at(s) = u.fromXML(c.ParamFloat(name, def)) },
+		write: func(c *Component, s *S) {
+			if v := *at(s); when(s, v) {
+				c.SetParam(name, ftoa(u.toXML(v)))
+			}
+		},
+	}
+}
+
+// flag binds a boolean parameter, spelled 1 or 0.
+func flag[S any](name string, def bool, when policy[S], at func(*S) *bool) entry[S] {
+	return entry[S]{
+		read: func(c *Component, s *S) { *at(s) = c.ParamBool(name, def) },
+		write: func(c *Component, s *S) {
+			n := 0
+			if *at(s) {
+				n = 1
+			}
+			if when(s, float64(n)) {
+				c.SetParam(name, strconv.Itoa(n))
+			}
+		},
+	}
+}
+
+// text binds a string parameter that defaults to its component's id,
+// the part after the last dot.
+func text[S any](name string, when policy[S], at func(*S) *string) entry[S] {
+	return entry[S]{
+		read: func(c *Component, s *S) {
+			*at(s) = c.ParamString(name, c.ID[strings.LastIndex(c.ID, ".")+1:])
+		},
+		write: func(c *Component, s *S) {
+			if v := *at(s); when(s, float64(len(v))) {
+				c.SetParam(name, v)
+			}
+		},
+	}
+}
+
+type enumeration interface {
+	~int
+	String() string
+}
+
+// enum binds an enumerated parameter: parse reads it, and the value's
+// String method spells it.
+func enum[S any, E enumeration](name, def string, parse func(string) (E, error), when policy[S], at func(*S) *E) entry[S] {
+	return entry[S]{
+		read: func(c *Component, s *S) { *at(s), _ = parse(c.ParamString(name, def)) },
+		write: func(c *Component, s *S) {
+			if v := *at(s); when(s, float64(v)) {
+				c.SetParam(name, v.String())
+			}
+		},
+		check: func(c *Component) error {
+			_, err := parse(c.ParamString(name, def))
+			return err
+		},
+	}
+}
+
+// stat binds a runtime statistic; an absent one reads as 0.
+func stat[S any](name string, at func(*S) *float64) entry[S] {
+	return entry[S]{
+		read: func(c *Component, s *S) { *at(s) = c.StatFloat(name, 0) },
+		write: func(c *Component, s *S) {
+			if v := *at(s); nonZero(s, v) {
+				c.SetStat(name, ftoa(v))
+			}
+		},
+	}
+}
+
+// systemParams follows name, tech_node_nm and clock_mhz on the root.
+var systemParams = table[chip.Config]{
+	float("vdd", 0, si, positive, func(c *chip.Config) *float64 { return &c.Vdd }),
+	float("temperature_k", 0, si, positive, func(c *chip.Config) *float64 { return &c.Temperature }),
+	enum("device_type", tech.HP.String(), parseDevice, always, func(c *chip.Config) *tech.DeviceType { return &c.Dev }),
+	flag("long_channel", false, always, func(c *chip.Config) *bool { return &c.LongChannel }),
+	integer("num_cores", 1, always, func(c *chip.Config) *int { return &c.NumCores }),
+	integer("shared_fpus", 0, positive, func(c *chip.Config) *int { return &c.SharedFPUs }),
+	float("other_area_mm2", 0, mm2, positive, func(c *chip.Config) *float64 { return &c.OtherArea }),
+	float("l2_peak_duty", 0, si, positive, func(c *chip.Config) *float64 { return &c.L2PeakDuty }),
+	float("l3_peak_duty", 0, si, positive, func(c *chip.Config) *float64 { return &c.L3PeakDuty }),
+	float("mc_peak_util", 0, si, positive, func(c *chip.Config) *float64 { return &c.MCPeakUtil }),
+	float("clock_gating", 0, si, positive, func(c *chip.Config) *float64 { return &c.ClockGating }),
+	float("clock_sink_mult", 0, si, positive, func(c *chip.Config) *float64 { return &c.ClockSinkMult }),
+	enum("wire_projection", tech.Aggressive.String(), parseProjection, conservative,
+		func(c *chip.Config) *tech.Projection { return &c.WireProjection }),
+	enum("interconnect", chip.NoneIC.String(), parseInterconnect, always,
+		func(c *chip.Config) *chip.InterconnectKind { return &c.NoC.Kind }),
+	integer("flit_bits", 128, always, func(c *chip.Config) *int { return &c.NoC.FlitBits }),
+	integer("mesh_x", 0, meshOnly, func(c *chip.Config) *int { return &c.NoC.MeshX }),
+	integer("mesh_y", 0, meshOnly, func(c *chip.Config) *int { return &c.NoC.MeshY }),
+	integer("noc_vcs", 2, withRouters, func(c *chip.Config) *int { return &c.NoC.VirtualChannels }),
+	integer("noc_buffers_per_vc", 4, positive, func(c *chip.Config) *int { return &c.NoC.BuffersPerVC }),
+}
+
+var coreParams = table[core.Config]{
+	text("name", positive, func(c *core.Config) *string { return &c.Name }),
+	flag("ooo", false, always, func(c *core.Config) *bool { return &c.OoO }),
+	flag("x86", false, always, func(c *core.Config) *bool { return &c.X86 }),
+	integer("threads", 1, positive, func(c *core.Config) *int { return &c.Threads }),
+	integer("fetch_width", 0, positive, func(c *core.Config) *int { return &c.FetchWidth }),
+	integer("decode_width", 0, positive, func(c *core.Config) *int { return &c.DecodeWidth }),
+	integer("issue_width", 0, positive, func(c *core.Config) *int { return &c.IssueWidth }),
+	integer("commit_width", 0, positive, func(c *core.Config) *int { return &c.CommitWidth }),
+	integer("pipeline_depth", 0, positive, func(c *core.Config) *int { return &c.PipelineDepth }),
+	integer("rob_entries", 0, positive, func(c *core.Config) *int { return &c.ROBEntries }),
+	integer("iq_entries", 0, positive, func(c *core.Config) *int { return &c.IQEntries }),
+	integer("fp_iq_entries", 0, positive, func(c *core.Config) *int { return &c.FPIQEntries }),
+	integer("phys_int_regs", 0, positive, func(c *core.Config) *int { return &c.PhysIntRegs }),
+	integer("phys_fp_regs", 0, positive, func(c *core.Config) *int { return &c.PhysFPRegs }),
+	integer("arch_int_regs", 0, positive, func(c *core.Config) *int { return &c.ArchIntRegs }),
+	integer("arch_fp_regs", 0, positive, func(c *core.Config) *int { return &c.ArchFPRegs }),
+	integer("btb_entries", 0, positive, func(c *core.Config) *int { return &c.BTBEntries }),
+	integer("local_pred_entries", 0, positive, func(c *core.Config) *int { return &c.LocalPredEntries }),
+	integer("global_pred_entries", 0, positive, func(c *core.Config) *int { return &c.GlobalPredEntries }),
+	integer("chooser_entries", 0, positive, func(c *core.Config) *int { return &c.ChooserEntries }),
+	integer("ras_entries", 0, positive, func(c *core.Config) *int { return &c.RASEntries }),
+	integer("itlb_entries", 0, positive, func(c *core.Config) *int { return &c.ITLBEntries }),
+	integer("dtlb_entries", 0, positive, func(c *core.Config) *int { return &c.DTLBEntries }),
+	integer("int_alus", 0, positive, func(c *core.Config) *int { return &c.IntALUs }),
+	integer("fpus", 0, positive, func(c *core.Config) *int { return &c.FPUs }),
+	integer("muldivs", 0, positive, func(c *core.Config) *int { return &c.MulDivs }),
+	integer("lq_entries", 0, positive, func(c *core.Config) *int { return &c.LQEntries }),
+	integer("sq_entries", 0, positive, func(c *core.Config) *int { return &c.SQEntries }),
+	integer("glue_gates", 0, positive, func(c *core.Config) *int { return &c.GlueGates }),
+	float("glue_activity", 0, si, positive, func(c *core.Config) *float64 { return &c.GlueActivity }),
+	flag("rename_cam", false, nonZero, func(c *core.Config) *bool { return &c.RenameCAM }),
+	flag("power_gating", false, nonZero, func(c *core.Config) *bool { return &c.PowerGating }),
+	integer("icache_bytes", 0, positive, func(c *core.Config) *int { return &c.ICache.Bytes }),
+	integer("icache_block_bytes", 0, positive, func(c *core.Config) *int { return &c.ICache.BlockBytes }),
+	integer("icache_assoc", 0, positive, func(c *core.Config) *int { return &c.ICache.Assoc }),
+	integer("icache_banks", 0, positive, func(c *core.Config) *int { return &c.ICache.Banks }),
+	integer("icache_ports", 0, positive, func(c *core.Config) *int { return &c.ICache.Ports }),
+	integer("dcache_bytes", 0, positive, func(c *core.Config) *int { return &c.DCache.Bytes }),
+	integer("dcache_block_bytes", 0, positive, func(c *core.Config) *int { return &c.DCache.BlockBytes }),
+	integer("dcache_assoc", 0, positive, func(c *core.Config) *int { return &c.DCache.Assoc }),
+	integer("dcache_banks", 0, positive, func(c *core.Config) *int { return &c.DCache.Banks }),
+	integer("dcache_ports", 0, positive, func(c *core.Config) *int { return &c.DCache.Ports }),
+}
+
+var cacheParams = table[cache.Config]{
+	text("name", always, func(c *cache.Config) *string { return &c.Name }),
+	integer("bytes", 0, always, func(c *cache.Config) *int { return &c.Bytes }),
+	integer("block_bytes", 0, positive, func(c *cache.Config) *int { return &c.BlockBytes }),
+	integer("assoc", 0, positive, func(c *cache.Config) *int { return &c.Assoc }),
+	integer("banks", 0, positive, func(c *cache.Config) *int { return &c.Banks }),
+	integer("ports", 0, positive, func(c *cache.Config) *int { return &c.Ports }),
+	integer("mshrs", 0, positive, func(c *cache.Config) *int { return &c.MSHRs }),
+	integer("wb_depth", 0, positive, func(c *cache.Config) *int { return &c.WBDepth }),
+	flag("directory", false, always, func(c *cache.Config) *bool { return &c.Directory }),
+	integer("sharers", 0, positive, func(c *cache.Config) *int { return &c.Sharers }),
+	flag("cell_hp", false, nonZero, func(c *cache.Config) *bool { return &c.CellHP }),
+	flag("edram", false, nonZero, func(c *cache.Config) *bool { return &c.EDRAM }),
+}
+
+var mcParams = table[mc.Config]{
+	integer("channels", 1, always, func(c *mc.Config) *int { return &c.Channels }),
+	integer("data_bus_bits", 64, always, func(c *mc.Config) *int { return &c.DataBusBits }),
+	float("peak_bandwidth_gbs", 0, giga, always, func(c *mc.Config) *float64 { return &c.PeakBandwidth }),
+	integer("request_depth", 0, positive, func(c *mc.Config) *int { return &c.RequestDepth }),
+	integer("read_depth", 0, positive, func(c *mc.Config) *int { return &c.ReadDepth }),
+	integer("write_depth", 0, positive, func(c *mc.Config) *int { return &c.WriteDepth }),
+	flag("lvds", true, always, func(c *mc.Config) *bool { return &c.LVDS }),
+	float("phy_pj_per_bit", 0, pj, positive, func(c *mc.Config) *float64 { return &c.PHYPJPerBit }),
+}
+
+var niuParams = table[mc.NIUConfig]{
+	float("bandwidth_gbps", 10, giga, always, func(c *mc.NIUConfig) *float64 { return &c.Bandwidth }),
+	integer("count", 1, always, func(c *mc.NIUConfig) *int { return &c.Count }),
+	float("pj_per_bit", 0, pj, positive, func(c *mc.NIUConfig) *float64 { return &c.PJPerBit }),
+}
+
+var pcieParams = table[mc.PCIeConfig]{
+	integer("lanes", 8, always, func(c *mc.PCIeConfig) *int { return &c.Lanes }),
+	float("gbps_per_lane", 2.5, si, always, func(c *mc.PCIeConfig) *float64 { return &c.GbpsPerLane }),
+}
+
+// Core statistics are events per cycle; the others are chip-wide
+// events per second.
+var coreStats = table[core.Activity]{
+	stat("icache_access_per_cycle", func(a *core.Activity) *float64 { return &a.ICacheAccess }),
+	stat("btb_access_per_cycle", func(a *core.Activity) *float64 { return &a.BTBAccess }),
+	stat("pred_access_per_cycle", func(a *core.Activity) *float64 { return &a.PredAccess }),
+	stat("decode_per_cycle", func(a *core.Activity) *float64 { return &a.Decode }),
+	stat("rename_per_cycle", func(a *core.Activity) *float64 { return &a.Rename }),
+	stat("iq_wakeup_per_cycle", func(a *core.Activity) *float64 { return &a.IQWakeup }),
+	stat("iq_issue_per_cycle", func(a *core.Activity) *float64 { return &a.IQIssue }),
+	stat("iq_write_per_cycle", func(a *core.Activity) *float64 { return &a.IQWrite }),
+	stat("rob_access_per_cycle", func(a *core.Activity) *float64 { return &a.ROBAcc }),
+	stat("rf_read_per_cycle", func(a *core.Activity) *float64 { return &a.RFRead }),
+	stat("rf_write_per_cycle", func(a *core.Activity) *float64 { return &a.RFWrite }),
+	stat("fprf_read_per_cycle", func(a *core.Activity) *float64 { return &a.FPRFRead }),
+	stat("fprf_write_per_cycle", func(a *core.Activity) *float64 { return &a.FPRFWrite }),
+	stat("int_ops_per_cycle", func(a *core.Activity) *float64 { return &a.IntOp }),
+	stat("mul_ops_per_cycle", func(a *core.Activity) *float64 { return &a.MulOp }),
+	stat("fp_ops_per_cycle", func(a *core.Activity) *float64 { return &a.FPOp }),
+	stat("bypass_per_cycle", func(a *core.Activity) *float64 { return &a.Bypass }),
+	stat("dcache_read_per_cycle", func(a *core.Activity) *float64 { return &a.DCacheRead }),
+	stat("dcache_write_per_cycle", func(a *core.Activity) *float64 { return &a.DCacheWrite }),
+	stat("cache_miss_per_cycle", func(a *core.Activity) *float64 { return &a.CacheMiss }),
+	stat("lsq_search_per_cycle", func(a *core.Activity) *float64 { return &a.LSQSearch }),
+	stat("lsq_access_per_cycle", func(a *core.Activity) *float64 { return &a.LSQAccess }),
+	stat("itlb_access_per_cycle", func(a *core.Activity) *float64 { return &a.ITLBAccess }),
+	stat("dtlb_access_per_cycle", func(a *core.Activity) *float64 { return &a.DTLBAccess }),
+	stat("pipeline_duty", func(a *core.Activity) *float64 { return &a.PipelineDuty }),
+}
+
+var systemStats = table[chip.Stats]{
+	stat("noc_flits_per_sec", func(s *chip.Stats) *float64 { return &s.NoCFlits }),
+	stat("shared_fp_ops_per_sec", func(s *chip.Stats) *float64 { return &s.FPOpsPerSec }),
+}
+
+// traffic is one shared cache level's part of chip.Stats.
+type traffic struct{ reads, writes *float64 }
+
+var cacheStats = table[traffic]{
+	stat("reads_per_sec", func(t *traffic) *float64 { return t.reads }),
+	stat("writes_per_sec", func(t *traffic) *float64 { return t.writes }),
+}
+
+// The memory controller's and the I/O links' tables bind a single
+// chip.Stats field.
+var (
+	mcStats   = table[float64]{stat("accesses_per_sec", same)}
+	linkStats = table[float64]{stat("bits_per_sec", same)}
+)
+
+func same(v *float64) *float64 { return v }
 
 // ToChipConfig converts a parsed XML tree into a chip configuration.
 func ToChipConfig(root *Component) (chip.Config, error) {
@@ -43,73 +384,35 @@ func ToChipConfig(root *Component) (chip.Config, error) {
 		return cfg, guard.Configf("config", "nil root")
 	}
 	cfg.Name = root.ParamString("name", root.ID)
-	cfg.NM = root.ParamFloat("tech_node_nm", 0)
-	if cfg.NM == 0 {
+	if cfg.NM = root.ParamFloat("tech_node_nm", 0); cfg.NM == 0 {
 		return cfg, guard.Configf("config", "tech_node_nm is required")
 	}
-	cfg.ClockHz = root.ParamFloat("clock_mhz", 0) * 1e6
-	if cfg.ClockHz == 0 {
+	if cfg.ClockHz = mhz.fromXML(root.ParamFloat("clock_mhz", 0)); cfg.ClockHz == 0 {
 		return cfg, guard.Configf("config", "clock_mhz is required")
 	}
-	cfg.Vdd = root.ParamFloat("vdd", 0)
-	cfg.Temperature = root.ParamFloat("temperature_k", 0)
-	dev, err := parseDevice(root.ParamString("device_type", "HP"))
-	if err != nil {
+	if err := systemParams.check(root); err != nil {
 		return cfg, err
 	}
-	cfg.Dev = dev
-	cfg.LongChannel = root.ParamBool("long_channel", false)
-	if root.ParamString("wire_projection", "aggressive") == "conservative" {
-		cfg.WireProjection = tech.Conservative
-	}
-	cfg.NumCores = root.ParamInt("num_cores", 1)
-	cfg.SharedFPUs = root.ParamInt("shared_fpus", 0)
-	cfg.L2PeakDuty = root.ParamFloat("l2_peak_duty", 0)
-	cfg.L3PeakDuty = root.ParamFloat("l3_peak_duty", 0)
-	cfg.MCPeakUtil = root.ParamFloat("mc_peak_util", 0)
-	cfg.ClockGating = root.ParamFloat("clock_gating", 0)
-	cfg.ClockSinkMult = root.ParamFloat("clock_sink_mult", 0)
-	cfg.OtherArea = root.ParamFloat("other_area_mm2", 0) * 1e-6
-
-	ic := root.ParamString("interconnect", "none")
-	if cfg.NoC.Kind, err = chip.ParseInterconnect(ic); err != nil {
-		return cfg, guard.Configf("config", "unknown interconnect %q", ic)
-	}
-	cfg.NoC.FlitBits = root.ParamInt("flit_bits", 128)
-	cfg.NoC.MeshX = root.ParamInt("mesh_x", 0)
-	cfg.NoC.MeshY = root.ParamInt("mesh_y", 0)
-	cfg.NoC.VirtualChannels = root.ParamInt("noc_vcs", 2)
-	cfg.NoC.BuffersPerVC = root.ParamInt("noc_buffers_per_vc", 4)
-
-	if c := root.Child("core"); c != nil {
-		cfg.Core = toCoreConfig(c)
-	}
-	if c := root.Child("L2"); c != nil {
-		l2 := toCacheConfig(c, "L2")
-		cfg.L2 = &l2
-	}
-	if c := root.Child("L3"); c != nil {
-		l3 := toCacheConfig(c, "L3")
-		cfg.L3 = &l3
-	}
-	if c := root.Child("mc"); c != nil {
-		m := toMCConfig(c)
-		cfg.MC = &m
-	}
-	if c := root.Child("niu"); c != nil {
-		cfg.NIU = &mc.NIUConfig{
-			Bandwidth: c.ParamFloat("bandwidth_gbps", 10) * 1e9,
-			Count:     c.ParamInt("count", 1),
-			PJPerBit:  c.ParamFloat("pj_per_bit", 0) * 1e-12,
-		}
-	}
-	if c := root.Child("pcie"); c != nil {
-		cfg.PCIe = &mc.PCIeConfig{
-			Lanes:       c.ParamInt("lanes", 8),
-			GbpsPerLane: c.ParamFloat("gbps_per_lane", 2.5),
-		}
-	}
+	systemParams.read(root, &cfg)
+	coreParams.read(root.Child("core"), &cfg.Core)
+	cfg.L2 = readChild(root, "L2", cacheParams)
+	cfg.L3 = readChild(root, "L3", cacheParams)
+	cfg.MC = readChild(root, "mc", mcParams)
+	cfg.NIU = readChild(root, "niu", niuParams)
+	cfg.PCIe = readChild(root, "pcie", pcieParams)
 	return cfg, nil
+}
+
+// readChild reads the child id through t, or returns nil when the
+// document has no such child.
+func readChild[S any](root *Component, id string, t table[S]) *S {
+	c := root.Child(id)
+	if c == nil {
+		return nil
+	}
+	s := new(S)
+	t.read(c, s)
+	return s
 }
 
 func parseDevice(s string) (tech.DeviceType, error) {
@@ -124,86 +427,21 @@ func parseDevice(s string) (tech.DeviceType, error) {
 	return tech.HP, guard.Configf("config", "unknown device_type %q", s)
 }
 
-func toCoreConfig(c *Component) core.Config {
-	cc := core.Config{
-		Name:              c.ParamString("name", "core"),
-		OoO:               c.ParamBool("ooo", false),
-		X86:               c.ParamBool("x86", false),
-		Threads:           c.ParamInt("threads", 1),
-		FetchWidth:        c.ParamInt("fetch_width", 0),
-		DecodeWidth:       c.ParamInt("decode_width", 0),
-		IssueWidth:        c.ParamInt("issue_width", 0),
-		CommitWidth:       c.ParamInt("commit_width", 0),
-		PipelineDepth:     c.ParamInt("pipeline_depth", 0),
-		ROBEntries:        c.ParamInt("rob_entries", 0),
-		IQEntries:         c.ParamInt("iq_entries", 0),
-		FPIQEntries:       c.ParamInt("fp_iq_entries", 0),
-		PhysIntRegs:       c.ParamInt("phys_int_regs", 0),
-		PhysFPRegs:        c.ParamInt("phys_fp_regs", 0),
-		ArchIntRegs:       c.ParamInt("arch_int_regs", 0),
-		ArchFPRegs:        c.ParamInt("arch_fp_regs", 0),
-		BTBEntries:        c.ParamInt("btb_entries", 0),
-		LocalPredEntries:  c.ParamInt("local_pred_entries", 0),
-		GlobalPredEntries: c.ParamInt("global_pred_entries", 0),
-		ChooserEntries:    c.ParamInt("chooser_entries", 0),
-		RASEntries:        c.ParamInt("ras_entries", 0),
-		ITLBEntries:       c.ParamInt("itlb_entries", 0),
-		DTLBEntries:       c.ParamInt("dtlb_entries", 0),
-		IntALUs:           c.ParamInt("int_alus", 0),
-		FPUs:              c.ParamInt("fpus", 0),
-		MulDivs:           c.ParamInt("muldivs", 0),
-		LQEntries:         c.ParamInt("lq_entries", 0),
-		SQEntries:         c.ParamInt("sq_entries", 0),
-		GlueGates:         c.ParamInt("glue_gates", 0),
-		GlueActivity:      c.ParamFloat("glue_activity", 0),
-		RenameCAM:         c.ParamBool("rename_cam", false),
-		PowerGating:       c.ParamBool("power_gating", false),
+func parseInterconnect(s string) (chip.InterconnectKind, error) {
+	k, err := chip.ParseInterconnect(s)
+	if err != nil {
+		return k, guard.Configf("config", "unknown interconnect %q", s)
 	}
-	cc.ICache = core.CacheParams{
-		Bytes:      c.ParamInt("icache_bytes", 0),
-		BlockBytes: c.ParamInt("icache_block_bytes", 0),
-		Assoc:      c.ParamInt("icache_assoc", 0),
-		Banks:      c.ParamInt("icache_banks", 0),
-		Ports:      c.ParamInt("icache_ports", 0),
-	}
-	cc.DCache = core.CacheParams{
-		Bytes:      c.ParamInt("dcache_bytes", 0),
-		BlockBytes: c.ParamInt("dcache_block_bytes", 0),
-		Assoc:      c.ParamInt("dcache_assoc", 0),
-		Banks:      c.ParamInt("dcache_banks", 0),
-		Ports:      c.ParamInt("dcache_ports", 0),
-	}
-	return cc
+	return k, nil
 }
 
-func toCacheConfig(c *Component, name string) cache.Config {
-	return cache.Config{
-		Name:       c.ParamString("name", name),
-		Bytes:      c.ParamInt("bytes", 0),
-		BlockBytes: c.ParamInt("block_bytes", 0),
-		Assoc:      c.ParamInt("assoc", 0),
-		Banks:      c.ParamInt("banks", 0),
-		Ports:      c.ParamInt("ports", 0),
-		MSHRs:      c.ParamInt("mshrs", 0),
-		WBDepth:    c.ParamInt("wb_depth", 0),
-		Directory:  c.ParamBool("directory", false),
-		Sharers:    c.ParamInt("sharers", 0),
-		CellHP:     c.ParamBool("cell_hp", false),
-		EDRAM:      c.ParamBool("edram", false),
+// parseProjection reads every spelling but "conservative" as the
+// default, aggressive, projection.
+func parseProjection(s string) (tech.Projection, error) {
+	if s == tech.Conservative.String() {
+		return tech.Conservative, nil
 	}
-}
-
-func toMCConfig(c *Component) mc.Config {
-	return mc.Config{
-		Channels:      c.ParamInt("channels", 1),
-		DataBusBits:   c.ParamInt("data_bus_bits", 64),
-		PeakBandwidth: c.ParamFloat("peak_bandwidth_gbs", 0) * 1e9,
-		RequestDepth:  c.ParamInt("request_depth", 0),
-		ReadDepth:     c.ParamInt("read_depth", 0),
-		WriteDepth:    c.ParamInt("write_depth", 0),
-		LVDS:          c.ParamBool("lvds", true),
-		PHYPJPerBit:   c.ParamFloat("phy_pj_per_bit", 0) * 1e-12,
-	}
+	return tech.Aggressive, nil
 }
 
 // ToStats extracts runtime statistics from the XML tree. All statistics
@@ -214,54 +452,13 @@ func ToStats(root *Component) *chip.Stats {
 	if root == nil {
 		return s
 	}
-	if c := root.Child("core"); c != nil {
-		s.CoreRun = core.Activity{
-			ICacheAccess: c.StatFloat("icache_access_per_cycle", 0),
-			BTBAccess:    c.StatFloat("btb_access_per_cycle", 0),
-			PredAccess:   c.StatFloat("pred_access_per_cycle", 0),
-			Decode:       c.StatFloat("decode_per_cycle", 0),
-			Rename:       c.StatFloat("rename_per_cycle", 0),
-			IQWakeup:     c.StatFloat("iq_wakeup_per_cycle", 0),
-			IQIssue:      c.StatFloat("iq_issue_per_cycle", 0),
-			IQWrite:      c.StatFloat("iq_write_per_cycle", 0),
-			ROBAcc:       c.StatFloat("rob_access_per_cycle", 0),
-			RFRead:       c.StatFloat("rf_read_per_cycle", 0),
-			RFWrite:      c.StatFloat("rf_write_per_cycle", 0),
-			FPRFRead:     c.StatFloat("fprf_read_per_cycle", 0),
-			FPRFWrite:    c.StatFloat("fprf_write_per_cycle", 0),
-			IntOp:        c.StatFloat("int_ops_per_cycle", 0),
-			MulOp:        c.StatFloat("mul_ops_per_cycle", 0),
-			FPOp:         c.StatFloat("fp_ops_per_cycle", 0),
-			Bypass:       c.StatFloat("bypass_per_cycle", 0),
-			DCacheRead:   c.StatFloat("dcache_read_per_cycle", 0),
-			DCacheWrite:  c.StatFloat("dcache_write_per_cycle", 0),
-			CacheMiss:    c.StatFloat("cache_miss_per_cycle", 0),
-			LSQSearch:    c.StatFloat("lsq_search_per_cycle", 0),
-			LSQAccess:    c.StatFloat("lsq_access_per_cycle", 0),
-			ITLBAccess:   c.StatFloat("itlb_access_per_cycle", 0),
-			DTLBAccess:   c.StatFloat("dtlb_access_per_cycle", 0),
-			PipelineDuty: c.StatFloat("pipeline_duty", 0),
-		}
-	}
-	if c := root.Child("L2"); c != nil {
-		s.L2Reads = c.StatFloat("reads_per_sec", 0)
-		s.L2Writes = c.StatFloat("writes_per_sec", 0)
-	}
-	if c := root.Child("L3"); c != nil {
-		s.L3Reads = c.StatFloat("reads_per_sec", 0)
-		s.L3Writes = c.StatFloat("writes_per_sec", 0)
-	}
-	s.NoCFlits = root.StatFloat("noc_flits_per_sec", 0)
-	if c := root.Child("mc"); c != nil {
-		s.MCAccesses = c.StatFloat("accesses_per_sec", 0)
-	}
-	if c := root.Child("niu"); c != nil {
-		s.NIUBitsPerSec = c.StatFloat("bits_per_sec", 0)
-	}
-	if c := root.Child("pcie"); c != nil {
-		s.PCIeBitsPerSec = c.StatFloat("bits_per_sec", 0)
-	}
-	s.FPOpsPerSec = root.StatFloat("shared_fp_ops_per_sec", 0)
+	coreStats.read(root.Child("core"), &s.CoreRun)
+	cacheStats.read(root.Child("L2"), &traffic{&s.L2Reads, &s.L2Writes})
+	cacheStats.read(root.Child("L3"), &traffic{&s.L3Reads, &s.L3Writes})
+	systemStats.read(root, s)
+	mcStats.read(root.Child("mc"), &s.MCAccesses)
+	linkStats.read(root.Child("niu"), &s.NIUBitsPerSec)
+	linkStats.read(root.Child("pcie"), &s.PCIeBitsPerSec)
 	return s
 }
 
@@ -274,203 +471,28 @@ func FromChipConfig(cfg chip.Config) *Component {
 	root := &Component{ID: "system", Type: "System"}
 	root.SetParam("name", cfg.Name)
 	root.SetParam("tech_node_nm", ftoa(cfg.NM))
-	root.SetParam("clock_mhz", ftoa(cfg.ClockHz/1e6))
-	if cfg.Vdd > 0 {
-		root.SetParam("vdd", ftoa(cfg.Vdd))
-	}
-	if cfg.Temperature > 0 {
-		root.SetParam("temperature_k", ftoa(cfg.Temperature))
-	}
-	root.SetParam("device_type", cfg.Dev.String())
-	root.SetParam("long_channel", boolStr(cfg.LongChannel))
-	root.SetParam("num_cores", itoa(cfg.NumCores))
-	if cfg.SharedFPUs > 0 {
-		root.SetParam("shared_fpus", itoa(cfg.SharedFPUs))
-	}
-	if cfg.OtherArea > 0 {
-		root.SetParam("other_area_mm2", ftoa(cfg.OtherArea*1e6))
-	}
-	if cfg.L2PeakDuty > 0 {
-		root.SetParam("l2_peak_duty", ftoa(cfg.L2PeakDuty))
-	}
-	if cfg.L3PeakDuty > 0 {
-		root.SetParam("l3_peak_duty", ftoa(cfg.L3PeakDuty))
-	}
-	if cfg.MCPeakUtil > 0 {
-		root.SetParam("mc_peak_util", ftoa(cfg.MCPeakUtil))
-	}
-	if cfg.ClockGating > 0 {
-		root.SetParam("clock_gating", ftoa(cfg.ClockGating))
-	}
-	if cfg.ClockSinkMult > 0 {
-		root.SetParam("clock_sink_mult", ftoa(cfg.ClockSinkMult))
-	}
-	if cfg.WireProjection == tech.Conservative {
-		root.SetParam("wire_projection", "conservative")
-	}
-	root.SetParam("interconnect", cfg.NoC.Kind.String())
-	root.SetParam("flit_bits", itoa(cfg.NoC.FlitBits))
-	if cfg.NoC.Kind == chip.Mesh {
-		root.SetParam("mesh_x", itoa(cfg.NoC.MeshX))
-		root.SetParam("mesh_y", itoa(cfg.NoC.MeshY))
-	}
-	if cfg.NoC.VirtualChannels > 0 {
-		root.SetParam("noc_vcs", itoa(cfg.NoC.VirtualChannels))
-	}
-	if cfg.NoC.BuffersPerVC > 0 {
-		root.SetParam("noc_buffers_per_vc", itoa(cfg.NoC.BuffersPerVC))
-	}
-
-	root.Children = append(root.Children, fromCoreConfig(cfg.Core))
-	if cfg.L2 != nil {
-		root.Children = append(root.Children, fromCacheConfig(*cfg.L2, "system.L2"))
-	}
-	if cfg.L3 != nil {
-		root.Children = append(root.Children, fromCacheConfig(*cfg.L3, "system.L3"))
-	}
-	if cfg.MC != nil {
-		m := &Component{ID: "system.mc", Type: "MemoryController"}
-		m.SetParam("channels", itoa(cfg.MC.Channels))
-		m.SetParam("data_bus_bits", itoa(cfg.MC.DataBusBits))
-		m.SetParam("peak_bandwidth_gbs", ftoa(cfg.MC.PeakBandwidth/1e9))
-		if cfg.MC.RequestDepth > 0 {
-			m.SetParam("request_depth", itoa(cfg.MC.RequestDepth))
-		}
-		if cfg.MC.ReadDepth > 0 {
-			m.SetParam("read_depth", itoa(cfg.MC.ReadDepth))
-		}
-		if cfg.MC.WriteDepth > 0 {
-			m.SetParam("write_depth", itoa(cfg.MC.WriteDepth))
-		}
-		m.SetParam("lvds", boolStr(cfg.MC.LVDS))
-		if cfg.MC.PHYPJPerBit > 0 {
-			m.SetParam("phy_pj_per_bit", ftoa(cfg.MC.PHYPJPerBit*1e12))
-		}
-		root.Children = append(root.Children, m)
-	}
-	if cfg.NIU != nil {
-		n := &Component{ID: "system.niu", Type: "NIU"}
-		n.SetParam("bandwidth_gbps", ftoa(cfg.NIU.Bandwidth/1e9))
-		n.SetParam("count", itoa(cfg.NIU.Count))
-		if cfg.NIU.PJPerBit > 0 {
-			n.SetParam("pj_per_bit", ftoa(cfg.NIU.PJPerBit*1e12))
-		}
-		root.Children = append(root.Children, n)
-	}
-	if cfg.PCIe != nil {
-		n := &Component{ID: "system.pcie", Type: "PCIe"}
-		n.SetParam("lanes", itoa(cfg.PCIe.Lanes))
-		n.SetParam("gbps_per_lane", ftoa(cfg.PCIe.GbpsPerLane))
-		root.Children = append(root.Children, n)
-	}
+	root.SetParam("clock_mhz", ftoa(mhz.toXML(cfg.ClockHz)))
+	systemParams.write(root, &cfg)
+	writeChild(root, "core", "Core", &cfg.Core, coreParams)
+	writeChild(root, "L2", "CacheUnit", cfg.L2, cacheParams)
+	writeChild(root, "L3", "CacheUnit", cfg.L3, cacheParams)
+	writeChild(root, "mc", "MemoryController", cfg.MC, mcParams)
+	writeChild(root, "niu", "NIU", cfg.NIU, niuParams)
+	writeChild(root, "pcie", "PCIe", cfg.PCIe, pcieParams)
 	return root
 }
 
-func fromCoreConfig(cc core.Config) *Component {
-	c := &Component{ID: "system.core", Type: "Core"}
-	set := func(name string, v int) {
-		if v > 0 {
-			c.SetParam(name, itoa(v))
-		}
+// writeChild appends the child id describing s, unless s is nil.
+func writeChild[S any](root *Component, id, typ string, s *S, t table[S]) {
+	if s == nil {
+		return
 	}
-	if cc.Name != "" {
-		c.SetParam("name", cc.Name)
-	}
-	c.SetParam("ooo", boolStr(cc.OoO))
-	c.SetParam("x86", boolStr(cc.X86))
-	set("threads", cc.Threads)
-	set("fetch_width", cc.FetchWidth)
-	set("decode_width", cc.DecodeWidth)
-	set("issue_width", cc.IssueWidth)
-	set("commit_width", cc.CommitWidth)
-	set("pipeline_depth", cc.PipelineDepth)
-	set("rob_entries", cc.ROBEntries)
-	set("iq_entries", cc.IQEntries)
-	set("fp_iq_entries", cc.FPIQEntries)
-	set("phys_int_regs", cc.PhysIntRegs)
-	set("phys_fp_regs", cc.PhysFPRegs)
-	set("arch_int_regs", cc.ArchIntRegs)
-	set("arch_fp_regs", cc.ArchFPRegs)
-	set("btb_entries", cc.BTBEntries)
-	set("local_pred_entries", cc.LocalPredEntries)
-	set("global_pred_entries", cc.GlobalPredEntries)
-	set("chooser_entries", cc.ChooserEntries)
-	set("ras_entries", cc.RASEntries)
-	set("itlb_entries", cc.ITLBEntries)
-	set("dtlb_entries", cc.DTLBEntries)
-	set("int_alus", cc.IntALUs)
-	set("fpus", cc.FPUs)
-	set("muldivs", cc.MulDivs)
-	set("lq_entries", cc.LQEntries)
-	set("sq_entries", cc.SQEntries)
-	set("glue_gates", cc.GlueGates)
-	if cc.GlueActivity > 0 {
-		c.SetParam("glue_activity", ftoa(cc.GlueActivity))
-	}
-	if cc.RenameCAM {
-		c.SetParam("rename_cam", "1")
-	}
-	if cc.PowerGating {
-		c.SetParam("power_gating", "1")
-	}
-	set("icache_bytes", cc.ICache.Bytes)
-	set("icache_block_bytes", cc.ICache.BlockBytes)
-	set("icache_assoc", cc.ICache.Assoc)
-	set("icache_banks", cc.ICache.Banks)
-	set("icache_ports", cc.ICache.Ports)
-	set("dcache_bytes", cc.DCache.Bytes)
-	set("dcache_block_bytes", cc.DCache.BlockBytes)
-	set("dcache_assoc", cc.DCache.Assoc)
-	set("dcache_banks", cc.DCache.Banks)
-	set("dcache_ports", cc.DCache.Ports)
-	return c
+	c := &Component{ID: "system." + id, Type: typ}
+	t.write(c, s)
+	root.Children = append(root.Children, c)
 }
-
-func fromCacheConfig(cc cache.Config, id string) *Component {
-	c := &Component{ID: id, Type: "CacheUnit"}
-	c.SetParam("name", cc.Name)
-	c.SetParam("bytes", itoa(cc.Bytes))
-	if cc.BlockBytes > 0 {
-		c.SetParam("block_bytes", itoa(cc.BlockBytes))
-	}
-	if cc.Assoc > 0 {
-		c.SetParam("assoc", itoa(cc.Assoc))
-	}
-	if cc.Banks > 0 {
-		c.SetParam("banks", itoa(cc.Banks))
-	}
-	if cc.Ports > 0 {
-		c.SetParam("ports", itoa(cc.Ports))
-	}
-	if cc.MSHRs > 0 {
-		c.SetParam("mshrs", itoa(cc.MSHRs))
-	}
-	if cc.WBDepth > 0 {
-		c.SetParam("wb_depth", itoa(cc.WBDepth))
-	}
-	c.SetParam("directory", boolStr(cc.Directory))
-	if cc.Sharers > 0 {
-		c.SetParam("sharers", itoa(cc.Sharers))
-	}
-	if cc.CellHP {
-		c.SetParam("cell_hp", "1")
-	}
-	if cc.EDRAM {
-		c.SetParam("edram", "1")
-	}
-	return c
-}
-
-func itoa(i int) string { return strconv.Itoa(i) }
 
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-func boolStr(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
-}
 
 // FromStats attaches runtime statistics to an existing configuration tree
 // as <stat> entries, inverting ToStats: a performance simulator can build
@@ -480,60 +502,11 @@ func FromStats(root *Component, s *chip.Stats) {
 	if root == nil || s == nil {
 		return
 	}
-	setStat := func(child *Component, name string, v float64) {
-		if v != 0 {
-			child.SetStat(name, ftoa(v))
-		}
-	}
-	if c := root.Child("core"); c != nil {
-		a := s.CoreRun
-		setStat(c, "icache_access_per_cycle", a.ICacheAccess)
-		setStat(c, "btb_access_per_cycle", a.BTBAccess)
-		setStat(c, "pred_access_per_cycle", a.PredAccess)
-		setStat(c, "decode_per_cycle", a.Decode)
-		setStat(c, "rename_per_cycle", a.Rename)
-		setStat(c, "iq_wakeup_per_cycle", a.IQWakeup)
-		setStat(c, "iq_issue_per_cycle", a.IQIssue)
-		setStat(c, "iq_write_per_cycle", a.IQWrite)
-		setStat(c, "rob_access_per_cycle", a.ROBAcc)
-		setStat(c, "rf_read_per_cycle", a.RFRead)
-		setStat(c, "rf_write_per_cycle", a.RFWrite)
-		setStat(c, "fprf_read_per_cycle", a.FPRFRead)
-		setStat(c, "fprf_write_per_cycle", a.FPRFWrite)
-		setStat(c, "int_ops_per_cycle", a.IntOp)
-		setStat(c, "mul_ops_per_cycle", a.MulOp)
-		setStat(c, "fp_ops_per_cycle", a.FPOp)
-		setStat(c, "bypass_per_cycle", a.Bypass)
-		setStat(c, "dcache_read_per_cycle", a.DCacheRead)
-		setStat(c, "dcache_write_per_cycle", a.DCacheWrite)
-		setStat(c, "cache_miss_per_cycle", a.CacheMiss)
-		setStat(c, "lsq_search_per_cycle", a.LSQSearch)
-		setStat(c, "lsq_access_per_cycle", a.LSQAccess)
-		setStat(c, "itlb_access_per_cycle", a.ITLBAccess)
-		setStat(c, "dtlb_access_per_cycle", a.DTLBAccess)
-		setStat(c, "pipeline_duty", a.PipelineDuty)
-	}
-	if c := root.Child("L2"); c != nil {
-		setStat(c, "reads_per_sec", s.L2Reads)
-		setStat(c, "writes_per_sec", s.L2Writes)
-	}
-	if c := root.Child("L3"); c != nil {
-		setStat(c, "reads_per_sec", s.L3Reads)
-		setStat(c, "writes_per_sec", s.L3Writes)
-	}
-	if s.NoCFlits != 0 {
-		root.SetStat("noc_flits_per_sec", ftoa(s.NoCFlits))
-	}
-	if c := root.Child("mc"); c != nil {
-		setStat(c, "accesses_per_sec", s.MCAccesses)
-	}
-	if c := root.Child("niu"); c != nil {
-		setStat(c, "bits_per_sec", s.NIUBitsPerSec)
-	}
-	if c := root.Child("pcie"); c != nil {
-		setStat(c, "bits_per_sec", s.PCIeBitsPerSec)
-	}
-	if s.FPOpsPerSec != 0 {
-		root.SetStat("shared_fp_ops_per_sec", ftoa(s.FPOpsPerSec))
-	}
+	coreStats.write(root.Child("core"), &s.CoreRun)
+	cacheStats.write(root.Child("L2"), &traffic{&s.L2Reads, &s.L2Writes})
+	cacheStats.write(root.Child("L3"), &traffic{&s.L3Reads, &s.L3Writes})
+	systemStats.write(root, s)
+	mcStats.write(root.Child("mc"), &s.MCAccesses)
+	linkStats.write(root.Child("niu"), &s.NIUBitsPerSec)
+	linkStats.write(root.Child("pcie"), &s.PCIeBitsPerSec)
 }

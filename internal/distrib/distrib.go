@@ -484,7 +484,7 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 
 // mergeOutcomes reduces per-shard results to the exact serial Result:
 // candidates restore enumeration (proposal) order before the engine's
-// stable feasible-first/score ranking, so ordering and tie-breaks are
+// own ranking, explore.Result.Rank, so ordering and tie-breaks are
 // bit-identical, and the front replays the full candidate list in
 // proposal order, which is exactly what the serial engine did. A
 // bounded front needs the replay (its crowding truncation is
@@ -533,20 +533,8 @@ func mergeOutcomes(size, frontSize int, shards []*ShardResult) *explore.Result {
 	res.Front = front.Members()
 
 	for i := range cands {
-		if cands[i].cand.Feasible {
-			res.Feasible++
-		}
 		res.Candidates = append(res.Candidates, cands[i].cand)
 	}
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		a, b := res.Candidates[i], res.Candidates[j]
-		if a.Feasible != b.Feasible {
-			return a.Feasible
-		}
-		return a.Score > b.Score
-	})
-	if len(res.Candidates) > 0 && res.Candidates[0].Feasible {
-		res.Best = &res.Candidates[0]
-	}
+	res.Rank()
 	return res
 }

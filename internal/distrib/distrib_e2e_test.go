@@ -294,9 +294,6 @@ func TestDistributedFailuresMatchSerial(t *testing.T) {
 		t.Fatalf("serial sweep: %d failures, want 2", len(serial.Failures))
 	}
 
-	// The wire carries the deadline in whole milliseconds, so this
-	// worker applies the nanosecond one itself; everything after the
-	// evaluation is the real shard protocol.
 	remote := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req distrib.ShardRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -308,7 +305,6 @@ func TestDistributedFailuresMatchSerial(t *testing.T) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		spec.CandidateTimeout = time.Nanosecond
 		res, err := distrib.EvalShard(r.Context(), spec, nil)
 		f := distrib.Frame{Type: "result", Result: res}
 		if err != nil {

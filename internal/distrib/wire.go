@@ -57,6 +57,10 @@ type ShardRequest struct {
 
 	Workers            int `json:"workers,omitempty"`
 	CandidateTimeoutMS int `json:"candidate_timeout_ms,omitempty"`
+	// CandidateTimeoutNS carries a deadline that is not a whole number
+	// of milliseconds exactly; candidate_timeout_ms then holds it
+	// rounded up, for workers that predate this field.
+	CandidateTimeoutNS int64 `json:"candidate_timeout_ns,omitempty"`
 }
 
 // Spec validates the wire request and converts it to engine inputs.
@@ -67,24 +71,33 @@ func (r *ShardRequest) Spec() (ShardSpec, error) {
 	if err != nil {
 		return ShardSpec{}, guard.Configf("dse.shard", "%v", err)
 	}
+	timeout := time.Duration(r.CandidateTimeoutMS) * time.Millisecond
+	if r.CandidateTimeoutNS != 0 {
+		timeout = time.Duration(r.CandidateTimeoutNS)
+	}
 	return ShardSpec{
 		Params: p, Space: space, Cons: cons, Obj: obj,
 		Start:            r.Start,
 		End:              r.End,
 		Workers:          r.Workers,
-		CandidateTimeout: time.Duration(r.CandidateTimeoutMS) * time.Millisecond,
+		CandidateTimeout: timeout,
 	}, nil
 }
 
 // Wire converts the spec to its request form.
 func (s *ShardSpec) Wire() ShardRequest {
-	return ShardRequest{
+	req := ShardRequest{
 		Sweep:              explore.NewSweep(s.Params, s.Space, s.Cons, s.Obj),
 		Start:              s.Start,
 		End:                s.End,
 		Workers:            s.Workers,
 		CandidateTimeoutMS: int(s.CandidateTimeout / time.Millisecond),
 	}
+	if s.CandidateTimeout%time.Millisecond > 0 {
+		req.CandidateTimeoutMS++
+		req.CandidateTimeoutNS = int64(s.CandidateTimeout)
+	}
+	return req
 }
 
 // ShardCandidate is the wire form of one evaluated design point inside

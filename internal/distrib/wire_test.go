@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,19 +40,67 @@ const wireSpecJSON = `{"nm":22,"clock_hz":2500000000,"threads":4,"mem_bw_bytes_p
 
 // TestShardRequestWireBytes pins the request bytes in both directions,
 // so coordinators and workers of different builds keep interoperating.
+// A deadline that is not a whole number of milliseconds travels exactly
+// in candidate_timeout_ns and rounded up in candidate_timeout_ms.
 func TestShardRequestWireBytes(t *testing.T) {
-	b, err := json.Marshal(wireSpec.Wire())
-	if err != nil || string(b) != wireSpecJSON {
-		t.Fatalf("encoded %s (%v)\nwant    %s", b, err, wireSpecJSON)
+	exact := wireSpec
+	exact.CandidateTimeout = 500 * time.Microsecond
+	for _, tc := range []struct {
+		spec ShardSpec
+		body string
+	}{
+		{wireSpec, wireSpecJSON},
+		{exact, withTimeout(`"candidate_timeout_ms":1,"candidate_timeout_ns":500000`)},
+	} {
+		b, err := json.Marshal(tc.spec.Wire())
+		if err != nil || string(b) != tc.body {
+			t.Fatalf("encoded %s (%v)\nwant    %s", b, err, tc.body)
+		}
+		var req ShardRequest
+		if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := req.Spec()
+		if err != nil || !reflect.DeepEqual(spec, tc.spec) {
+			t.Fatalf("decoded %+v (%v)\nwant    %+v", spec, err, tc.spec)
+		}
 	}
+}
+
+// TestShardDeadlineAcrossBuilds: a worker decodes a body without
+// candidate_timeout_ns, as coordinators before it send, as it always
+// did, and a worker that predates the field still reads a sub-
+// millisecond deadline as one, rounded up, instead of none.
+func TestShardDeadlineAcrossBuilds(t *testing.T) {
 	var req ShardRequest
-	if err := json.Unmarshal([]byte(wireSpecJSON), &req); err != nil {
+	if err := json.Unmarshal([]byte(withTimeout(`"candidate_timeout_ms":3`)), &req); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := req.Spec()
-	if err != nil || !reflect.DeepEqual(spec, wireSpec) {
-		t.Fatalf("decoded %+v (%v)\nwant    %+v", spec, err, wireSpec)
+	if spec, err := req.Spec(); err != nil || spec.CandidateTimeout != 3*time.Millisecond {
+		t.Fatalf("millisecond body decoded to %v (%v), want 3ms", spec.CandidateTimeout, err)
 	}
+	// The request type as workers before candidate_timeout_ns decode it.
+	var old struct {
+		explore.Sweep
+		Start              int `json:"start"`
+		End                int `json:"end"`
+		Workers            int `json:"workers,omitempty"`
+		CandidateTimeoutMS int `json:"candidate_timeout_ms,omitempty"`
+	}
+	spec := wireSpec
+	spec.CandidateTimeout = 500 * time.Microsecond
+	b, err := json.Marshal(spec.Wire())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &old); err != nil || old.CandidateTimeoutMS != 1 {
+		t.Fatalf("earlier worker read candidate_timeout_ms %d (%v), want 1", old.CandidateTimeoutMS, err)
+	}
+}
+
+// withTimeout is wireSpecJSON with its deadline keys replaced.
+func withTimeout(keys string) string {
+	return strings.Replace(wireSpecJSON, `"candidate_timeout_ms":5000`, keys, 1)
 }
 
 // FuzzShardRequest feeds arbitrary bodies through the worker's decode

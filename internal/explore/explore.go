@@ -723,21 +723,9 @@ func SearchContext(ctx context.Context, p Params, space Space, cons Constraints,
 			res.Failures = append(res.Failures, Failure{Candidate: outs[i].cand, Err: outs[i].err})
 			continue
 		}
-		if outs[i].cand.Feasible {
-			res.Feasible++
-		}
 		res.Candidates = append(res.Candidates, outs[i].cand)
 	}
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		a, b := res.Candidates[i], res.Candidates[j]
-		if a.Feasible != b.Feasible {
-			return a.Feasible
-		}
-		return a.Score > b.Score
-	})
-	if len(res.Candidates) > 0 && res.Candidates[0].Feasible {
-		res.Best = &res.Candidates[0]
-	}
+	res.Rank()
 	if err := parent.Err(); err != nil {
 		return res, err
 	}
@@ -747,6 +735,31 @@ func SearchContext(ctx context.Context, p Params, space Space, cons Constraints,
 		}
 	}
 	return res, nil
+}
+
+// Rank counts r's feasible candidates and orders them feasible first by
+// descending score. The sort is stable, so ties keep the order the
+// candidates were added in. Best becomes the top candidate when it is
+// feasible. Serial and distributed sweeps both rank through Rank, which
+// keeps their results identical.
+func (r *Result) Rank() {
+	r.Feasible = 0
+	for i := range r.Candidates {
+		if r.Candidates[i].Feasible {
+			r.Feasible++
+		}
+	}
+	sort.SliceStable(r.Candidates, func(i, j int) bool {
+		a, b := r.Candidates[i], r.Candidates[j]
+		if a.Feasible != b.Feasible {
+			return a.Feasible
+		}
+		return a.Score > b.Score
+	})
+	r.Best = nil
+	if len(r.Candidates) > 0 && r.Candidates[0].Feasible {
+		r.Best = &r.Candidates[0]
+	}
 }
 
 // outcome is one candidate's evaluation result; ran is false when
