@@ -22,8 +22,8 @@ import (
 )
 
 // distribBenchSweep is a 140-candidate sweep — large enough that the
-// coordinator splits it into several shards per worker (default
-// MinShard 8) and work-stealing has something to steal.
+// coordinator splits it into several shards per worker (its minimum
+// shard is 8 candidates) and work-stealing has something to steal.
 func distribBenchSweep() (mcpat.DSEParams, mcpat.DSESpace, mcpat.DSEConstraints) {
 	return mcpat.DSEParams{NM: 22, ClockHz: 2.5e9, Threads: 4},
 		mcpat.DSESpace{
@@ -53,10 +53,13 @@ func startBenchWorkers(b *testing.B, n int) []string {
 
 // BenchmarkDSEDistributed compares the single-process engine (the
 // baseline sub-benchmark) against the distributed coordinator fanned
-// out over 1, 2, and 4 HTTP workers. All variants run warm (synthesis
-// caches enabled and shared), so the deltas are pure coordination and
-// wire cost; scaling efficiency is workers-N candidates/s over the
-// baseline. BENCH_dse.json records the reference numbers.
+// out over 1, 2, and 4 HTTP workers. The coordinator's built-in local
+// worker is in every workers-N pool too, so a workers-N variant has
+// N+1 workers and the local one takes some shards without the wire.
+// All variants run warm (synthesis caches enabled and shared), so the
+// deltas are coordination and wire cost; scaling efficiency is
+// workers-N candidates/s over the baseline. BENCH_dse.json records
+// the reference numbers.
 func BenchmarkDSEDistributed(b *testing.B) {
 	p, space, cons := distribBenchSweep()
 
@@ -85,9 +88,8 @@ func BenchmarkDSEDistributed(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := mcpat.ExploreDesignSpaceDistributed(context.Background(),
 					p, space, cons, mcpat.MaxThroughput, &mcpat.DistribOptions{
-						NoLocal:      true,
-						Remotes:      remotes,
-						ShardWorkers: 1,
+						Options: mcpat.DSEOptions{Workers: 1},
+						Remotes: remotes,
 					})
 				if err != nil {
 					b.Fatal(err)

@@ -88,7 +88,7 @@ func main() {
 		mcpat.SetSubsysSynthCache(false)
 	}
 
-	remotes := splitCSV(*remote)
+	remotes := cliutil.SplitCSV(*remote)
 	if len(remotes) > 0 && searchKind != mcpat.SearchExhaustive {
 		cliutil.Usagef("mcpat-dse", "-remote shards exhaustive sweeps only (the pareto search is sequential by nature)")
 	}
@@ -104,21 +104,13 @@ func main() {
 	}
 	cons := mcpat.DSEConstraints{MaxAreaMM2: *maxArea, MaxTDP: *maxTDP}
 
-	var res *mcpat.DSEResult
 	var coord *mcpat.DistribMetrics
 	if len(remotes) > 0 {
 		coord = &mcpat.DistribMetrics{}
-		res, err = mcpat.ExploreDesignSpaceDistributed(ctx, p, space, cons, obj,
-			&mcpat.DistribOptions{
-				Remotes:          remotes,
-				ShardWorkers:     *workers,
-				SynthWorkers:     *par,
-				CandidateTimeout: *timeout,
-				Metrics:          coord,
-			})
-	} else {
-		res, err = mcpat.ExploreDesignSpaceContext(ctx, p, space, cons, obj,
-			&mcpat.DSEOptions{
+	}
+	res, err := mcpat.ExploreDesignSpaceDistributed(ctx, p, space, cons, obj,
+		&mcpat.DistribOptions{
+			Options: mcpat.DSEOptions{
 				Workers:          *workers,
 				SynthWorkers:     *par,
 				CandidateTimeout: *timeout,
@@ -126,8 +118,10 @@ func main() {
 				Search:           searchKind,
 				Budget:           *budget,
 				Seed:             *seed,
-			})
-	}
+			},
+			Remotes: remotes,
+			Metrics: coord,
+		})
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		fmt.Fprintln(os.Stderr, "mcpat-dse:", guard.FirstLine(err.Error()))
@@ -261,17 +255,6 @@ func ints(csv string) []int {
 			cliutil.Usagef("mcpat-dse", "bad integer %q", part)
 		}
 		out = append(out, v)
-	}
-	return out
-}
-
-// splitCSV splits a comma-separated flag into its non-empty parts.
-func splitCSV(csv string) []string {
-	var out []string
-	for _, part := range strings.Split(csv, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
 	}
 	return out
 }

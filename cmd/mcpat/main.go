@@ -67,7 +67,15 @@ func main() {
 	if !*withStats {
 		stats = nil
 	}
-	rep := p.Report(stats)
+	// The output guard /v1/evaluate applies: a report it would reject
+	// is not printed as a valid chip.
+	rep, ds, err := p.Check(stats)
+	if err != nil {
+		fatal(err)
+	}
+	if err := ds.Err(); err != nil {
+		fatal(err)
+	}
 
 	if *asJSON {
 		if err := rep.WriteJSON(os.Stdout); err != nil {

@@ -58,7 +58,6 @@ import (
 	_ "net/http/pprof" // registers debug handlers on the default mux, exposed only via -pprof-addr
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -104,7 +103,7 @@ func main() {
 		JobRetention:   *jobRetention,
 		JournalPath:    *journalPath,
 		WorkerMode:     *worker,
-		RemoteWorkers:  splitCSV(*remote),
+		RemoteWorkers:  cliutil.SplitCSV(*remote),
 		Logf:           logf,
 	})
 
@@ -157,15 +156,4 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("mcpatd: clean shutdown")
-}
-
-// splitCSV splits a comma-separated flag into its non-empty parts.
-func splitCSV(csv string) []string {
-	var out []string
-	for _, part := range strings.Split(csv, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -329,6 +329,19 @@ func banksOf(c *cache.Config) int {
 	return c.Banks
 }
 
+// MeshDims returns near-square power-of-two mesh dimensions for n nodes.
+func MeshDims(n int) (int, int) {
+	x, y := 1, 1
+	for x*y < n {
+		if x <= y {
+			x *= 2
+		} else {
+			y *= 2
+		}
+	}
+	return x, y
+}
+
 // linkCount returns the number of bidirectional links in an x-by-y mesh.
 func linkCount(x, y int) int {
 	if x <= 0 || y <= 0 {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	"mcpat/internal/guard"
 )
@@ -53,4 +54,15 @@ func Fatal(tool string, err error) {
 func Usagef(tool, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, tool+": "+format+"\n", args...)
 	os.Exit(ExitConfig)
+}
+
+// SplitCSV splits a comma-separated flag into its non-empty parts.
+func SplitCSV(csv string) []string {
+	var out []string
+	for _, part := range strings.Split(csv, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }

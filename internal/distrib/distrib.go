@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -17,115 +16,50 @@ import (
 	"mcpat/internal/persist"
 )
 
-// Defaults for the coordinator knobs; see Options.
+// Coordinator tuning. One value of each is in use, so they are
+// constants rather than options.
 const (
-	DefaultMinShard   = 8
-	DefaultMaxRetries = 3
-	DefaultBackoff    = 100 * time.Millisecond
-	DefaultMaxBackoff = 2 * time.Second
+	// minShard is the smallest range work-stealing will create; ranges
+	// at or below 2*minShard dispatch whole.
+	minShard = 8
+	// maxRetries bounds re-dispatches of a single range after worker
+	// failures before the sweep aborts. It is also the ejection
+	// threshold: a worker failing maxRetries consecutive dispatches is
+	// retired from the pool (unless it is the last one), so one dead
+	// host cannot exhaust a range budget the live workers would absorb.
+	maxRetries = 3
+	// backoffBase and maxBackoff shape the jittered exponential delay a
+	// worker sits out after consecutive failures.
+	backoffBase = 100 * time.Millisecond
+	maxBackoff  = 2 * time.Second
 )
 
-// Options tunes the distributed coordinator. The zero value runs the
-// sweep on the built-in local worker alone, which reproduces the
-// single-process engine exactly.
+// Options configures a sweep: the engine's options, plus the remote
+// workers an exhaustive sweep is sharded across. The zero value runs
+// the single-process engine.
+//
+// On a coordinated sweep (an exhaustive one with remotes), Workers
+// bounds candidate-level parallelism inside every worker's shard,
+// SynthWorkers reaches the built-in local worker only (remote workers
+// use their own process default), CandidateTimeout is forwarded to
+// every worker, OnProgress receives monotonic cross-shard progress,
+// and OnFrontUpdate fires once with the merged front. FailFast is not
+// applied there.
 type Options struct {
+	explore.Options
+
 	// Remotes lists worker base URLs (mcpatd -worker instances);
 	// "host:port" and "http://host:port" are both accepted.
 	Remotes []string
-
-	// NoLocal removes the built-in local worker so the sweep runs on
-	// remotes only. Requires at least one remote. Intended for
-	// benchmarks isolating remote throughput; production sweeps keep
-	// the local worker as the availability backstop.
-	NoLocal bool
-
-	// ShardWorkers bounds candidate-level parallelism inside each
-	// worker evaluating one shard (engine Options.Workers on the
-	// worker; 0 = the worker's GOMAXPROCS).
-	ShardWorkers int
-
-	// SynthWorkers bounds subsystem-synthesis parallelism inside each
-	// cold candidate on the local worker (remote workers use their own
-	// process default).
-	SynthWorkers int
-
-	// CandidateTimeout is the per-candidate evaluation deadline
-	// forwarded to every worker (0 = none).
-	CandidateTimeout time.Duration
-
-	// FrontSize caps the merged Pareto archive exactly like
-	// explore.Options.FrontSize; <= 0 keeps the exact unbounded front.
-	FrontSize int
-
-	// MinShard is the smallest range work-stealing will create; ranges
-	// at or below 2*MinShard dispatch whole. <= 0 selects
-	// DefaultMinShard.
-	MinShard int
-
-	// MaxRetries bounds re-dispatches of a single range after worker
-	// failures before the sweep aborts. It is also the ejection
-	// threshold: a worker failing MaxRetries consecutive dispatches is
-	// retired from the pool (unless it is the last one), so one dead
-	// host cannot exhaust a range budget the live workers would absorb.
-	// < 0 disables retries; 0 selects DefaultMaxRetries.
-	MaxRetries int
-
-	// Backoff and MaxBackoff shape the jittered exponential delay a
-	// worker sits out after consecutive failures. Zero selects
-	// DefaultBackoff / DefaultMaxBackoff.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-
-	// OnProgress, when non-nil, receives monotonic cross-shard
-	// progress: done never regresses even when shards report out of
-	// order or a failed range is re-dispatched, and it reaches total
-	// exactly when the sweep completes. Calls may come from multiple
-	// worker goroutines but are serialized by the tracker.
-	OnProgress func(done, total int)
-
-	// OnFrontUpdate, when non-nil, receives the final merged front once
-	// the sweep completes (the exhaustive engine's behavior).
-	OnFrontUpdate func(front []explore.Candidate, evaluated int)
 
 	// Metrics, when non-nil, accumulates coordinator counters; pass a
 	// long-lived instance to aggregate across sweeps (the daemon wires
 	// its /metrics instance here).
 	Metrics *Metrics
 
-	// HTTPClient overrides the transport used for remote workers.
-	HTTPClient *http.Client
-
 	// Logf, when non-nil, receives coordinator diagnostics (dispatches,
 	// failures, retries).
 	Logf func(format string, args ...any)
-}
-
-func (o *Options) minShard() int {
-	if o.MinShard <= 0 {
-		return DefaultMinShard
-	}
-	return o.MinShard
-}
-
-func (o *Options) maxRetries() int {
-	if o.MaxRetries < 0 {
-		return 0
-	}
-	if o.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	return o.MaxRetries
-}
-
-func (o *Options) backoff() (base, max time.Duration) {
-	base, max = o.Backoff, o.MaxBackoff
-	if base <= 0 {
-		base = DefaultBackoff
-	}
-	if max <= 0 {
-		max = DefaultMaxBackoff
-	}
-	return base, max
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -203,8 +137,6 @@ type coordinator struct {
 	fatal    error
 	results  []*ShardResult
 
-	minShard int
-	retries  int
 	opts     *Options
 	progress *progressTracker
 	cancel   context.CancelFunc
@@ -247,7 +179,7 @@ func (c *coordinator) take(lastEnd int) (r rng, stolen, ok bool) {
 	}
 	r = c.pending[pick]
 	c.pending = append(c.pending[:pick], c.pending[pick+1:]...)
-	if r.len() > 2*c.minShard {
+	if r.len() > 2*minShard {
 		half := (r.len() + 1) / 2
 		tail := rng{start: r.start + half, end: r.end, attempts: r.attempts}
 		r.end = r.start + half
@@ -281,13 +213,13 @@ func (c *coordinator) fail(r rng, who string, err error) {
 	r.attempts++
 	if isPermanent(err) {
 		c.fatal = err
-	} else if r.attempts > c.retries {
+	} else if r.attempts > maxRetries {
 		c.fatal = fmt.Errorf("distrib: shard [%d,%d) failed %d times, giving up: %w",
 			r.start, r.end, r.attempts, err)
 	} else {
 		c.opts.Metrics.retry()
 		c.opts.logf("distrib: shard [%d,%d) failed on %s (attempt %d/%d), requeued: %v",
-			r.start, r.end, who, r.attempts, c.retries+1, err)
+			r.start, r.end, who, r.attempts, maxRetries+1, err)
 		c.pending = append(c.pending, r)
 	}
 	c.inflight--
@@ -321,21 +253,32 @@ func (c *coordinator) abort() {
 	c.mu.Unlock()
 }
 
-// Run executes a distributed exhaustive sweep and returns a result
-// bit-identical to explore.SearchContext over the same inputs. The
-// built-in local worker participates unless opts.NoLocal; remote
-// workers come from opts.Remotes. Cancellation returns the merged
-// partial result together with ctx.Err(), matching the serial engine.
+// Run is the one sweep entry point. An exhaustive sweep with remotes
+// is coordinated across the built-in local worker and opts.Remotes,
+// and returns a result bit-identical to explore.SearchContext over the
+// same inputs. Every other sweep (no remotes, a pareto search, or a
+// caller-set Shard) is explore.SearchContext with opts.Options.
+// Cancellation returns the merged partial result together with
+// ctx.Err(), matching the serial engine.
 func Run(ctx context.Context, p explore.Params, space explore.Space, cons explore.Constraints, obj explore.Objective, opts *Options) (*explore.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if opts == nil {
 		opts = &Options{}
 	}
+	if len(opts.Remotes) == 0 || opts.Search != explore.SearchExhaustive || opts.Shard != nil {
+		return explore.SearchContext(ctx, p, space, cons, obj, &opts.Options)
+	}
+	return run(ctx, p, space, cons, obj, opts, true)
+}
+
+// run coordinates an exhaustive sweep across opts.Remotes, plus the
+// built-in local worker when withLocal is set.
+func run(ctx context.Context, p explore.Params, space explore.Space, cons explore.Constraints, obj explore.Objective, opts *Options, withLocal bool) (*explore.Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 
 	var workers []worker
-	if !opts.NoLocal {
+	if withLocal {
 		workers = append(workers, localWorker{synthWorkers: opts.SynthWorkers})
 	}
 	for _, remote := range opts.Remotes {
@@ -343,10 +286,7 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 		if base == "" {
 			continue
 		}
-		workers = append(workers, httpWorker{client: &Client{Base: base, HTTP: opts.HTTPClient}})
-	}
-	if len(workers) == 0 {
-		return nil, guard.Configf("distrib", "no workers: NoLocal set and no remotes given")
+		workers = append(workers, httpWorker{client: &Client{Base: base}})
 	}
 
 	specs := explore.Enumerate(space)
@@ -361,8 +301,6 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 	defer cancel()
 
 	c := &coordinator{
-		minShard: opts.minShard(),
-		retries:  opts.maxRetries(),
 		opts:     opts,
 		progress: newProgressTracker(size, opts.OnProgress),
 		cancel:   cancel,
@@ -374,7 +312,7 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 	// minShard long (fewer slices when the space is small), preserving
 	// the enumeration's single-axis delta-locality inside every slice.
 	nParts := len(workers)
-	if max := (size + c.minShard - 1) / c.minShard; nParts > max {
+	if max := (size + minShard - 1) / minShard; nParts > max {
 		nParts = max
 	}
 	if nParts < 1 {
@@ -398,7 +336,6 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 		}
 	}()
 
-	base, maxBackoff := opts.backoff()
 	var wg sync.WaitGroup
 	for _, w := range workers {
 		wg.Add(1)
@@ -408,7 +345,7 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 			consecFails := 0
 			for {
 				if consecFails > 0 {
-					d := base << (consecFails - 1)
+					d := backoffBase << (consecFails - 1)
 					if d > maxBackoff || d <= 0 {
 						d = maxBackoff
 					}
@@ -428,7 +365,7 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 				spec := ShardSpec{
 					Params: p, Space: space, Cons: cons, Obj: obj,
 					Start: r.start, End: r.end,
-					Workers:          opts.ShardWorkers,
+					Workers:          opts.Workers,
 					CandidateTimeout: opts.CandidateTimeout,
 				}
 				began := time.Now()
@@ -443,7 +380,7 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 					consecFails++
 					lastEnd = -1
 					c.fail(r, w.name(), err)
-					if c.retries > 0 && consecFails >= c.retries && c.retire() {
+					if consecFails >= maxRetries && c.retire() {
 						opts.logf("distrib: ejecting %s after %d consecutive failures", w.name(), consecFails)
 						return
 					}
@@ -471,7 +408,7 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 		return nil, fatal
 	}
 
-	res := mergeOutcomes(size, opts.FrontSize, results)
+	res := mergeOutcomes(size, results)
 	res.Cache = array.Stats().Delta(cacheBefore)
 	res.Subsys = component.Stats().Delta(subsysBefore)
 	res.ArrayOpt = array.OptStats().Delta(optBefore)
@@ -486,10 +423,8 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 // candidates restore enumeration (proposal) order before the engine's
 // own ranking, explore.Result.Rank, so ordering and tie-breaks are
 // bit-identical, and the front replays the full candidate list in
-// proposal order, which is exactly what the serial engine did. A
-// bounded front needs the replay (its crowding truncation is
-// order-sensitive), and the same path serves an unbounded one.
-func mergeOutcomes(size, frontSize int, shards []*ShardResult) *explore.Result {
+// proposal order, which is exactly what the serial engine did.
+func mergeOutcomes(size int, shards []*ShardResult) *explore.Result {
 	res := &explore.Result{
 		Search:    explore.SearchExhaustive,
 		SpaceSize: size,
@@ -526,7 +461,7 @@ func mergeOutcomes(size, frontSize int, shards []*ShardResult) *explore.Result {
 		res.Failures = append(res.Failures, fails[i].fail)
 	}
 
-	front := explore.NewParetoFront(frontSize)
+	front := explore.NewParetoFront(0)
 	for i := range cands {
 		front.Add(cands[i].cand)
 	}

@@ -15,6 +15,7 @@ import (
 	"net/url"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,14 +113,14 @@ func TestDistributedSweepBitIdentical(t *testing.T) {
 	var regressed atomic.Bool
 	dist, err := distrib.Run(context.Background(), explore.Params{}, space, cons,
 		explore.MaxThroughput, &distrib.Options{
-			Remotes: []string{newWorker(t), newWorker(t)},
-			Metrics: m,
-			OnProgress: func(done, total int) {
+			Options: explore.Options{OnProgress: func(done, total int) {
 				if int64(done) <= lastDone.Load() {
 					regressed.Store(true)
 				}
 				lastDone.Store(int64(done))
-			},
+			}},
+			Remotes: []string{newWorker(t), newWorker(t)},
+			Metrics: m,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -176,9 +177,6 @@ func TestWorkerDeathNeverLosesCandidates(t *testing.T) {
 		explore.MaxThroughput, &distrib.Options{
 			Remotes: []string{good, flaky.URL},
 			Metrics: m,
-			// Keep the failure backoff short so the test stays fast.
-			Backoff:    5 * time.Millisecond,
-			MaxBackoff: 50 * time.Millisecond,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +191,7 @@ func TestWorkerDeathNeverLosesCandidates(t *testing.T) {
 // TestDeadWorkerIsEjectedAfterRepeatedFailures pins the kill -9 story:
 // a worker that dies and NEVER comes back (every dispatch to it is
 // connection-refused) must not exhaust any range's retry budget — after
-// MaxRetries consecutive failures it is retired from the pool and the
+// three consecutive failures it is retired from the pool and the
 // surviving workers finish the sweep bit-identical to the serial engine.
 func TestDeadWorkerIsEjectedAfterRepeatedFailures(t *testing.T) {
 	serial := serialResult(t, explore.MaxThroughput)
@@ -207,10 +205,8 @@ func TestDeadWorkerIsEjectedAfterRepeatedFailures(t *testing.T) {
 	m := &distrib.Metrics{}
 	dist, err := distrib.Run(context.Background(), explore.Params{}, space, cons,
 		explore.MaxThroughput, &distrib.Options{
-			Remotes:    []string{newWorker(t), deadURL},
-			Metrics:    m,
-			Backoff:    time.Millisecond,
-			MaxBackoff: 5 * time.Millisecond,
+			Remotes: []string{newWorker(t), deadURL},
+			Metrics: m,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -237,12 +233,11 @@ func TestPermanentErrorAbortsInsteadOfRetrying(t *testing.T) {
 	})
 
 	m := &distrib.Metrics{}
-	_, err := distrib.Run(context.Background(), explore.Params{}, space, cons,
+	_, err := distrib.Coordinate(context.Background(), explore.Params{}, space, cons,
 		explore.MaxThroughput, &distrib.Options{
-			NoLocal: true,
 			Remotes: []string{ts.URL},
 			Metrics: m,
-		})
+		}, false)
 	if err == nil {
 		t.Fatal("want an error from the non-worker remote, got success")
 	}
@@ -294,35 +289,19 @@ func TestDistributedFailuresMatchSerial(t *testing.T) {
 		t.Fatalf("serial sweep: %d failures, want 2", len(serial.Failures))
 	}
 
-	remote := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req distrib.ShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		spec, err := req.Spec()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := distrib.EvalShard(r.Context(), spec, nil)
-		f := distrib.Frame{Type: "result", Result: res}
-		if err != nil {
-			f = distrib.Frame{Type: "error", Error: guard.Classify(err)}
-		}
-		_ = json.NewEncoder(w).Encode(f)
-	}))
-	t.Cleanup(remote.Close)
+	remote := shardServer(t, nil)
+	deadline := explore.Options{CandidateTimeout: time.Nanosecond}
 
 	for _, tc := range []struct {
-		name string
-		opts distrib.Options
+		name      string
+		opts      distrib.Options
+		withLocal bool
 	}{
-		{"local", distrib.Options{CandidateTimeout: time.Nanosecond}},
-		{"remote", distrib.Options{NoLocal: true, Remotes: []string{remote.URL}, CandidateTimeout: time.Nanosecond}},
+		{"local", distrib.Options{Options: deadline}, true},
+		{"remote", distrib.Options{Options: deadline, Remotes: []string{remote}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dist, err := distrib.Run(ctx, explore.Params{}, space, cons, explore.MaxThroughput, &tc.opts)
+			dist, err := distrib.Coordinate(ctx, explore.Params{}, space, cons, explore.MaxThroughput, &tc.opts, tc.withLocal)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,8 +334,8 @@ func TestRemoteErrorKeepsClassification(t *testing.T) {
 			ts := httptest.NewServer(tc.h)
 			t.Cleanup(ts.Close)
 			m := &distrib.Metrics{}
-			_, err := distrib.Run(context.Background(), explore.Params{}, space, cons,
-				explore.MaxThroughput, &distrib.Options{NoLocal: true, Remotes: []string{ts.URL}, Metrics: m})
+			_, err := distrib.Coordinate(context.Background(), explore.Params{}, space, cons,
+				explore.MaxThroughput, &distrib.Options{Remotes: []string{ts.URL}, Metrics: m}, false)
 			if !errors.Is(err, guard.ErrConfig) || guard.PathOf(err) != "dse.shard" {
 				t.Fatalf("want a config error at dse.shard, got %v (path %q)", err, guard.PathOf(err))
 			}
@@ -364,5 +343,69 @@ func TestRemoteErrorKeepsClassification(t *testing.T) {
 				t.Errorf("a config rejection burned %d retries; want 0", st.ShardsRetried)
 			}
 		})
+	}
+}
+
+// shardServer is a minimal worker: it decodes each shard request,
+// hands it to capture when non-nil, and answers with EvalShard's result
+// or error as one terminal frame. It returns the server's URL.
+func shardServer(t *testing.T, capture func(distrib.ShardRequest)) string {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req distrib.ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if capture != nil {
+			capture(req)
+		}
+		spec, err := req.Spec()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		res, err := distrib.EvalShard(r.Context(), spec, nil)
+		f := distrib.Frame{Type: "result", Result: res}
+		if err != nil {
+			f = distrib.Frame{Type: "error", Error: guard.Classify(err)}
+		}
+		_ = json.NewEncoder(w).Encode(f)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestRouteForwardsEngineOptions: on a coordinated sweep, the engine's
+// Workers and CandidateTimeout reach the remote in every shard request,
+// the deadline exactly.
+func TestRouteForwardsEngineOptions(t *testing.T) {
+	space, cons := e2eSpace()
+	const timeout = 2*time.Second + 500*time.Microsecond
+	var mu sync.Mutex
+	var reqs []distrib.ShardRequest
+	remote := shardServer(t, func(req distrib.ShardRequest) {
+		mu.Lock()
+		reqs = append(reqs, req)
+		mu.Unlock()
+	})
+	_, err := distrib.Coordinate(context.Background(), explore.Params{}, space, cons,
+		explore.MaxThroughput, &distrib.Options{
+			Options: explore.Options{Workers: 3, CandidateTimeout: timeout},
+			Remotes: []string{remote},
+		}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reqs) == 0 {
+		t.Fatal("the remote received no shard request")
+	}
+	for _, req := range reqs {
+		if req.Workers != 3 || req.CandidateTimeoutNS != int64(timeout) {
+			t.Fatalf("shard [%d,%d) arrived with workers %d, candidate_timeout_ns %d; want 3, %d",
+				req.Start, req.End, req.Workers, req.CandidateTimeoutNS, int64(timeout))
+		}
 	}
 }

@@ -3,6 +3,8 @@ package distrib
 import (
 	"context"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -123,45 +125,10 @@ func TestMergeIsPartitionAndOrderIndependent(t *testing.T) {
 					shards = append(shards, res)
 				}
 				rnd.Shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
-				merged := mergeOutcomes(size, 0, shards)
+				merged := mergeOutcomes(size, shards)
 				assertResultsEqual(t, serial, merged)
 			}
 		})
-	}
-}
-
-// TestMergeBoundedFrontMatchesSerial pins the crowding-truncation path:
-// when the archive is size-capped (truncation makes insertion order
-// matter), the merge replays the full candidate list in enumeration
-// order and still matches the serial engine exactly.
-func TestMergeBoundedFrontMatchesSerial(t *testing.T) {
-	tc := validationSpaces[2] // flat
-	const frontSize = 5
-	serial, err := explore.SearchContext(context.Background(),
-		explore.Params{}, tc.space, tc.cons, explore.MaxThroughput,
-		&explore.Options{FrontSize: frontSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := serial.SpaceSize
-
-	rnd := rand.New(rand.NewSource(7))
-	parts := randomPartition(rnd, size)
-	shards := make([]*ShardResult, 0, len(parts))
-	for _, p := range parts {
-		res, err := EvalShard(context.Background(), ShardSpec{
-			Params: explore.Params{}, Space: tc.space, Cons: tc.cons,
-			Obj: explore.MaxThroughput, Start: p[0], End: p[1],
-		}, nil)
-		if err != nil {
-			t.Fatalf("shard [%d,%d): %v", p[0], p[1], err)
-		}
-		shards = append(shards, res)
-	}
-	rnd.Shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
-	merged := mergeOutcomes(size, frontSize, shards)
-	if !reflect.DeepEqual(merged.Front, serial.Front) {
-		t.Fatalf("bounded front differs:\nmerged %+v\nserial %+v", merged.Front, serial.Front)
 	}
 }
 
@@ -185,8 +152,9 @@ func TestWireCandidateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunLocalOnlyMatchesSerial pins the degraded mode: a coordinator
-// with no remotes (the -remote-absent path) equals the serial engine.
+// TestRunLocalOnlyMatchesSerial pins the degraded mode: a coordinated
+// pool of the local worker alone (every remote unreachable) equals the
+// serial engine.
 func TestRunLocalOnlyMatchesSerial(t *testing.T) {
 	tc := validationSpaces[2]
 	serial, err := explore.SearchContext(context.Background(),
@@ -196,11 +164,11 @@ func TestRunLocalOnlyMatchesSerial(t *testing.T) {
 	}
 	m := &Metrics{}
 	var lastDone, total int
-	dist, err := Run(context.Background(), explore.Params{}, tc.space, tc.cons,
+	dist, err := run(context.Background(), explore.Params{}, tc.space, tc.cons,
 		explore.MaxPerfPerWatt, &Options{
-			Metrics:    m,
-			OnProgress: func(d, tot int) { lastDone, total = d, tot },
-		})
+			Options: explore.Options{OnProgress: func(d, tot int) { lastDone, total = d, tot }},
+			Metrics: m,
+		}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +182,101 @@ func TestRunLocalOnlyMatchesSerial(t *testing.T) {
 	}
 	if st.ShardsRetried != 0 {
 		t.Errorf("unexpected retries: %d", st.ShardsRetried)
+	}
+}
+
+// frontUpdate is one OnFrontUpdate call.
+type frontUpdate struct {
+	front     []explore.Candidate
+	evaluated int
+}
+
+// recordCallbacks sets o's progress and front callbacks to append to
+// the returned slices.
+func recordCallbacks(o *explore.Options) (progress *[][2]int, fronts *[]frontUpdate) {
+	progress, fronts = new([][2]int), new([]frontUpdate)
+	o.OnProgress = func(done, total int) { *progress = append(*progress, [2]int{done, total}) }
+	o.OnFrontUpdate = func(front []explore.Candidate, evaluated int) {
+		*fronts = append(*fronts, frontUpdate{front, evaluated})
+	}
+	return progress, fronts
+}
+
+// TestRouteNoRemotesIsSearchContext: without remotes, Run is the
+// single-process engine, callbacks included, and dispatches nothing.
+func TestRouteNoRemotesIsSearchContext(t *testing.T) {
+	tc := validationSpaces[2]
+	serialOpts := explore.Options{Workers: 2}
+	serialProgress, serialFronts := recordCallbacks(&serialOpts)
+	serial, err := explore.SearchContext(context.Background(),
+		explore.Params{}, tc.space, tc.cons, explore.MaxThroughput, &serialOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := &Metrics{}
+	opts := &Options{Options: explore.Options{Workers: 2}, Metrics: m}
+	progress, fronts := recordCallbacks(&opts.Options)
+	res, err := Run(context.Background(), explore.Params{}, tc.space, tc.cons, explore.MaxThroughput, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, serial, res)
+	if !reflect.DeepEqual(*progress, *serialProgress) {
+		t.Errorf("progress differs: %d calls, serial %d", len(*progress), len(*serialProgress))
+	}
+	if !reflect.DeepEqual(*fronts, *serialFronts) {
+		t.Errorf("front updates differ:\n got %+v\nwant %+v", *fronts, *serialFronts)
+	}
+	if st := m.Snapshot(); !reflect.DeepEqual(st, Stats{}) {
+		t.Errorf("a sweep without remotes recorded coordinator activity: %+v", st)
+	}
+}
+
+// TestRouteUnshardableWithRemotesIsSerial: a pareto search, or a sweep
+// the caller already restricted to a shard, runs single-process even
+// with remotes configured, and no remote is contacted.
+func TestRouteUnshardableWithRemotesIsSerial(t *testing.T) {
+	tc := validationSpaces[2]
+	remote := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("remote contacted: %s %s", r.Method, r.URL.Path)
+		http.Error(w, "unexpected", http.StatusInternalServerError)
+	}))
+	t.Cleanup(remote.Close)
+
+	for _, c := range []struct {
+		name string
+		opts explore.Options
+	}{
+		{"pareto", explore.Options{Search: explore.SearchPareto, Budget: 24, Seed: 7}},
+		{"shard", explore.Options{Shard: &explore.ShardRange{Start: 16, End: 40}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			serialOpts := c.opts
+			serialProgress, serialFronts := recordCallbacks(&serialOpts)
+			serial, err := explore.SearchContext(context.Background(),
+				explore.Params{}, tc.space, tc.cons, explore.MaxThroughput, &serialOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			m := &Metrics{}
+			opts := &Options{Options: c.opts, Remotes: []string{remote.URL}, Metrics: m}
+			progress, fronts := recordCallbacks(&opts.Options)
+			res, err := Run(context.Background(), explore.Params{}, tc.space, tc.cons, explore.MaxThroughput, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Search != serial.Search {
+				t.Fatalf("search kind %v, want %v", res.Search, serial.Search)
+			}
+			assertResultsEqual(t, serial, res)
+			if !reflect.DeepEqual(*progress, *serialProgress) || !reflect.DeepEqual(*fronts, *serialFronts) {
+				t.Error("progress or front updates differ from the serial search")
+			}
+			if st := m.Snapshot(); st.ShardsDispatched != 0 {
+				t.Errorf("%d shard(s) dispatched, want 0", st.ShardsDispatched)
+			}
+		})
 	}
 }

@@ -6,7 +6,9 @@
 // runs dry, retries failed shards with jittered backoff, and merges the
 // per-shard results exactly: the distributed sweep returns bit-identical
 // winners, candidate ordering, and Pareto front to the single-process
-// engine.
+// engine. Run is the one sweep entry point: it coordinates an
+// exhaustive sweep that has remotes and hands every other sweep to the
+// single-process engine.
 //
 // A built-in local worker always participates, so a coordinator with no
 // reachable remotes degrades to (and exactly reproduces) the

@@ -275,6 +275,8 @@ type Options struct {
 	// FailFast aborts the sweep at the first hard failure instead of
 	// degrading gracefully. The default (false) keeps going: failed
 	// candidates land in Result.Failures and the survivors are ranked.
+	// A sweep distrib.Run coordinates across remote workers does not
+	// apply it and always runs to the end.
 	FailFast bool
 
 	// OnProgress, when non-nil, is invoked after each candidate
@@ -304,12 +306,6 @@ type Options struct {
 	// identical front — at any worker count. 0 selects seed 1, so the
 	// default is deterministic too.
 	Seed int64
-
-	// FrontSize caps the Pareto archive: when a new member would exceed
-	// it, the most crowded interior member is dropped
-	// (crowding-distance truncation; axis extremes are never dropped).
-	// <= 0 leaves the front unbounded.
-	FrontSize int
 
 	// OnFrontUpdate, when non-nil, is invoked after each generation
 	// whose evaluations changed the Pareto front, with a fresh snapshot
@@ -531,18 +527,6 @@ func enumerate(space Space) []Candidate {
 	return specs
 }
 
-func meshDims(n int) (int, int) {
-	x, y := 1, 1
-	for x*y < n {
-		if x <= y {
-			x *= 2
-		} else {
-			y *= 2
-		}
-	}
-	return x, y
-}
-
 // buildConfig constructs the chip for one design point.
 func buildConfig(p Params, c Candidate) (chip.Config, error) {
 	banks := c.Cores
@@ -565,7 +549,7 @@ func buildConfig(p Params, c Candidate) (chip.Config, error) {
 			return cfg, fmt.Errorf("cluster %d does not divide %d cores", c.ClusterSize, c.Cores)
 		}
 		clusters := c.Cores / c.ClusterSize
-		mx, my := meshDims(clusters)
+		mx, my := chip.MeshDims(clusters)
 		cfg.NoC = chip.NoCSpec{
 			Kind: chip.Mesh, FlitBits: 128, MeshX: mx, MeshY: my,
 			VirtualChannels: 2, BuffersPerVC: 4, ClusterSize: c.ClusterSize,
@@ -626,7 +610,7 @@ func SearchContext(ctx context.Context, p Params, space Space, cons Constraints,
 	if err != nil {
 		return nil, err
 	}
-	front := NewParetoFront(o.FrontSize)
+	front := NewParetoFront(0)
 	var gen Generator
 	planned := size
 	switch o.Search {
@@ -873,6 +857,12 @@ func evalCandidate(ctx context.Context, o *Options, p Params, cons Constraints, 
 		var cancel context.CancelFunc
 		cctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
+		// A deadline already past fails the candidate here: raced
+		// against a finished evaluation, the select below would pick
+		// either outcome at random.
+		if err := cctx.Err(); err != nil {
+			return guard.At(err, cand.name())
+		}
 	}
 	type evalOut struct {
 		cand Candidate
@@ -948,7 +938,7 @@ func evaluate(p Params, cons Constraints, obj Objective, synthWorkers int, cand 
 	}
 
 	// Performance + runtime power over the workloads.
-	dim, _ := meshDims(maxInt(cand.Cores/maxInt(cand.ClusterSize, 1), 1))
+	dim, _ := chip.MeshDims(maxInt(cand.Cores/maxInt(cand.ClusterSize, 1), 1))
 	m := perfsim.Machine{
 		Cores: cand.Cores, ThreadsPerCore: p.Threads, IssueWidth: 1,
 		ClockHz:      p.ClockHz,

@@ -65,8 +65,9 @@ type jobStore struct {
 	running  int
 	retained int // max terminal jobs kept before eviction
 
-	// runSweep performs the actual exploration; tests substitute a stub
-	// to script job behavior (stalls, failures) without model work.
+	// runSweep performs the actual exploration (set by New); tests
+	// substitute a stub to script job behavior (stalls, failures)
+	// without model work.
 	runSweep func(ctx context.Context, j *job) (*explore.Result, error)
 }
 
@@ -87,7 +88,6 @@ func newJobStore(baseCtx context.Context, workers, queueDepth, retention int, m 
 		queue:    make(chan *job, queueDepth),
 		jobs:     make(map[string]*job),
 		retained: retention,
-		runSweep: runSweep,
 	}
 	m.queueDepth = func() int { return len(s.queue) }
 	m.jobsRunning = func() int {
@@ -100,11 +100,6 @@ func newJobStore(baseCtx context.Context, workers, queueDepth, retention int, m 
 		go s.worker()
 	}
 	return s
-}
-
-// runSweep is the production sweep runner.
-func runSweep(ctx context.Context, j *job) (*explore.Result, error) {
-	return explore.SearchContext(ctx, j.params, j.space, j.cons, j.obj, &j.opts)
 }
 
 func newJobID() string {

@@ -156,29 +156,19 @@ func New(cfg Config) *Server {
 		cancelBase: cancel,
 	}
 	if len(cfg.RemoteWorkers) > 0 {
-		// Exhaustive DSE jobs fan out across the configured workers;
-		// everything else (pareto search, which is not shardable) keeps
-		// the single-process path. The coordinator metrics instance is
-		// long-lived so /metrics aggregates across jobs.
-		coord := &distrib.Metrics{}
-		m.coord = coord
-		serial := s.jobs.runSweep
-		s.jobs.runSweep = func(ctx context.Context, j *job) (*explore.Result, error) {
-			if j.opts.Search != explore.SearchExhaustive {
-				return serial(ctx, j)
-			}
-			return distrib.Run(ctx, j.params, j.space, j.cons, j.obj, &distrib.Options{
-				Remotes:          cfg.RemoteWorkers,
-				ShardWorkers:     j.opts.Workers,
-				SynthWorkers:     j.opts.SynthWorkers,
-				CandidateTimeout: j.opts.CandidateTimeout,
-				FrontSize:        j.opts.FrontSize,
-				OnProgress:       j.opts.OnProgress,
-				OnFrontUpdate:    j.opts.OnFrontUpdate,
-				Metrics:          coord,
-				Logf:             cfg.Logf,
-			})
-		}
+		// The coordinator metrics instance is long-lived so /metrics
+		// aggregates across jobs.
+		m.coord = &distrib.Metrics{}
+	}
+	// distrib.Run fans exhaustive jobs out across the configured
+	// workers and runs everything else single-process.
+	s.jobs.runSweep = func(ctx context.Context, j *job) (*explore.Result, error) {
+		return distrib.Run(ctx, j.params, j.space, j.cons, j.obj, &distrib.Options{
+			Options: j.opts,
+			Remotes: cfg.RemoteWorkers,
+			Metrics: m.coord,
+			Logf:    cfg.Logf,
+		})
 	}
 	for _, rj := range recovered {
 		s.jobs.resubmit(rj)

@@ -140,7 +140,7 @@ func TestDSEJobFansOutToRemoteWorkers(t *testing.T) {
 	coordSrv := New(Config{RemoteWorkers: []string{workerTS.URL}})
 	defer coordSrv.Shutdown(context.Background())
 
-	body := `{"cores":[2,4,8,16],"l2_per_core_kb":[64,128,256,512]}` // 2 x distrib.DefaultMinShard
+	body := `{"cores":[2,4,8,16],"l2_per_core_kb":[64,128,256,512]}` // two 8-candidate minimum shards
 	rr := httptest.NewRecorder()
 	coordSrv.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/dse", strings.NewReader(body)))
 	if rr.Code != http.StatusAccepted {

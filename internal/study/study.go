@@ -54,19 +54,6 @@ func DefaultParams() Params {
 	}
 }
 
-// meshDims returns near-square power-of-two mesh dimensions for n nodes.
-func meshDims(n int) (int, int) {
-	x, y := 1, 1
-	for x*y < n {
-		if x <= y {
-			x *= 2
-		} else {
-			y *= 2
-		}
-	}
-	return x, y
-}
-
 // ManycoreChip builds the chip configuration of one clustering design
 // point.
 func ManycoreChip(p Params, clusterSize int) (chip.Config, error) {
@@ -74,7 +61,7 @@ func ManycoreChip(p Params, clusterSize int) (chip.Config, error) {
 		return chip.Config{}, fmt.Errorf("study: cluster size %d does not divide %d cores", clusterSize, p.Cores)
 	}
 	clusters := p.Cores / clusterSize
-	mx, my := meshDims(clusters)
+	mx, my := chip.MeshDims(clusters)
 	cfg := chip.Config{
 		Name:     fmt.Sprintf("manycore-%dc-cl%d", p.Cores, clusterSize),
 		NM:       p.NM,
@@ -237,7 +224,7 @@ func machineFor(p Params, clusterSize int, proc *chip.Processor) perfsim.Machine
 		l2CycleLat = math.Ceil(proc.L2.AccessTime()*p.ClockHz) + 4 // +controller
 	}
 	clusters := p.Cores / clusterSize
-	dim, _ := meshDims(clusters)
+	dim, _ := chip.MeshDims(clusters)
 	return perfsim.Machine{
 		Cores:          p.Cores,
 		ThreadsPerCore: p.Threads,

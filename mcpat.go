@@ -432,20 +432,23 @@ func ExploreDesignSpaceContext(ctx context.Context, p DSEParams, space DSESpace,
 // with work-stealing and bounded retry, and merges the per-shard
 // results into a result bit-identical to the single-process engine.
 type (
-	// DistribOptions tunes the distributed coordinator (remote workers,
-	// shard sizing, retry/backoff, metrics sink).
+	// DistribOptions is DSEOptions plus the remote workers, the
+	// coordinator metrics sink and a diagnostics logger. Shard sizing
+	// and retry backoff are fixed inside the coordinator.
 	DistribOptions = distrib.Options
 	// DistribMetrics accumulates coordinator counters across sweeps;
 	// pass one instance via DistribOptions.Metrics and snapshot it.
 	DistribMetrics = distrib.Metrics
 )
 
-// ExploreDesignSpaceDistributed runs an exhaustive sweep sharded across
-// the workers in opts.Remotes (plus the built-in local worker), with
-// the same cancellation semantics as ExploreDesignSpaceContext. The
-// result is bit-identical to the single-process sweep: candidate
-// ranking, winners, and Pareto front all match. opts may be nil, which
-// degrades to the local worker alone.
+// ExploreDesignSpaceDistributed is the one sweep entry point. An
+// exhaustive sweep with opts.Remotes is sharded across them plus the
+// built-in local worker, with the same cancellation semantics as
+// ExploreDesignSpaceContext, and its result is bit-identical to the
+// single-process sweep: candidate ranking, winners, and Pareto front
+// all match. Every other sweep (no remotes, a pareto search, or a set
+// Shard) is ExploreDesignSpaceContext with opts.Options. opts may be
+// nil for defaults.
 func ExploreDesignSpaceDistributed(ctx context.Context, p DSEParams, space DSESpace, cons DSEConstraints, obj DSEObjective, opts *DistribOptions) (*DSEResult, error) {
 	return distrib.Run(ctx, p, space, cons, obj, opts)
 }
