@@ -16,10 +16,6 @@ import (
 )
 
 func dseSweep(b *testing.B) *mcpat.DSEResult {
-	return dseSweepOpts(b, nil)
-}
-
-func dseSweepOpts(b *testing.B, opts *mcpat.DSEOptions) *mcpat.DSEResult {
 	b.Helper()
 	res, err := mcpat.ExploreDesignSpaceContext(
 		context.Background(),
@@ -31,7 +27,7 @@ func dseSweepOpts(b *testing.B, opts *mcpat.DSEOptions) *mcpat.DSEResult {
 		},
 		mcpat.DSEConstraints{MaxAreaMM2: 400, MaxTDP: 250},
 		mcpat.MaxThroughput,
-		opts,
+		nil,
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -57,12 +53,10 @@ func BenchmarkDSESweep(b *testing.B) {
 	b.ReportMetric(100*cs.HitRate(), "hit%")
 }
 
-// coldSweepBench runs the sweep with BOTH synthesis cache layers
-// disabled — the true uncached baseline where every candidate pays full
-// array-optimizer enumeration and subsystem assembly cost. opts selects
-// the assembly parallelism under test.
-func coldSweepBench(b *testing.B, opts *mcpat.DSEOptions) {
-	b.Helper()
+// BenchmarkDSESweepCold is the uncached baseline: BOTH synthesis cache
+// layers are disabled for the duration, so every candidate pays full
+// array-optimizer enumeration and subsystem assembly cost.
+func BenchmarkDSESweepCold(b *testing.B) {
 	prevArr := mcpat.SetArraySynthCache(false)
 	prevSub := mcpat.SetSubsysSynthCache(false)
 	defer func() {
@@ -75,31 +69,10 @@ func coldSweepBench(b *testing.B, opts *mcpat.DSEOptions) {
 	b.ResetTimer()
 	var evaluated int
 	for i := 0; i < b.N; i++ {
-		res := dseSweepOpts(b, opts)
+		res := dseSweep(b)
 		evaluated = res.Evaluated
 	}
 	b.ReportMetric(float64(evaluated)*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
-}
-
-// BenchmarkDSESweepCold is the uncached baseline: both synthesis caches
-// are disabled for the duration, so every candidate pays full synthesis
-// cost (at the process-default assembly parallelism).
-func BenchmarkDSESweepCold(b *testing.B) {
-	coldSweepBench(b, nil)
-}
-
-// BenchmarkDSESweepColdSerial pins the fully serial cold sweep: one
-// subsystem builds at a time inside each candidate. The gap to
-// BenchmarkDSESweepColdParallel is the concurrent-assembly speedup on
-// the host (identical on a 1-core machine by design).
-func BenchmarkDSESweepColdSerial(b *testing.B) {
-	coldSweepBench(b, &mcpat.DSEOptions{SynthWorkers: 1})
-}
-
-// BenchmarkDSESweepColdParallel runs the cold sweep with stage-0
-// subsystem builders fanned out across GOMAXPROCS workers per chip.
-func BenchmarkDSESweepColdParallel(b *testing.B) {
-	coldSweepBench(b, &mcpat.DSEOptions{SynthWorkers: 0})
 }
 
 // BenchmarkDSESweepDiskWarm measures the restart path the persistent

@@ -3,6 +3,7 @@ package mcpat_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,10 +18,12 @@ import (
 // /v1/evaluate runs. An input whose report it rejects (runtime power
 // far beyond TDP, which /v1/evaluate answers with 422) exits 3 with the
 // guard's finding instead of printing as a valid chip; a plausible
-// input of the same chip still prints.
+// input of the same chip still prints. mcpat prints the runtime power
+// /v1/evaluate returns, net of power-gating savings, and mcpat-trace
+// treats a bad -governor as a usage error.
 func TestCLIOutputGuard(t *testing.T) {
 	dir := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", dir, "./cmd/mcpat", "./cmd/mcpat-m5").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", dir, "./cmd/mcpat", "./cmd/mcpat-m5", "./cmd/mcpat-trace").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	write := func(name, body string) string {
@@ -44,6 +47,24 @@ func TestCLIOutputGuard(t *testing.T) {
 	}
 	chipXML := write("chip.xml", doc.String())
 	hotXML := write("hot.xml", strings.Replace(doc.String(), core, core+`<stat name="int_ops_per_cycle" value="1e6"/>`, 1))
+	gated := strings.Replace(doc.String(), core, core+`<param name="power_gating" value="1"/>`+
+		`<stat name="pipeline_duty" value="0.4"/><stat name="int_ops_per_cycle" value="0.3"/>`+
+		`<stat name="icache_access_per_cycle" value="0.5"/><stat name="decode_per_cycle" value="0.4"/>`, 1)
+	gatedXML := write("gated.xml", gated)
+	gcfg, gstats, err := mcpat.LoadXML(strings.NewReader(gated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, err := mcpat.New(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grep := gp.Report(gstats)
+	if grep.LeakSaved <= 0 {
+		t.Fatal("power-gated template saves no leakage")
+	}
+	gatedLine := fmt.Sprintf("Runtime power= %.3f W (dynamic %.3f W + leakage %.3f W)",
+		grep.Runtime(), grep.RuntimeDynamic, grep.Leakage()-grep.LeakSaved)
 	dump := func(name, cycles, insts string) string {
 		return write(name, "---------- Begin Simulation Statistics ----------\n"+
 			"sim_seconds 0.001\n"+
@@ -54,15 +75,23 @@ func TestCLIOutputGuard(t *testing.T) {
 	plausible := dump("plausible.txt", "1200000", "900000")
 	hot := dump("hot.txt", "1000", "1000000000")
 
+	const guardFinding = "exceeds 3 x TDP"
 	for _, tc := range []struct {
 		name string
 		args []string
 		exit int
+		// stdout and stderr must each contain their string, or be
+		// empty when it is "".
+		stdout, stderr string
 	}{
-		{"mcpat", []string{"mcpat", "-infile", chipXML}, cliutil.ExitOK},
-		{"mcpat runtime beyond TDP", []string{"mcpat", "-infile", hotXML}, cliutil.ExitInfeasible},
-		{"mcpat-m5", []string{"mcpat-m5", "-infile", chipXML, "-stats", plausible}, cliutil.ExitOK},
-		{"mcpat-m5 runtime beyond TDP", []string{"mcpat-m5", "-infile", chipXML, "-stats", hot}, cliutil.ExitInfeasible},
+		{"mcpat", []string{"mcpat", "-infile", chipXML}, cliutil.ExitOK, "Die area", ""},
+		{"mcpat runtime beyond TDP", []string{"mcpat", "-infile", hotXML}, cliutil.ExitInfeasible, "", guardFinding},
+		{"mcpat-m5", []string{"mcpat-m5", "-infile", chipXML, "-stats", plausible}, cliutil.ExitOK, "Die area", ""},
+		{"mcpat-m5 runtime beyond TDP", []string{"mcpat-m5", "-infile", chipXML, "-stats", hot}, cliutil.ExitInfeasible, "", guardFinding},
+		{"mcpat power-gated runtime", []string{"mcpat", "-infile", gatedXML}, cliutil.ExitOK, gatedLine, ""},
+		{"mcpat-trace bad governor", []string{"mcpat-trace", "-config", "examples/gem5-trace/config.json",
+			"-stats", "examples/gem5-trace/stats.txt", "-thermal", "-rtheta", "0.8", "-governor", "bogus"},
+			cliutil.ExitConfig, "", "unknown governor"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -76,11 +105,18 @@ func TestCLIOutputGuard(t *testing.T) {
 			} else if err != nil {
 				t.Fatal(err)
 			}
-			rejected := tc.exit != cliutil.ExitOK
-			if exit != tc.exit || strings.Contains(stdout.String(), "Die area") == rejected ||
-				strings.Contains(stderr.String(), "exceeds 3 x TDP") != rejected {
-				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", exit, tc.exit, stdout.String(), stderr.String())
+			if exit != tc.exit || !holds(stdout.String(), tc.stdout) || !holds(stderr.String(), tc.stderr) {
+				t.Fatalf("exit %d, want %d with stdout %q and stderr %q\nstdout: %s\nstderr: %s",
+					exit, tc.exit, tc.stdout, tc.stderr, stdout.String(), stderr.String())
 			}
 		})
 	}
+}
+
+// holds reports whether out contains want, or is empty when want is "".
+func holds(out, want string) bool {
+	if want == "" {
+		return out == ""
+	}
+	return strings.Contains(out, want)
 }

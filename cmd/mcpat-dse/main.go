@@ -59,7 +59,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "pareto search RNG seed (same seed replays the same search)")
 		topN      = flag.Int("top", 8, "candidates to print")
 		workers   = flag.Int("workers", 0, "parallel evaluations (0 = GOMAXPROCS)")
-		par       = flag.Int("par", 0, "parallel subsystem builds inside each cold evaluation (0 = process default, 1 = serial)")
 		timeout   = flag.Duration("timeout", 0, "per-candidate evaluation deadline (0 = none)")
 		keepGoing = flag.Bool("keep-going", true, "continue the sweep past failed candidates")
 		remote    = flag.String("remote", "", "comma-separated mcpatd -worker base URLs: shard the exhaustive sweep across them (plus this process) with work-stealing; results are bit-identical to a local sweep")
@@ -112,7 +111,6 @@ func main() {
 		&mcpat.DistribOptions{
 			Options: mcpat.DSEOptions{
 				Workers:          *workers,
-				SynthWorkers:     *par,
 				CandidateTimeout: *timeout,
 				FailFast:         !*keepGoing,
 				Search:           searchKind,

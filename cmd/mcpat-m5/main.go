@@ -81,7 +81,7 @@ func main() {
 	fmt.Printf("McPAT + gem5 results for %s (%gnm, %.2f GHz)\n", cfg.Name, cfg.NM, cfg.ClockHz/1e9)
 	fmt.Printf("  TDP           = %.3f W\n", rep.Peak())
 	fmt.Printf("  Runtime power = %.3f W (dynamic %.3f W + leakage %.3f W)\n",
-		rep.Runtime(), rep.RuntimeDynamic, rep.Leakage())
+		rep.Runtime(), rep.RuntimeDynamic, rep.Leakage()-rep.LeakSaved)
 	fmt.Printf("  Die area      = %.2f mm^2\n\n", rep.Area*1e6)
 	fmt.Print(rep.Format(*printLevel))
 }

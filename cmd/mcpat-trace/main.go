@@ -82,7 +82,7 @@ func main() {
 		}
 		gov, err := mcpat.NewGovernor(*governor, *targetK, nil)
 		if err != nil {
-			fatal(err)
+			cliutil.Usagef("mcpat-trace", "-governor: %v", err)
 		}
 		if err := eng.EnableLoop(mcpat.TraceLoopOptions{
 			Package: mcpat.PackageSpec{

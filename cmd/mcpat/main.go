@@ -88,8 +88,9 @@ func main() {
 	fmt.Printf("  TDP          = %.3f W (dynamic %.3f W + leakage %.3f W)\n",
 		rep.Peak(), rep.PeakDynamic, rep.Leakage())
 	if rep.RuntimeDynamic > 0 {
+		// Runtime leakage is net of what power gating recovers.
 		fmt.Printf("  Runtime power= %.3f W (dynamic %.3f W + leakage %.3f W)\n",
-			rep.RuntimeDynamic+rep.Leakage(), rep.RuntimeDynamic, rep.Leakage())
+			rep.Runtime(), rep.RuntimeDynamic, rep.Leakage()-rep.LeakSaved)
 	}
 	fmt.Printf("  Die area     = %.2f mm^2\n\n", rep.Area*1e6)
 	fmt.Print(rep.Format(*printLevel))

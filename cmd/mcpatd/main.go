@@ -69,7 +69,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8490", "listen address (use :0 for a random port)")
 		maxInflight  = flag.Int("max-inflight", 0, "concurrent synchronous evaluations (0 = GOMAXPROCS)")
-		synthWorkers = flag.Int("synth-workers", 0, "parallel subsystem builds inside each cold evaluation (0 = GOMAXPROCS, 1 = serial)")
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "per-request evaluation deadline (<0 = none)")
 		jobWorkers   = flag.Int("job-workers", 2, "concurrently running DSE jobs")
 		jobQueue     = flag.Int("job-queue", 16, "queued DSE jobs before shedding with 429")
@@ -84,9 +83,6 @@ func main() {
 	cacheDir, cacheSize := cliutil.CacheFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *synthWorkers > 0 {
-		mcpat.SetSynthWorkers(*synthWorkers)
-	}
 	if closeCache := cliutil.EnablePersistentCache(*cacheDir, *cacheSize); closeCache != nil {
 		defer closeCache()
 	}

@@ -2,7 +2,6 @@ package chip
 
 import (
 	"math"
-	"sync"
 
 	"mcpat/internal/cache"
 	"mcpat/internal/clock"
@@ -16,28 +15,23 @@ import (
 	"mcpat/internal/tech"
 )
 
-// Chip assembly as a staged registry fold.
+// Chip assembly as a registry fold.
 //
-// New walks the subsystems table in dependency order: every builder
-// synthesizes its subsystem through the memoized component layer
-// (core.Synthesize, cache.Synthesize, ...) and registers a part — the
-// synthesized component plus the closure mapping chip-level Stats to its
-// activity assignment — at a fixed report position. Dependency order and
-// report order differ (the fabric and clock size themselves from the
-// area accumulated by everything built before them, but report before
-// the off-chip interfaces), which is why parts carry positions instead
-// of relying on build sequence.
+// New walks the subsystems table in order: every builder synthesizes its
+// subsystem through the memoized component layer (core.Synthesize,
+// cache.Synthesize, ...) and registers a part — the synthesized component
+// plus the closure mapping chip-level Stats to its activity assignment —
+// at a fixed report position. Build order and report order differ (the
+// fabric and clock size themselves from the area accumulated by
+// everything built before them, but report before the off-chip
+// interfaces), which is why parts carry positions instead of relying on
+// build sequence. The table order is also the floating-point
+// accumulation order of the component area, so it fixes every
+// downstream number.
 //
-// Stages encode the data dependencies: stage-0 subsystems are mutually
-// independent (each writes only its own Processor field, its own part
-// slot, and returns its area contribution), so the driver may run them
-// concurrently on a bounded worker pool. The fabric (stage 1) reads the
-// area accumulated by stage 0, and the clock network (stage 2) reads
-// the area including the fabric, so those run serially. Area
-// contributions are folded into builder.base in registry order
-// regardless of completion order, keeping the floating-point
-// accumulation — and therefore every downstream number — bit-identical
-// to a fully serial build.
+// Chips are assembled serially: sweeps, shards and concurrent requests
+// already evaluate many chips at once, so parallelism comes from the
+// design points, not from inside one build.
 
 // Report positions. The order fixes the chip report's child sequence
 // and therefore the floating-point accumulation order of the rollup —
@@ -56,33 +50,29 @@ const (
 	numPos
 )
 
-// subsystems is the assembly registry. Adding a subsystem to the chip
-// means adding a row here (and a position above), not editing New.
-// Builders return their component-area contribution; stage >= 1
-// builders that need finer-grained accumulation (the fabric adds router,
-// link, and cluster-bus areas as separate terms) fold into builder.base
-// directly and return 0 — they run serially with exclusive access.
+// subsystems is the assembly registry, in build order. Adding a
+// subsystem to the chip means adding a row here (and a position above),
+// not editing New. Builders return their component-area contribution.
+// The fabric reads the area of the rows above it and folds its router,
+// link, and cluster-bus areas into builder.base as separate terms,
+// returning 0; the clock network reads the area including the fabric.
 var subsystems = []struct {
 	name  string
-	stage int // 0: independent; 1: reads stage-0 area; 2: reads stage-1 area
 	build func(*builder) (float64, error)
 }{
-	{"cores", 0, buildCores},
-	{"l2", 0, buildL2},
-	{"l3", 0, buildL3},
-	{"fpu", 0, buildFPU},
-	{"mc", 0, buildMC},
-	{"niu", 0, buildNIU},
-	{"pcie", 0, buildPCIe},
-	{"fabric", 1, buildFabric},
-	{"clock", 2, buildClock},
-	{"other", 0, buildOther},
+	{"cores", buildCores},
+	{"l2", buildL2},
+	{"l3", buildL3},
+	{"fpu", buildFPU},
+	{"mc", buildMC},
+	{"niu", buildNIU},
+	{"pcie", buildPCIe},
+	{"fabric", buildFabric},
+	{"clock", buildClock},
+	{"other", buildOther},
 }
 
 // builder is the transient assembly state threaded through the registry.
-// During the concurrent stage each builder touches only its own part
-// slot, its own Processor field, and the shared read-only cfg/node, so
-// no locking is needed.
 type builder struct {
 	p    *Processor
 	node *tech.Node
@@ -116,98 +106,15 @@ func (b *builder) finish() {
 	b.p.baseArea = b.base
 }
 
-// runSubsystem invokes one registry builder behind its own
-// panic-containment boundary (a model fault inside a pooled worker
-// goroutine must surface as an error, not crash the process) and keeps
-// the in-flight gauge honest. The recovery path matches chip.New's, so
-// fault attribution is identical in serial and parallel builds.
-func runSubsystem(b *builder, i int) (area float64, err error) {
-	defer guard.Recover(&err, b.path)
-	synthInflight.Add(1)
-	defer synthInflight.Add(-1)
-	return subsystems[i].build(b)
-}
-
-// assemble drives the registry. workers bounds the stage-0 synthesis
-// parallelism; 1 reproduces the fully serial walk (including its
-// stop-at-first-error behavior). With several workers every stage-0
-// subsystem is built, results are folded and errors selected in
-// registry order, so both the report bits and the returned error match
-// the serial build; only wall-clock differs.
-func assemble(b *builder, workers int) error {
-	if workers < 2 {
-		for i := range subsystems {
-			area, err := runSubsystem(b, i)
-			if err != nil {
-				return err
-			}
-			if area != 0 {
-				b.base += area
-			}
-		}
-		return nil
-	}
-
-	type outcome struct {
-		area float64
-		err  error
-	}
-	outs := make([]outcome, len(subsystems))
-	stage0 := 0
+// assemble walks the registry in order and stops at the first builder
+// that fails, so that builder's error is the one New returns.
+func assemble(b *builder) error {
 	for _, sub := range subsystems {
-		if sub.stage == 0 {
-			stage0++
-		}
-	}
-	if workers > stage0 {
-		workers = stage0
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				area, err := runSubsystem(b, i)
-				outs[i] = outcome{area: area, err: err}
-			}
-		}()
-	}
-	for i, sub := range subsystems {
-		if sub.stage == 0 {
-			jobs <- i
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Fold stage-0 areas and pick the first error in registry order —
-	// the same error a serial walk would have stopped at.
-	for i, sub := range subsystems {
-		if sub.stage != 0 {
-			continue
-		}
-		if outs[i].err != nil {
-			return outs[i].err
-		}
-		if outs[i].area != 0 {
-			b.base += outs[i].area
-		}
-	}
-	// Dependent stages run serially in registry order (fabric before
-	// clock) with exclusive access to the accumulated area.
-	for i, sub := range subsystems {
-		if sub.stage == 0 {
-			continue
-		}
-		area, err := runSubsystem(b, i)
+		area, err := sub.build(b)
 		if err != nil {
 			return err
 		}
-		if area != 0 {
-			b.base += area
-		}
+		b.base += area
 	}
 	return nil
 }

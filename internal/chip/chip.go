@@ -7,8 +7,6 @@ package chip
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"mcpat/internal/cache"
 	"mcpat/internal/clock"
@@ -214,58 +212,14 @@ type Processor struct {
 	vddFrac    float64 // score-time supply as a fraction of the synthesis Vdd
 }
 
-// Process-wide synthesis-parallelism knobs. The worker setting is the
-// default stage-0 fan-out of every New call (0 = GOMAXPROCS at build
-// time); the in-flight gauge counts subsystem builders currently
-// executing, across all concurrent New calls.
-var (
-	defaultSynthWorkers atomic.Int32
-	synthInflight       atomic.Int64
-)
-
-// SetSynthWorkers sets the process-wide default for the number of
-// concurrent subsystem builders per chip assembly and returns the
-// previous raw setting. 0 (the initial value) selects
-// runtime.GOMAXPROCS(0) at build time; 1 forces fully serial assembly.
-func SetSynthWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(defaultSynthWorkers.Swap(int32(n)))
-}
-
-// SynthWorkers reports the resolved process-wide default parallelism a
-// New call will use right now.
-func SynthWorkers() int {
-	if n := int(defaultSynthWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SynthInflight reports how many subsystem builders are executing at
-// this instant (an observability gauge, not a limit).
-func SynthInflight() int64 { return synthInflight.Load() }
-
-// New synthesizes the processor by folding over the subsystem registry
-// (see assemble.go); subsystem synthesis is memoized process-wide, so a
-// chip that shares a subsystem configuration with a previously built one
-// reuses the synthesized model. Independent subsystems build
-// concurrently on a bounded worker pool sized by SetSynthWorkers;
-// results fold in pinned registry order, so reports are bit-identical
-// to a serial build. New is a panic-containment boundary: a fault
-// anywhere in the model internals surfaces as an ErrInternal, and
-// malformed configurations surface as ErrConfig - never as a crash of
-// the host process.
-func New(cfg Config) (*Processor, error) {
-	return NewWithWorkers(cfg, 0)
-}
-
-// NewWithWorkers is New with an explicit per-call synthesis parallelism:
-// 1 forces serial assembly, 0 selects the process default (see
-// SetSynthWorkers). Serial and parallel builds produce bit-identical
-// processors; only wall-clock differs.
-func NewWithWorkers(cfg Config, workers int) (p *Processor, err error) {
+// New synthesizes the processor by walking the subsystem registry in
+// order (see assemble.go); subsystem synthesis is memoized process-wide,
+// so a chip that shares a subsystem configuration with a previously
+// built one reuses the synthesized model. New is a panic-containment
+// boundary: a fault anywhere in the model internals surfaces as an
+// ErrInternal, and malformed configurations surface as ErrConfig - never
+// as a crash of the host process. On any error the processor is nil.
+func New(cfg Config) (_ *Processor, err error) {
 	path := cfg.Name
 	if path == "" {
 		path = "chip"
@@ -301,10 +255,7 @@ func NewWithWorkers(cfg Config, workers int) (p *Processor, err error) {
 		cfg.ClockGating = 0.75
 	}
 
-	if workers <= 0 {
-		workers = SynthWorkers()
-	}
-	p = &Processor{Cfg: cfg, Tech: node, freqFrac: 1, vddFrac: 1}
+	p := &Processor{Cfg: cfg, Tech: node, freqFrac: 1, vddFrac: 1}
 	p.scoreTempK = node.Temperature
 	p.leakScale = 1
 	if cfg.Temperature > 0 {
@@ -312,12 +263,17 @@ func NewWithWorkers(cfg Config, workers int) (p *Processor, err error) {
 		p.leakScale = node.LeakScaleAt(cfg.Temperature)
 	}
 	b := &builder{p: p, node: node, path: path}
-	if err := assemble(b, workers); err != nil {
+	if err := assemble(b); err != nil {
 		return nil, err
 	}
 	b.finish()
 	return p, nil
 }
+
+// NewWithWorkers is New; workers changes nothing.
+//
+// Deprecated: chip assembly has one serial path. Use New.
+func NewWithWorkers(cfg Config, workers int) (*Processor, error) { return New(cfg) }
 
 func banksOf(c *cache.Config) int {
 	if c == nil {

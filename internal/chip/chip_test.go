@@ -1,11 +1,14 @@
 package chip
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"mcpat/internal/cache"
 	"mcpat/internal/core"
+	"mcpat/internal/guard"
 	"mcpat/internal/mc"
 	"mcpat/internal/tech"
 )
@@ -95,6 +98,21 @@ func TestMeshRequiresTopology(t *testing.T) {
 	cfg.NoC.MeshX, cfg.NoC.MeshY = 0, 0
 	if _, err := New(cfg); err == nil {
 		t.Error("mesh without topology must fail")
+	}
+}
+
+// TestPanickingBuilderIsInternal pins New's containment boundary: a
+// builder that panics mid-walk yields no processor and an ErrInternal
+// at the chip path.
+func TestPanickingBuilderIsInternal(t *testing.T) {
+	saved := subsystems
+	defer func() { subsystems = saved }()
+	subsystems = slices.Clone(saved)
+	subsystems[1].build = func(*builder) (float64, error) { panic("poisoned l2") }
+
+	p, err := New(manycoreCfg(8, Mesh))
+	if p != nil || !errors.Is(err, guard.ErrInternal) || guard.PathOf(err) != "cmp" {
+		t.Fatalf("New = %v, %v; want nil and ErrInternal at cmp", p, err)
 	}
 }
 

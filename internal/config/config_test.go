@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"mcpat/internal/cache"
 	"mcpat/internal/chip"
 	"mcpat/internal/core"
+	"mcpat/internal/guard"
 	"mcpat/internal/mc"
 	"mcpat/internal/tech"
 
@@ -235,6 +237,34 @@ func TestParseErrors(t *testing.T) {
 	root.SetParam("interconnect", "teleport")
 	if _, err := ToChipConfig(root); err == nil {
 		t.Error("unknown interconnect must fail")
+	}
+}
+
+// TestNonFiniteParamsRejected: a float param that is NaN or infinite,
+// as written or once scaled to SI units, is a config error at its
+// component, wherever the component sits in the document.
+func TestNonFiniteParamsRejected(t *testing.T) {
+	for _, tc := range []struct{ child, name, value string }{
+		{"", "tech_node_nm", "inf"},
+		{"", "clock_mhz", "1e305"},
+		{"", "vdd", "nan"},
+		{"", "temperature_k", "-Inf"},
+		{"core", "glue_activity", "NaN"},
+		{"mc", "peak_bandwidth_gbs", "1e300"},
+	} {
+		root, err := ParseString(sampleXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := root
+		if tc.child != "" {
+			c = root.Child(tc.child)
+		}
+		c.SetParam(tc.name, tc.value)
+		_, err = ToChipConfig(root)
+		if !errors.Is(err, guard.ErrConfig) || guard.PathOf(err) != c.ID {
+			t.Errorf("%s %s=%q: got %v, want a config error at %s", c.ID, tc.name, tc.value, err, c.ID)
+		}
 	}
 }
 

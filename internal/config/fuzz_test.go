@@ -25,6 +25,19 @@ func addConfigSeeds(f *testing.F) {
 		}
 		f.Add(sb.String())
 	}
+	// A valid chip with one non-finite param, which must be rejected.
+	niagara, err := presets.ByName("niagara")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range [][2]string{
+		{"vdd", "nan"}, {"vdd", "inf"}, {"clock_mhz", "nan"},
+		{"other_area_mm2", "NaN"}, {"l2_peak_duty", "+Inf"},
+	} {
+		root := FromChipConfig(niagara.Config)
+		root.SetParam(p[0], p[1])
+		f.Add(root.String())
+	}
 }
 
 // FuzzConfigParse asserts the no-panic contract of the XML front door:

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"cmp"
 	"math"
 	"strconv"
 	"strings"
@@ -76,6 +77,9 @@ func (t table[S]) write(c *Component, s *S) {
 
 // check returns the error of the first invalid entry in c.
 func (t table[S]) check(c *Component) error {
+	if c == nil {
+		return nil
+	}
 	for _, e := range t {
 		if e.check != nil {
 			if err := e.check(c); err != nil {
@@ -142,6 +146,7 @@ func integer[S any](name string, def int, when policy[S], at func(*S) *int) entr
 }
 
 // float binds a float parameter spelled in unit u; def is in u too.
+// A value that is not finite in SI units is invalid.
 func float[S any](name string, def float64, u unit, when policy[S], at func(*S) *float64) entry[S] {
 	return entry[S]{
 		read: func(c *Component, s *S) { *at(s) = u.fromXML(c.ParamFloat(name, def)) },
@@ -150,7 +155,17 @@ func float[S any](name string, def float64, u unit, when policy[S], at func(*S) 
 				c.SetParam(name, ftoa(u.toXML(v)))
 			}
 		},
+		check: func(c *Component) error { return finite(c, name, u.fromXML(c.ParamFloat(name, def))) },
 	}
+}
+
+// finite rejects v, read for the parameter name of c, if it is NaN or
+// infinite.
+func finite(c *Component, name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return guard.Configf(c.ID, "%s is not finite", name)
+	}
+	return nil
 }
 
 // flag binds a boolean parameter, spelled 1 or 0.
@@ -390,7 +405,17 @@ func ToChipConfig(root *Component) (chip.Config, error) {
 	if cfg.ClockHz = mhz.fromXML(root.ParamFloat("clock_mhz", 0)); cfg.ClockHz == 0 {
 		return cfg, guard.Configf("config", "clock_mhz is required")
 	}
-	if err := systemParams.check(root); err != nil {
+	if err := cmp.Or(
+		finite(root, "tech_node_nm", cfg.NM),
+		finite(root, "clock_mhz", cfg.ClockHz),
+		systemParams.check(root),
+		coreParams.check(root.Child("core")),
+		cacheParams.check(root.Child("L2")),
+		cacheParams.check(root.Child("L3")),
+		mcParams.check(root.Child("mc")),
+		niuParams.check(root.Child("niu")),
+		pcieParams.check(root.Child("pcie")),
+	); err != nil {
 		return cfg, err
 	}
 	systemParams.read(root, &cfg)

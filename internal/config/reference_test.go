@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strconv"
 
 	"mcpat/internal/cache"
@@ -13,8 +14,9 @@ import (
 
 // This file keeps the hand-written mappings as a test-only oracle: the
 // four functions the schema tables replaced, with the noc_vcs writer
-// fix applied. FuzzMappingMatchesReference holds the table walks to
-// them: the same errors, configs and statistics, and the same bytes.
+// fix and the rejection of non-finite params applied.
+// FuzzMappingMatchesReference holds the table walks to them: the same
+// errors, configs and statistics, and the same bytes.
 
 // refToChipConfig converts a parsed XML tree into a chip configuration.
 func refToChipConfig(root *Component) (chip.Config, error) {
@@ -33,6 +35,10 @@ func refToChipConfig(root *Component) (chip.Config, error) {
 	}
 	cfg.Vdd = root.ParamFloat("vdd", 0)
 	cfg.Temperature = root.ParamFloat("temperature_k", 0)
+	if err := refFinite(root, []refValue{{"tech_node_nm", cfg.NM}, {"clock_mhz", cfg.ClockHz},
+		{"vdd", cfg.Vdd}, {"temperature_k", cfg.Temperature}}...); err != nil {
+		return cfg, err
+	}
 	dev, err := parseDevice(root.ParamString("device_type", "HP"))
 	if err != nil {
 		return cfg, err
@@ -50,6 +56,12 @@ func refToChipConfig(root *Component) (chip.Config, error) {
 	cfg.ClockGating = root.ParamFloat("clock_gating", 0)
 	cfg.ClockSinkMult = root.ParamFloat("clock_sink_mult", 0)
 	cfg.OtherArea = root.ParamFloat("other_area_mm2", 0) * 1e-6
+	if err := refFinite(root, []refValue{{"other_area_mm2", cfg.OtherArea},
+		{"l2_peak_duty", cfg.L2PeakDuty}, {"l3_peak_duty", cfg.L3PeakDuty},
+		{"mc_peak_util", cfg.MCPeakUtil}, {"clock_gating", cfg.ClockGating},
+		{"clock_sink_mult", cfg.ClockSinkMult}}...); err != nil {
+		return cfg, err
+	}
 
 	ic := root.ParamString("interconnect", "none")
 	if cfg.NoC.Kind, err = chip.ParseInterconnect(ic); err != nil {
@@ -63,6 +75,9 @@ func refToChipConfig(root *Component) (chip.Config, error) {
 
 	if c := root.Child("core"); c != nil {
 		cfg.Core = refToCoreConfig(c)
+		if err := refFinite(c, refValue{"glue_activity", cfg.Core.GlueActivity}); err != nil {
+			return cfg, err
+		}
 	}
 	if c := root.Child("L2"); c != nil {
 		l2 := refToCacheConfig(c, "L2")
@@ -75,6 +90,10 @@ func refToChipConfig(root *Component) (chip.Config, error) {
 	if c := root.Child("mc"); c != nil {
 		m := refToMCConfig(c)
 		cfg.MC = &m
+		if err := refFinite(c, []refValue{{"peak_bandwidth_gbs", m.PeakBandwidth},
+			{"phy_pj_per_bit", m.PHYPJPerBit}}...); err != nil {
+			return cfg, err
+		}
 	}
 	if c := root.Child("niu"); c != nil {
 		cfg.NIU = &mc.NIUConfig{
@@ -82,14 +101,38 @@ func refToChipConfig(root *Component) (chip.Config, error) {
 			Count:     c.ParamInt("count", 1),
 			PJPerBit:  c.ParamFloat("pj_per_bit", 0) * 1e-12,
 		}
+		if err := refFinite(c, []refValue{{"bandwidth_gbps", cfg.NIU.Bandwidth},
+			{"pj_per_bit", cfg.NIU.PJPerBit}}...); err != nil {
+			return cfg, err
+		}
 	}
 	if c := root.Child("pcie"); c != nil {
 		cfg.PCIe = &mc.PCIeConfig{
 			Lanes:       c.ParamInt("lanes", 8),
 			GbpsPerLane: c.ParamFloat("gbps_per_lane", 2.5),
 		}
+		if err := refFinite(c, refValue{"gbps_per_lane", cfg.PCIe.GbpsPerLane}); err != nil {
+			return cfg, err
+		}
 	}
 	return cfg, nil
+}
+
+// refValue is a parameter's name and the value read for it.
+type refValue struct {
+	name string
+	v    float64
+}
+
+// refFinite returns a config error at c for the first value that is
+// NaN or infinite.
+func refFinite(c *Component, vals ...refValue) error {
+	for _, x := range vals {
+		if math.IsNaN(x.v) || math.IsInf(x.v, 0) {
+			return guard.Configf(c.ID, "%s is not finite", x.name)
+		}
+	}
+	return nil
 }
 
 func refToCoreConfig(c *Component) core.Config {

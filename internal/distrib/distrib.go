@@ -40,11 +40,9 @@ const (
 //
 // On a coordinated sweep (an exhaustive one with remotes), Workers
 // bounds candidate-level parallelism inside every worker's shard,
-// SynthWorkers reaches the built-in local worker only (remote workers
-// use their own process default), CandidateTimeout is forwarded to
-// every worker, OnProgress receives monotonic cross-shard progress,
-// and OnFrontUpdate fires once with the merged front. FailFast is not
-// applied there.
+// CandidateTimeout is forwarded to every worker, OnProgress receives
+// monotonic cross-shard progress, and OnFrontUpdate fires once with the
+// merged front. FailFast is not applied there.
 type Options struct {
 	explore.Options
 
@@ -91,12 +89,11 @@ type worker interface {
 }
 
 // localWorker evaluates shards in-process through the engine.
-type localWorker struct{ synthWorkers int }
+type localWorker struct{}
 
 func (localWorker) name() string { return "local" }
 
-func (w localWorker) run(ctx context.Context, spec ShardSpec, onProgress func(done, total int)) (*ShardResult, error) {
-	spec.SynthWorkers = w.synthWorkers
+func (localWorker) run(ctx context.Context, spec ShardSpec, onProgress func(done, total int)) (*ShardResult, error) {
 	res, err := EvalShard(ctx, spec, onProgress)
 	if err != nil && errors.Is(err, guard.ErrConfig) {
 		return nil, &permanentError{err}
@@ -279,7 +276,7 @@ func run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 
 	var workers []worker
 	if withLocal {
-		workers = append(workers, localWorker{synthWorkers: opts.SynthWorkers})
+		workers = append(workers, localWorker{})
 	}
 	for _, remote := range opts.Remotes {
 		base := NormalizeBase(remote)

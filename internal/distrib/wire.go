@@ -42,9 +42,6 @@ type ShardSpec struct {
 	// Workers bounds the engine's candidate-level parallelism inside
 	// the worker evaluating this shard (0 = the worker's GOMAXPROCS).
 	Workers int
-	// SynthWorkers bounds subsystem-synthesis parallelism inside each
-	// cold candidate (0 = process default).
-	SynthWorkers int
 	// CandidateTimeout is the per-candidate deadline (0 = none).
 	CandidateTimeout time.Duration
 }
@@ -223,7 +220,6 @@ func fromWire(c *ShardCandidate) explore.Candidate {
 func EvalShard(ctx context.Context, spec ShardSpec, onProgress func(done, total int)) (*ShardResult, error) {
 	opts := &explore.Options{
 		Workers:          spec.Workers,
-		SynthWorkers:     spec.SynthWorkers,
 		CandidateTimeout: spec.CandidateTimeout,
 		OnProgress:       onProgress,
 		Shard:            &explore.ShardRange{Start: spec.Start, End: spec.End},

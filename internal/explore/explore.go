@@ -258,13 +258,10 @@ type Options struct {
 	// <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 
-	// SynthWorkers bounds the subsystem-synthesis parallelism inside
-	// each candidate's cold chip assembly (cores, shared caches, MCs and
-	// I/O build concurrently; see chip.SetSynthWorkers). 0 selects the
-	// process default; 1 forces serial assembly. Serial and parallel
-	// assembly are bit-identical, so this only trades wall-clock against
-	// scheduling overhead when the sweep itself already saturates the
-	// machine.
+	// SynthWorkers changes nothing.
+	//
+	// Deprecated: chip assembly has one serial path; Workers is the
+	// sweep's parallelism.
 	SynthWorkers int
 
 	// CandidateTimeout is the per-candidate evaluation deadline; a
@@ -873,7 +870,7 @@ func evalCandidate(ctx context.Context, o *Options, p Params, cons Constraints, 
 		c := *cand
 		err := func() (err error) {
 			defer guard.Recover(&err, c.name())
-			return evaluate(p, cons, obj, o.SynthWorkers, &c)
+			return evaluate(p, cons, obj, &c)
 		}()
 		ch <- evalOut{c, err}
 	}()
@@ -897,7 +894,7 @@ var testEvalHook atomic.Pointer[func(c *Candidate)]
 // cand.Feasible == false means the point was legitimately rejected
 // (malformed combination or budget violation); a non-nil error is a hard
 // failure of the models themselves.
-func evaluate(p Params, cons Constraints, obj Objective, synthWorkers int, cand *Candidate) error {
+func evaluate(p Params, cons Constraints, obj Objective, cand *Candidate) error {
 	if hook := testEvalHook.Load(); hook != nil {
 		(*hook)(cand)
 	}
@@ -906,7 +903,7 @@ func evaluate(p Params, cons Constraints, obj Objective, synthWorkers int, cand 
 		cand.Reject = err.Error()
 		return nil // malformed point: infeasible, not fatal
 	}
-	proc, err := chip.NewWithWorkers(cfg, synthWorkers)
+	proc, err := chip.New(cfg)
 	if err != nil {
 		// Config/infeasibility errors are expected rejections of the
 		// point; internal faults and domain violations are not.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mcpat/internal/array"
-	"mcpat/internal/chip"
 	"mcpat/internal/component"
 	"mcpat/internal/distrib"
 	"mcpat/internal/persist"
@@ -191,11 +190,6 @@ type MetricsSnapshot struct {
 	// started (Bytes/Entries are the store's current totals; Enabled is
 	// false when the server runs without a cache directory).
 	Disk DiskCacheStatsJSON `json:"disk_cache"`
-	// SynthWorkers is the resolved per-evaluation subsystem-synthesis
-	// parallelism; SynthInflight is the number of subsystem builders
-	// executing right now (a point-in-time gauge).
-	SynthWorkers  int   `json:"synth_workers"`
-	SynthInflight int64 `json:"synth_inflight"`
 }
 
 func bucketLabel(i int) string {
@@ -231,12 +225,10 @@ func (m *metrics) snapshot() MetricsSnapshot {
 			Failed:     m.shardsFailed.Load(),
 			Candidates: m.shardCandidates.Load(),
 		},
-		Cache:         newCacheStatsJSON(array.Stats().Delta(m.cacheBase)),
-		Subsys:        newSubsysCacheStatsJSON(component.Stats().Delta(m.subsysBase)),
-		ArrayOpt:      newArrayOptStatsJSON(array.OptStats().Delta(m.optBase)),
-		Disk:          newDiskCacheStatsJSON(persist.DefaultStats().Delta(m.diskBase)),
-		SynthWorkers:  chip.SynthWorkers(),
-		SynthInflight: chip.SynthInflight(),
+		Cache:    newCacheStatsJSON(array.Stats().Delta(m.cacheBase)),
+		Subsys:   newSubsysCacheStatsJSON(component.Stats().Delta(m.subsysBase)),
+		ArrayOpt: newArrayOptStatsJSON(array.OptStats().Delta(m.optBase)),
+		Disk:     newDiskCacheStatsJSON(persist.DefaultStats().Delta(m.diskBase)),
 	}
 	if m.coord != nil {
 		st := m.coord.Snapshot()

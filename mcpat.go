@@ -568,19 +568,6 @@ func ResetArraySynthCache() { array.ResetCache() }
 // cold, cache-free run.
 func SetArraySynthCache(enabled bool) bool { return array.SetCacheEnabled(enabled) }
 
-// SetSynthWorkers sets the process-wide default for concurrent subsystem
-// synthesis during chip assembly (cores, shared caches, memory and I/O
-// controllers build in parallel on a bounded worker pool) and returns
-// the previous raw setting. 0 selects runtime.GOMAXPROCS(0) at build
-// time; 1 forces serial assembly. Parallel and serial assembly produce
-// bit-identical reports; results always fold in the pinned report
-// order.
-func SetSynthWorkers(n int) int { return chip.SetSynthWorkers(n) }
-
-// SynthInflight reports how many subsystem builders are executing right
-// now across all concurrent evaluations (an observability gauge).
-func SynthInflight() int64 { return chip.SynthInflight() }
-
 // SubsysCacheStats is a snapshot of the subsystem synthesis-cache
 // counters, broken down by component kind (core, cache, fabric, mc,
 // clock). See SubsysSynthCacheStats.
