@@ -19,8 +19,9 @@ import (
 // far beyond TDP, which /v1/evaluate answers with 422) exits 3 with the
 // guard's finding instead of printing as a valid chip; a plausible
 // input of the same chip still prints. mcpat prints the runtime power
-// /v1/evaluate returns, net of power-gating savings, and mcpat-trace
-// treats a bad -governor as a usage error.
+// /v1/evaluate returns, net of power-gating savings, rejects a zero flit
+// width as a configuration error at the fabric, and mcpat-trace treats a
+// bad -governor as a usage error.
 func TestCLIOutputGuard(t *testing.T) {
 	dir := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", dir, "./cmd/mcpat", "./cmd/mcpat-m5", "./cmd/mcpat-trace").CombinedOutput(); err != nil {
@@ -51,6 +52,11 @@ func TestCLIOutputGuard(t *testing.T) {
 		`<stat name="pipeline_duty" value="0.4"/><stat name="int_ops_per_cycle" value="0.3"/>`+
 		`<stat name="icache_access_per_cycle" value="0.5"/><stat name="decode_per_cycle" value="0.4"/>`, 1)
 	gatedXML := write("gated.xml", gated)
+	const flit = `<param name="flit_bits" value="128"></param>`
+	if !strings.Contains(doc.String(), flit) {
+		t.Fatalf("template has no %s", flit)
+	}
+	flit0XML := write("flit0.xml", strings.Replace(doc.String(), flit, `<param name="flit_bits" value="0"></param>`, 1))
 	gcfg, gstats, err := mcpat.LoadXML(strings.NewReader(gated))
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +95,8 @@ func TestCLIOutputGuard(t *testing.T) {
 		{"mcpat-m5", []string{"mcpat-m5", "-infile", chipXML, "-stats", plausible}, cliutil.ExitOK, "Die area", ""},
 		{"mcpat-m5 runtime beyond TDP", []string{"mcpat-m5", "-infile", chipXML, "-stats", hot}, cliutil.ExitInfeasible, "", guardFinding},
 		{"mcpat power-gated runtime", []string{"mcpat", "-infile", gatedXML}, cliutil.ExitOK, gatedLine, ""},
+		{"mcpat zero flit width", []string{"mcpat", "-infile", flit0XML}, cliutil.ExitConfig, "",
+			"invalid configuration at Niagara(T1).noc: "},
 		{"mcpat-trace bad governor", []string{"mcpat-trace", "-config", "examples/gem5-trace/config.json",
 			"-stats", "examples/gem5-trace/stats.txt", "-thermal", "-rtheta", "0.8", "-governor", "bogus"},
 			cliutil.ExitConfig, "", "unknown governor"},

@@ -1,11 +1,12 @@
 package chip
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"mcpat/internal/cache"
 	"mcpat/internal/clock"
-	"mcpat/internal/component"
 	"mcpat/internal/core"
 	"mcpat/internal/guard"
 	"mcpat/internal/interconnect"
@@ -19,15 +20,16 @@ import (
 //
 // New walks the subsystems table in order: every builder synthesizes its
 // subsystem through the memoized component layer (core.Synthesize,
-// cache.Synthesize, ...) and registers a part — the synthesized component
-// plus the closure mapping chip-level Stats to its activity assignment —
-// at a fixed report position. Build order and report order differ (the
-// fabric and clock size themselves from the area accumulated by
-// everything built before them, but report before the off-chip
-// interfaces), which is why parts carry positions instead of relying on
-// build sequence. The table order is also the floating-point
-// accumulation order of the component area, so it fixes every
-// downstream number.
+// cache.Synthesize, ...) and registers a part at a fixed report
+// position. A part is the one closure that scores its subsystem: it
+// turns the chip-level Stats into the subsystem's peak and runtime
+// activity and builds its report subtree from the synthesized models it
+// captured. Build order and report order differ (the fabric and clock
+// size themselves from the area accumulated by everything built before
+// them, but report before the off-chip interfaces), which is why parts
+// carry positions instead of relying on build sequence. The table order
+// is also the floating-point accumulation order of the component area,
+// so it fixes every downstream number.
 //
 // Chips are assembled serially: sweeps, shards and concurrent requests
 // already evaluate many chips at once, so parallelism comes from the
@@ -49,6 +51,15 @@ const (
 	posOther
 	numPos
 )
+
+// part scores one subsystem: it maps the chip-level runtime statistics
+// to the subsystem's report subtree, drawing every Item from ar (nil =
+// heap). A part reads the synthesized models it captured and never
+// mutates them, so one memoized model can back any number of chips
+// concurrently. Where a model's report roots itself in the Name it was
+// first synthesized under, the part renames the root to this chip's
+// name (child names are constants, so only the root needs renaming).
+type part func(ar *power.Arena, s *Stats) *power.Item
 
 // subsystems is the assembly registry, in build order. Adding a
 // subsystem to the chip means adding a row here (and a position above),
@@ -79,31 +90,24 @@ type builder struct {
 	path string  // guard path prefix for error attribution
 	base float64 // accumulated component area (m^2), pre-overhead
 	part [numPos]part
-	has  [numPos]bool
-}
-
-func (b *builder) add(pos int, comp component.Component, assign func(*Stats) component.Assignment) {
-	b.part[pos] = part{comp: comp, assign: assign}
-	b.has[pos] = true
 }
 
 // finish compacts the registered parts into report order, sized exactly
 // so the report's child fold never regrows the slice.
 func (b *builder) finish() {
 	n := 0
-	for _, ok := range b.has {
-		if ok {
+	for _, pt := range b.part {
+		if pt != nil {
 			n++
 		}
 	}
 	parts := make([]part, 0, n)
-	for i := range b.part {
-		if b.has[i] {
-			parts = append(parts, b.part[i])
+	for _, pt := range b.part {
+		if pt != nil {
+			parts = append(parts, pt)
 		}
 	}
 	b.p.parts = parts
-	b.p.baseArea = b.base
 }
 
 // assemble walks the registry in order and stops at the first builder
@@ -148,15 +152,18 @@ func buildCores(b *builder) (float64, error) {
 	} else {
 		b.p.corePeak = core.PeakActivity(ccfg)
 	}
-	area := cm.Area() * float64(cfg.NumCores)
 
-	peak := b.p.corePeak
-	b.add(posCores,
-		&coreComponent{name: ccfg.Name, n: float64(cfg.NumCores), core: cm},
-		func(s *Stats) component.Assignment {
-			return component.Assignment{Vec: core.ActivityPair{Peak: peak, Run: s.CoreRun}}
-		})
-	return area, nil
+	name, n, peak := ccfg.Name, float64(cfg.NumCores), &b.p.corePeak
+	b.part[posCores] = func(ar *power.Arena, s *Stats) *power.Item {
+		rep := cm.ReportIn(ar, *peak, s.CoreRun)
+		rep.Name = name
+		group := ar.NewItemN("Cores", 1)
+		group.Add(rep)
+		group.Rollup()
+		group.Scale(n)
+		return group
+	}
+	return cm.Area() * float64(cfg.NumCores), nil
 }
 
 // chipCacheCfg completes a shared-cache template with the chip-wide
@@ -190,14 +197,12 @@ func buildL2(b *builder) (float64, error) {
 	// miss/traffic rate the cores can generate (~2 L2 accesses per core
 	// per cycle at saturation).
 	acc := cfg.L2PeakDuty * float64(minInt(c.Cfg().Banks, 2*cfg.NumCores)) * cfg.ClockHz
-	b.add(posL2,
-		&cacheComponent{name: cfg.L2.Name, cache: c},
-		func(s *Stats) component.Assignment {
-			return component.Assignment{
-				Peak: power.Activity{Reads: acc * cachePeakReadFrac, Writes: acc * cachePeakWriteFrac},
-				Run:  power.Activity{Reads: s.L2Reads, Writes: s.L2Writes},
-			}
-		})
+	name, peakR, peakW := cfg.L2.Name, acc*cachePeakReadFrac, acc*cachePeakWriteFrac
+	b.part[posL2] = func(ar *power.Arena, s *Stats) *power.Item {
+		item := c.ReportIn(ar, peakR, peakW, s.L2Reads, s.L2Writes)
+		item.Name = name
+		return item
+	}
 	return c.Area, nil
 }
 
@@ -213,14 +218,12 @@ func buildL3(b *builder) (float64, error) {
 	b.p.L3 = c
 
 	acc := cfg.L3PeakDuty * float64(minInt(c.Cfg().Banks, 2*cfg.NumCores)) * cfg.ClockHz
-	b.add(posL3,
-		&cacheComponent{name: cfg.L3.Name, cache: c},
-		func(s *Stats) component.Assignment {
-			return component.Assignment{
-				Peak: power.Activity{Reads: acc * cachePeakReadFrac, Writes: acc * cachePeakWriteFrac},
-				Run:  power.Activity{Reads: s.L3Reads, Writes: s.L3Writes},
-			}
-		})
+	name, peakR, peakW := cfg.L3.Name, acc*cachePeakReadFrac, acc*cachePeakWriteFrac
+	b.part[posL3] = func(ar *power.Arena, s *Stats) *power.Item {
+		item := c.ReportIn(ar, peakR, peakW, s.L3Reads, s.L3Writes)
+		item.Name = name
+		return item
+	}
 	return c.Area, nil
 }
 
@@ -233,18 +236,16 @@ func buildFPU(b *builder) (float64, error) {
 	if err != nil {
 		return 0, guard.At(err, b.path)
 	}
-	b.p.fpu = pat
-	n := float64(cfg.SharedFPUs)
 
-	hz := cfg.ClockHz
-	b.add(posFPU,
-		&fpuComponent{pat: pat, n: n},
-		func(s *Stats) component.Assignment {
-			return component.Assignment{
-				Peak: power.Activity{Reads: 0.5 * n * hz},
-				Run:  power.Activity{Reads: s.FPOpsPerSec},
-			}
-		})
+	n := float64(cfg.SharedFPUs)
+	peak := power.Activity{Reads: 0.5 * n * cfg.ClockHz}
+	b.part[posFPU] = func(ar *power.Arena, s *Stats) *power.Item {
+		fpu := ar.FromPAT("SharedFPU", pat, peak, power.Activity{Reads: s.FPOpsPerSec})
+		fpu.Area = pat.Area * n
+		fpu.SubLeak = pat.Static.Sub * n
+		fpu.GateLeak = pat.Static.Gate * n
+		return fpu
+	}
 	return pat.Area * n, nil
 }
 
@@ -267,14 +268,19 @@ func buildMC(b *builder) (float64, error) {
 	if cfg.MC.PeakBandwidth > 0 {
 		peakTxn = cfg.MCPeakUtil * cfg.MC.PeakBandwidth / 64
 	}
-	b.add(posMC,
-		&mcComponent{ctl: ctl},
-		func(s *Stats) component.Assignment {
-			return component.Assignment{
-				Peak: power.Activity{Reads: peakTxn * 0.6, Writes: peakTxn * 0.4},
-				Run:  power.Activity{Reads: s.MCAccesses * 0.6, Writes: s.MCAccesses * 0.4},
-			}
-		})
+	// Read/write transaction rates apply uniformly to the front end,
+	// transaction engine, and PHY.
+	peak := power.Activity{Reads: peakTxn * 0.6, Writes: peakTxn * 0.4}
+	b.part[posMC] = func(ar *power.Arena, s *Stats) *power.Item {
+		run := power.Activity{Reads: s.MCAccesses * 0.6, Writes: s.MCAccesses * 0.4}
+		rep := ar.NewItemN("MemoryController", 3)
+		rep.Add(
+			ar.FromPAT("frontend", ctl.FrontEnd, peak, run),
+			ar.FromPAT("backend", ctl.Backend, peak, run),
+			ar.FromPAT("phy", ctl.PHY, peak, run),
+		)
+		return rep
+	}
 	return ctl.Area, nil
 }
 
@@ -291,17 +297,11 @@ func buildNIU(b *builder) (float64, error) {
 	if err != nil {
 		return 0, guard.Wrap(guard.ErrConfig, b.path+".niu", err)
 	}
-	b.p.niu = &pat
 
-	peakBits := 2 * cfg.NIU.Bandwidth * float64(maxInt(cfg.NIU.Count, 1))
-	b.add(posNIU,
-		&ioComponent{name: "NIU", pat: pat},
-		func(s *Stats) component.Assignment {
-			return component.Assignment{
-				Peak: power.Activity{Reads: peakBits},
-				Run:  power.Activity{Reads: s.NIUBitsPerSec},
-			}
-		})
+	peak := power.Activity{Reads: 2 * cfg.NIU.Bandwidth * float64(maxInt(cfg.NIU.Count, 1))}
+	b.part[posNIU] = func(ar *power.Arena, s *Stats) *power.Item {
+		return ar.FromPAT("NIU", pat, peak, power.Activity{Reads: s.NIUBitsPerSec})
+	}
 	return pat.Area, nil
 }
 
@@ -318,98 +318,112 @@ func buildPCIe(b *builder) (float64, error) {
 	if err != nil {
 		return 0, guard.Wrap(guard.ErrConfig, b.path+".pcie", err)
 	}
-	b.p.pcie = &pat
 
 	lanes := float64(maxInt(cfg.PCIe.Lanes, 1))
 	gbps := cfg.PCIe.GbpsPerLane
 	if gbps <= 0 {
 		gbps = 2.5
 	}
-	peakBits := lanes * gbps * 1e9
-	b.add(posPCIe,
-		&ioComponent{name: "PCIe", pat: pat},
-		func(s *Stats) component.Assignment {
-			return component.Assignment{
-				Peak: power.Activity{Reads: peakBits},
-				Run:  power.Activity{Reads: s.PCIeBitsPerSec},
-			}
-		})
+	peak := power.Activity{Reads: lanes * gbps * 1e9}
+	b.part[posPCIe] = func(ar *power.Arena, s *Stats) *power.Item {
+		return ar.FromPAT("PCIe", pat, peak, power.Activity{Reads: s.PCIeBitsPerSec})
+	}
 	return pat.Area, nil
 }
 
+// buildFabric synthesizes the configured fabric; every failure is a
+// configuration error at the chip's ".noc" path.
 func buildFabric(b *builder) (float64, error) {
+	if err := synthFabric(b); err != nil {
+		return 0, guard.Wrap(guard.ErrConfig, b.path+".noc", err)
+	}
+	return 0, nil
+}
+
+// synthFabric synthesizes the fabric's routers and links, registers its
+// part, and folds their areas into b.base. The part's peak and runtime
+// rates are flits (or transfers) per second per router, link, or bus.
+func synthFabric(b *builder) error {
 	cfg := &b.p.Cfg
+	noc := &cfg.NoC
 	p := b.p
 	node := b.node
 	hz := cfg.ClockHz
 	chipSide := math.Sqrt(b.base * 1.1)
 	var err error
-	switch cfg.NoC.Kind {
+	switch noc.Kind {
+	case NoneIC:
+		return nil
 	case Mesh:
-		mx, my := cfg.NoC.MeshX, cfg.NoC.MeshY
+		mx, my := noc.MeshX, noc.MeshY
 		if mx <= 0 || my <= 0 {
-			return 0, guard.Configf(b.path+".noc", "mesh NoC requires MeshX/MeshY")
+			return errors.New("mesh NoC requires MeshX/MeshY")
 		}
 		// The router's local port fans out to the whole cluster: with
 		// clustering the router serves ClusterSize cores plus the L2
 		// slice, so give it one extra port beyond the 4 mesh directions.
 		ports := 5
-		if cfg.NoC.ClusterSize > 1 {
+		if noc.ClusterSize > 1 {
 			ports = 6
 		}
 		if p.router, err = interconnect.SynthesizeRouter(interconnect.RouterConfig{
 			Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
-			FlitBits: cfg.NoC.FlitBits, Ports: ports,
-			VirtualChannels: cfg.NoC.VirtualChannels, BuffersPerVC: cfg.NoC.BuffersPerVC,
+			FlitBits: noc.FlitBits, Ports: ports,
+			VirtualChannels: noc.VirtualChannels, BuffersPerVC: noc.BuffersPerVC,
 			Clock: cfg.ClockHz,
 		}); err != nil {
-			return 0, err
+			return err
 		}
 		if p.link, err = interconnect.SynthesizeLink(interconnect.LinkConfig{
 			Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
 			Projection: cfg.WireProjection,
-			FlitBits:   cfg.NoC.FlitBits, Length: chipSide / float64(mx), Clock: cfg.ClockHz,
+			FlitBits:   noc.FlitBits, Length: chipSide / float64(mx), Clock: cfg.ClockHz,
 		}); err != nil {
-			return 0, err
+			return err
 		}
-		if cfg.NoC.ClusterSize > 1 {
+		if noc.ClusterSize > 1 {
 			// Intra-cluster bus spanning one mesh tile, connecting the
 			// cluster's cores and its L2 slice to the router.
 			if p.clusterBus, err = interconnect.SynthesizeBus(interconnect.BusConfig{
 				Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
-				Bits: cfg.NoC.FlitBits, Length: chipSide / float64(mx),
-				Agents: cfg.NoC.ClusterSize + 2, Clock: cfg.ClockHz,
+				Bits: noc.FlitBits, Length: chipSide / float64(mx),
+				Agents: noc.ClusterSize + 2, Clock: cfg.ClockHz,
 			}); err != nil {
-				return 0, err
+				return err
 			}
 		}
-		nr := float64(mx * my)
-		nl := float64(linkCount(mx, my))
-		clustered := p.clusterBus != nil
+		router, link, bus := p.router, p.link, p.clusterBus
+		nr, nl := float64(mx*my), float64(linkCount(mx, my))
 		const peakDuty = 0.4 // flits per router per cycle at TDP
-		b.add(posFabric,
-			&fabricComponent{kind: Mesh, router: p.router, link: p.link,
-				clusterBus: p.clusterBus, routers: nr, links: nl},
-			func(s *Stats) component.Assignment {
-				a := component.Assignment{
-					Peak: power.Activity{Reads: peakDuty * hz},
-					Run:  power.Activity{Reads: s.NoCFlits},
-				}
-				if clustered {
-					a.AuxPeak = power.Activity{Reads: 0.6 * hz}
-					a.AuxRun = power.Activity{Reads: s.ClusterBusTransfers}
-				}
-				return a
-			})
+		peak, busPeak := power.Activity{Reads: peakDuty * hz}, power.Activity{Reads: 0.6 * hz}
+		b.part[posFabric] = func(ar *power.Arena, s *Stats) *power.Item {
+			run := power.Activity{Reads: s.NoCFlits}
+			ic := ar.NewItemN("NoC", 3)
+			routers := ar.FromPAT("routers", router.PAT, peak, run)
+			routers.Scale(nr)
+			links := ar.FromPAT("links", link.PAT, peak, run)
+			links.Scale(nl)
+			ic.Add(routers, links)
+			if bus != nil {
+				buses := ar.FromPAT("clusterbus", bus.PAT, busPeak, power.Activity{Reads: s.ClusterBusTransfers})
+				buses.Scale(nr)
+				ic.Add(buses)
+			}
+			return ic
+		}
+		b.base += router.Area*nr + link.Area*nl
+		if bus != nil {
+			b.base += bus.Area * nr
+		}
 	case Ring:
 		stations := cfg.NumCores + banksOf(cfg.L2)
 		if p.router, err = interconnect.SynthesizeRouter(interconnect.RouterConfig{
 			Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
-			FlitBits: cfg.NoC.FlitBits, Ports: 3,
-			VirtualChannels: cfg.NoC.VirtualChannels, BuffersPerVC: cfg.NoC.BuffersPerVC,
+			FlitBits: noc.FlitBits, Ports: 3,
+			VirtualChannels: noc.VirtualChannels, BuffersPerVC: noc.BuffersPerVC,
 			Clock: cfg.ClockHz,
 		}); err != nil {
-			return 0, err
+			return err
 		}
 		// The ring snakes through the floorplan: total length ~2 chip
 		// perimeters, split evenly between stations.
@@ -417,71 +431,62 @@ func buildFabric(b *builder) (float64, error) {
 		if p.link, err = interconnect.SynthesizeLink(interconnect.LinkConfig{
 			Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
 			Projection: cfg.WireProjection,
-			FlitBits:   cfg.NoC.FlitBits, Length: ringLen / float64(stations), Clock: cfg.ClockHz,
+			FlitBits:   noc.FlitBits, Length: ringLen / float64(stations), Clock: cfg.ClockHz,
 		}); err != nil {
-			return 0, err
+			return err
 		}
 		// Every flit traverses ~stations/4 hops on average, so per-router
 		// forwarding duty runs high at TDP.
 		const peakDuty = 0.5
-		ns := float64(stations)
-		b.add(posFabric,
-			&fabricComponent{kind: Ring, router: p.router, link: p.link, routers: ns, links: ns},
-			func(s *Stats) component.Assignment {
-				return component.Assignment{
-					Peak: power.Activity{Reads: peakDuty * hz},
-					Run:  power.Activity{Reads: s.NoCFlits},
-				}
-			})
+		router, link, ns := p.router, p.link, float64(stations)
+		peak := power.Activity{Reads: peakDuty * hz}
+		b.part[posFabric] = func(ar *power.Arena, s *Stats) *power.Item {
+			run := power.Activity{Reads: s.NoCFlits}
+			ic := ar.NewItemN("Ring", 2)
+			routers := ar.FromPAT("routers", router.PAT, peak, run)
+			routers.Scale(ns)
+			links := ar.FromPAT("links", link.PAT, peak, run)
+			links.Scale(ns)
+			ic.Add(routers, links)
+			return ic
+		}
+		b.base += (router.Area + link.Area) * ns
 	case Bus:
 		if p.link, err = interconnect.SynthesizeBus(interconnect.BusConfig{
 			Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
-			Bits: cfg.NoC.FlitBits, Length: chipSide,
+			Bits: noc.FlitBits, Length: chipSide,
 			Agents: cfg.NumCores + maxInt(1, banksOf(cfg.L2)), Clock: cfg.ClockHz,
 		}); err != nil {
-			return 0, err
+			return err
 		}
 		const peakDuty = 0.8
-		b.add(posFabric,
-			&fabricComponent{kind: Bus, link: p.link},
-			func(s *Stats) component.Assignment {
-				return component.Assignment{
-					Peak: power.Activity{Reads: peakDuty * hz},
-					Run:  power.Activity{Reads: s.NoCFlits},
-				}
-			})
+		b.part[posFabric] = linkFabric("Bus", "bus", p.link, peakDuty*hz)
+		b.base += p.link.Area
 	case Crossbar:
 		if p.link, err = interconnect.SynthesizeCrossbar(interconnect.CrossbarConfig{
 			Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
 			InPorts: cfg.NumCores + 1, OutPorts: maxInt(1, banksOf(cfg.L2)) + 1,
-			Bits: cfg.NoC.FlitBits, SpanLength: 0.35 * chipSide,
+			Bits: noc.FlitBits, SpanLength: 0.35 * chipSide,
 		}); err != nil {
-			return 0, err
+			return err
 		}
 		peakDuty := 0.5 * float64(cfg.NumCores) // port pairs busy at TDP
-		b.add(posFabric,
-			&fabricComponent{kind: Crossbar, link: p.link},
-			func(s *Stats) component.Assignment {
-				return component.Assignment{
-					Peak: power.Activity{Reads: peakDuty * hz},
-					Run:  power.Activity{Reads: s.NoCFlits},
-				}
-			})
-	}
-	switch {
-	case cfg.NoC.Kind == Ring:
-		stations := float64(cfg.NumCores + banksOf(cfg.L2))
-		b.base += (p.router.Area + p.link.Area) * stations
-	case p.router != nil:
-		b.base += p.router.Area*float64(cfg.NoC.MeshX*cfg.NoC.MeshY) +
-			p.link.Area*float64(linkCount(cfg.NoC.MeshX, cfg.NoC.MeshY))
-		if p.clusterBus != nil {
-			b.base += p.clusterBus.Area * float64(cfg.NoC.MeshX*cfg.NoC.MeshY)
-		}
-	case p.link != nil:
+		b.part[posFabric] = linkFabric("Crossbar", "crossbar", p.link, peakDuty*hz)
 		b.base += p.link.Area
+	default:
+		return fmt.Errorf("unknown fabric kind %d (none|bus|crossbar|mesh|ring)", int(noc.Kind))
 	}
-	return 0, nil
+	return nil
+}
+
+// linkFabric scores a single-link fabric (shared bus or crossbar) driven
+// at peak transfers per second at TDP.
+func linkFabric(group, leaf string, link *interconnect.Link, peak float64) part {
+	return func(ar *power.Arena, s *Stats) *power.Item {
+		ic := ar.NewItemN(group, 1)
+		ic.Add(ar.FromPAT(leaf, link.PAT, power.Activity{Reads: peak}, power.Activity{Reads: s.NoCFlits}))
+		return ic
+	}
 }
 
 func buildClock(b *builder) (float64, error) {
@@ -498,31 +503,39 @@ func buildClock(b *builder) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	b.p.clk = net
 
-	b.add(posClock,
-		&clockComponent{net: net, gating: cfg.ClockGating},
-		func(s *Stats) component.Assignment {
-			var a component.Assignment
-			if s.CoreRun.PipelineDuty > 0 || s.L2Reads > 0 || s.NoCFlits > 0 {
-				util := s.CoreRun.PipelineDuty
-				if util <= 0 {
-					util = 0.5
-				}
-				a.Run.Reads = util
-			}
-			return a
-		})
+	gating := cfg.ClockGating
+	b.part[posClock] = func(ar *power.Arena, s *Stats) *power.Item {
+		clk := ar.NewItem("ClockNetwork")
+		clk.Area = net.Area
+		clk.PeakDynamic = net.PowerPeak
+		clk.SubLeak = net.Static.Sub
+		clk.GateLeak = net.Static.Gate
+		// Runtime clock power follows the pipeline duty; shared-cache or
+		// fabric traffic without one floors it at 0.5. With no runtime
+		// statistics only the TDP column is populated.
+		util := s.CoreRun.PipelineDuty
+		if util <= 0 && (s.L2Reads > 0 || s.NoCFlits > 0) {
+			util = 0.5
+		}
+		if util > 0 {
+			// Same network, gated down with activity.
+			clk.RuntimeDynamic = net.PowerMax * (0.35 + 0.65*util) * gating
+		}
+		return clk
+	}
 	return 0, nil
 }
 
 func buildOther(b *builder) (float64, error) {
-	cfg := &b.p.Cfg
-	if cfg.OtherArea <= 0 {
+	area := b.p.Cfg.OtherArea
+	if area <= 0 {
 		return 0, nil
 	}
-	b.add(posOther,
-		&staticComponent{item: power.Item{Name: "Other(unmodeled)", Area: cfg.OtherArea}},
-		func(*Stats) component.Assignment { return component.Assignment{} })
+	b.part[posOther] = func(ar *power.Arena, _ *Stats) *power.Item {
+		it := ar.NewItem("Other(unmodeled)")
+		it.Area = area
+		return it
+	}
 	return 0, nil
 }

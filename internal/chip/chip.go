@@ -9,12 +9,10 @@ import (
 	"fmt"
 
 	"mcpat/internal/cache"
-	"mcpat/internal/clock"
 	"mcpat/internal/core"
 	"mcpat/internal/guard"
 	"mcpat/internal/interconnect"
 	"mcpat/internal/mc"
-	"mcpat/internal/power"
 	"mcpat/internal/tech"
 )
 
@@ -185,19 +183,17 @@ type Processor struct {
 	router     *interconnect.Router
 	link       *interconnect.Link // mesh link, bus, or crossbar
 	clusterBus *interconnect.Link // intra-cluster bus (clustered meshes)
-	fpu        power.PAT
 	mcCtl      *mc.Controller
-	niu        *power.PAT
-	pcie       *power.PAT
-	clk        *clock.Network
 
 	corePeak core.Activity
-	baseArea float64 // component area before top-level overheads
 
-	// parts is the scored component list in report order: each entry
-	// pairs a synthesized (possibly shared, memoized) component with the
-	// closure deriving its activity assignment from runtime Stats.
+	// parts scores the subsystems in report order; each closure reads
+	// its synthesized (possibly shared, memoized) models.
 	parts []part
+
+	// reportPath is the guard path Score faults are reported at,
+	// "<name>.Report", built once so a Score pass allocates no string.
+	reportPath string
 
 	// Score-time operating point. Synthesis is temperature-invariant
 	// (parts are solved at the node's reference temperature and the tech
@@ -255,7 +251,7 @@ func New(cfg Config) (_ *Processor, err error) {
 		cfg.ClockGating = 0.75
 	}
 
-	p := &Processor{Cfg: cfg, Tech: node, freqFrac: 1, vddFrac: 1}
+	p := &Processor{Cfg: cfg, Tech: node, reportPath: path + ".Report", freqFrac: 1, vddFrac: 1}
 	p.scoreTempK = node.Temperature
 	p.leakScale = 1
 	if cfg.Temperature > 0 {

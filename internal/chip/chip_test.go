@@ -10,6 +10,7 @@ import (
 	"mcpat/internal/core"
 	"mcpat/internal/guard"
 	"mcpat/internal/mc"
+	"mcpat/internal/power"
 	"mcpat/internal/tech"
 )
 
@@ -93,11 +94,29 @@ func TestInterconnectKinds(t *testing.T) {
 	}
 }
 
+// TestMeshRequiresTopology pins the fabric's configuration errors: an
+// unknown kind, a zero flit width on any fabric, and a mesh without
+// topology are each an ErrConfig at the chip's ".noc" path.
 func TestMeshRequiresTopology(t *testing.T) {
-	cfg := manycoreCfg(8, Mesh)
-	cfg.NoC.MeshX, cfg.NoC.MeshY = 0, 0
-	if _, err := New(cfg); err == nil {
-		t.Error("mesh without topology must fail")
+	for _, tc := range []struct {
+		name   string
+		kind   InterconnectKind
+		mutate func(*NoCSpec)
+	}{
+		{"kind 9", 9, func(*NoCSpec) {}},
+		{"kind -1", -1, func(*NoCSpec) {}},
+		{"bus flit 0", Bus, func(n *NoCSpec) { n.FlitBits = 0 }},
+		{"crossbar flit 0", Crossbar, func(n *NoCSpec) { n.FlitBits = 0 }},
+		{"mesh flit 0", Mesh, func(n *NoCSpec) { n.FlitBits = 0 }},
+		{"ring flit 0", Ring, func(n *NoCSpec) { n.FlitBits = 0 }},
+		{"mesh without topology", Mesh, func(n *NoCSpec) { n.MeshX, n.MeshY = 0, 0 }},
+	} {
+		cfg := manycoreCfg(8, tc.kind)
+		tc.mutate(&cfg.NoC)
+		p, err := New(cfg)
+		if p != nil || !errors.Is(err, guard.ErrConfig) || guard.PathOf(err) != "cmp.noc" {
+			t.Errorf("%s: New built a chip: %t, err %v; want ErrConfig at cmp.noc", tc.name, p != nil, err)
+		}
 	}
 }
 
@@ -113,6 +132,32 @@ func TestPanickingBuilderIsInternal(t *testing.T) {
 	p, err := New(manycoreCfg(8, Mesh))
 	if p != nil || !errors.Is(err, guard.ErrInternal) || guard.PathOf(err) != "cmp" {
 		t.Fatalf("New = %v, %v; want nil and ErrInternal at cmp", p, err)
+	}
+}
+
+// TestPanickingPartIsInternal pins the Score containment boundary: a
+// part that panics makes ReportE and ReportArena return ErrInternal at
+// "<name>.Report", and Report the empty item named after the chip.
+func TestPanickingPartIsInternal(t *testing.T) {
+	p, err := New(manycoreCfg(8, Mesh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.parts[1] = func(*power.Arena, *Stats) *power.Item { panic("poisoned l2") }
+
+	var ar power.Arena
+	for name, report := range map[string]func() (*power.Item, error){
+		"ReportE":     func() (*power.Item, error) { return p.ReportE(runStats()) },
+		"ReportArena": func() (*power.Item, error) { return p.ReportArena(runStats(), &ar) },
+	} {
+		rep, err := report()
+		if rep != nil || !errors.Is(err, guard.ErrInternal) || guard.PathOf(err) != "cmp.Report" {
+			t.Errorf("%s = %v, %v; want nil and ErrInternal at cmp.Report", name, rep, err)
+		}
+	}
+	rep := p.Report(nil)
+	if rep.Name != "cmp" || len(rep.Children) != 0 || rep.Area != 0 || rep.Peak() != 0 {
+		t.Errorf("Report = %+v; want the empty item named cmp", *rep)
 	}
 }
 

@@ -28,13 +28,8 @@ func (p *Processor) Report(stats *Stats) *power.Item {
 // ReportE is Report with the panic-containment boundary exposed: a fault
 // inside the models surfaces as an ErrInternal instead of a crash or a
 // silently empty report.
-func (p *Processor) ReportE(stats *Stats) (rep *power.Item, err error) {
-	path := p.Cfg.Name
-	if path == "" {
-		path = "chip"
-	}
-	defer guard.Recover(&err, path+".Report")
-	return p.buildReport(stats), nil
+func (p *Processor) ReportE(stats *Stats) (*power.Item, error) {
+	return p.ReportArena(stats, nil)
 }
 
 // Check synthesizes the report and runs the output sanity guard over it:
@@ -54,40 +49,26 @@ func (p *Processor) Check(stats *Stats) (*power.Item, guard.Diagnostics, error) 
 // the per-interval fast path of the trace engine, which scores the same
 // synthesized chip once per statistics interval and resets the arena
 // between intervals. Arena and heap reports run through the single
-// buildReport code path, so they are bit-identical; the returned tree
+// buildReportIn code path, so they are bit-identical; the returned tree
 // is valid only until ar.Reset (see power.Arena). A nil ar degrades to
 // plain heap allocation.
 func (p *Processor) ReportArena(stats *Stats, ar *power.Arena) (rep *power.Item, err error) {
-	path := p.Cfg.Name
-	if path == "" {
-		path = "chip"
-	}
-	defer guard.Recover(&err, path+".Report")
+	defer guard.Recover(&err, p.reportPath)
 	return p.buildReportIn(ar, stats), nil
 }
 
-// buildReport folds the scored parts list (fixed in report order at
-// assembly time) into the chip's hierarchical report: every part maps
-// the runtime statistics through its assignment closure and scores its
-// synthesized component; the rollup then sums children in list order,
+// buildReportIn folds the parts list (fixed in report order at assembly
+// time) into the chip's hierarchical report, drawing every Item from ar
+// (nil = heap): each part scores its subsystem for the runtime
+// statistics, and the rollup then sums children in list order,
 // preserving the pre-registry floating-point accumulation exactly.
-func (p *Processor) buildReport(stats *Stats) *power.Item {
-	return p.buildReportIn(nil, stats)
-}
-
-// buildReportIn is buildReport with every Item drawn from ar (nil =
-// heap). The arena is threaded to each part through its Assignment, so
-// all subsystem Score adapters share one slab per pass.
 func (p *Processor) buildReportIn(ar *power.Arena, stats *Stats) *power.Item {
 	if stats == nil {
 		stats = &Stats{}
 	}
 	item := ar.NewItemN(p.Cfg.Name, len(p.parts))
-	for i := range p.parts {
-		pt := &p.parts[i]
-		a := pt.assign(stats)
-		a.Arena = ar
-		item.Add(pt.comp.Score(a))
+	for _, score := range p.parts {
+		item.Add(score(ar, stats))
 	}
 	item.Rollup()
 	item.Area *= topLevelOverhead

@@ -1,12 +1,11 @@
-// Package component defines the chip-level two-phase component contract
-// and the subsystem-level synthesis cache that makes design-space sweeps
-// incremental.
+// Package component holds what every synthesized chip subsystem shares:
+// the Kind of subsystem it belongs to, and the subsystem-level synthesis
+// memo that makes design-space sweeps incremental.
 //
 // McPAT's composability comes from one uniform result shape: every block
 // — wire, array, functional unit, core, fabric — reduces to the same
 // power/area/timing triple, so a chip is just a tree of such results.
-// This package makes the second half of that idea explicit by splitting
-// every chip subsystem into two phases:
+// Each chip subsystem is built in two phases:
 //
 //   - Synthesize: config-dependent and expensive. Geometry, energies and
 //     leakage are solved once per distinct configuration (what core.New,
@@ -14,19 +13,16 @@
 //     Synthesis results are memoized process-wide (see Memoize), keyed by
 //     a canonical config value plus the technology node's fingerprint.
 //
-//   - Score: cheap and pure. A synthesized component maps an Assignment —
-//     the peak (TDP) and runtime activity it is driven with — to a report
-//     Item. Scoring never mutates the component, so one synthesized
-//     instance may be shared by any number of chips concurrently.
+//   - Score: cheap and pure. chip.New registers one closure per chip
+//     part that maps the peak (TDP) and runtime activity to the part's
+//     report subtree; chip.Report is a fold over those closures. Scoring
+//     never mutates a synthesized model, so one memoized instance may be
+//     shared by any number of chips concurrently.
 //
-// chip.New assembles a processor as a registry of Components paired with
-// assignment closures; chip.Report is then a pure Score pass. A DSE sweep
-// that varies only one subsystem's knobs re-synthesizes only that
-// subsystem — delta re-evaluation falls out of the cache keying rather
-// than from any sweep-specific logic.
+// A DSE sweep that varies only one subsystem's knobs re-synthesizes only
+// that subsystem — delta re-evaluation falls out of the cache keying
+// rather than from any sweep-specific logic.
 package component
-
-import "mcpat/internal/power"
 
 // Kind identifies the subsystem family a synthesized component belongs
 // to. The memo layer keeps per-kind reuse counters so sweeps can report
@@ -68,40 +64,4 @@ func (k Kind) String() string {
 		return "clock"
 	}
 	return "unknown"
-}
-
-// Assignment is the Score-phase input: the activity a component is
-// driven with under TDP and runtime conditions. Which fields a component
-// reads is part of its contract; unused fields are ignored.
-type Assignment struct {
-	// Peak and Run are the TDP and runtime activity vectors for
-	// components driven by a single access stream (caches, fabrics,
-	// memory and I/O controllers).
-	Peak, Run power.Activity
-
-	// AuxPeak and AuxRun carry a second activity stream where one
-	// exists (the intra-cluster bus of a clustered mesh fabric).
-	AuxPeak, AuxRun power.Activity
-
-	// Vec carries a component-specific activity payload that does not
-	// reduce to plain read/write rates — the core's full per-structure
-	// activity vector. Components that use Vec document the concrete
-	// type they expect.
-	Vec any
-
-	// Arena, when non-nil, supplies bump-allocated report Items for the
-	// Score pass (the trace engine's per-interval hot path). Items drawn
-	// from it are valid only until the arena is reset, so callers that
-	// set it own the lifetime of the returned tree. A nil Arena keeps
-	// every Score result on the heap; both paths run identical
-	// arithmetic, so the reports are bit-identical.
-	Arena *power.Arena
-}
-
-// Component is a synthesized chip subsystem ready for scoring. Score
-// maps an activity assignment to the subsystem's report subtree; it must
-// be pure (no mutation of the component, fresh Items every call) so that
-// memoized components can be shared across chips and goroutines.
-type Component interface {
-	Score(a Assignment) *power.Item
 }

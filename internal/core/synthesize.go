@@ -2,13 +2,6 @@ package core
 
 import "mcpat/internal/component"
 
-// ActivityPair is the Score-phase payload of a core component, carried
-// in component.Assignment.Vec: the TDP activity vector plus the measured
-// runtime vector (events/cycle each).
-type ActivityPair struct {
-	Peak, Run Activity
-}
-
 // synthKey canonically identifies one core synthesis. The embedded
 // Config is normalized (every default applied) with Tech replaced by the
 // node's value fingerprint and Name cleared — Name only labels reports

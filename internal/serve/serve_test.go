@@ -208,6 +208,20 @@ func TestEvaluateBadRequests(t *testing.T) {
 		t.Fatalf("unknown preset: status %d body %s", resp.StatusCode, body)
 	}
 
+	// An unknown fabric kind and a zero flit width are config errors
+	// at the chip's fabric.
+	for name, mutate := range map[string]func(*chip.Config){
+		"fabric kind 9": func(c *chip.Config) { c.NoC = chip.NoCSpec{Kind: 9, FlitBits: 64} },
+		"flit 0":        func(c *chip.Config) { c.NoC = chip.NoCSpec{Kind: chip.Bus} },
+	} {
+		cfg := tinyChip()
+		mutate(&cfg)
+		resp, body = doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{Config: &cfg})
+		if resp.StatusCode != 400 || decode[ErrorBody](t, body).Error.Kind != "config" {
+			t.Fatalf("%s: status %d body %s", name, resp.StatusCode, body)
+		}
+	}
+
 	// Malformed XML.
 	req, _ = http.NewRequest("POST", ts.URL+"/v1/evaluate", strings.NewReader("<unclosed"))
 	req.Header.Set("Content-Type", "text/xml")

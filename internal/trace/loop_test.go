@@ -345,10 +345,11 @@ func TestNDJSONThermalFields(t *testing.T) {
 	}
 }
 
-// TestLoopAllocBudget enforces the acceptance bound: the closed-loop
-// per-interval path (governor, retune, score, thermal step, sample
-// stamping) may cost at most two allocations more than the open-loop
-// arena path.
+// TestLoopAllocBudget enforces the hot-path budgets: an open-loop
+// interval (arena score plus sample stamping) costs at most one
+// allocation, and the closed-loop per-interval path (governor, retune,
+// score, thermal step, sample stamping) at most two more than the
+// open-loop path.
 func TestLoopAllocBudget(t *testing.T) {
 	openEng, ivs := fixtureEngine(t)
 	iv := ivs[0]
@@ -370,6 +371,9 @@ func TestLoopAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("allocs/interval: open %.1f, closed %.1f", openAllocs, closedAllocs)
+	if openAllocs > 1 {
+		t.Errorf("open-loop interval costs %.1f allocs, budget is 1", openAllocs)
+	}
 	if closedAllocs > openAllocs+2 {
 		t.Errorf("closed-loop interval costs %.1f allocs, budget is open-loop %.1f + 2", closedAllocs, openAllocs)
 	}
