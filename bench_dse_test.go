@@ -49,7 +49,7 @@ func BenchmarkDSESweep(b *testing.B) {
 		evaluated = res.Evaluated
 	}
 	b.ReportMetric(float64(evaluated)*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
-	cs := mcpat.ArraySynthCacheStats()
+	cs := mcpat.ReadEngineCounters().Cache
 	b.ReportMetric(100*cs.HitRate(), "hit%")
 }
 
@@ -104,7 +104,7 @@ func BenchmarkDSESweepDiskWarm(b *testing.B) {
 		evaluated = res.Evaluated
 	}
 	b.ReportMetric(float64(evaluated)*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
-	ds := mcpat.PersistentCacheStats()
+	ds := mcpat.ReadEngineCounters().Disk
 	b.ReportMetric(100*ds.HitRate(), "disk-hit%")
 }
 
@@ -150,7 +150,7 @@ func BenchmarkDSEDeltaSweep(b *testing.B) {
 		evaluated = res.Evaluated
 	}
 	b.ReportMetric(float64(evaluated)*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
-	cs := mcpat.SubsysSynthCacheStats()
+	cs := mcpat.ReadEngineCounters().Subsys
 	b.ReportMetric(100*cs.HitRate(), "subsys-hit%")
 }
 

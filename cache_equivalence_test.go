@@ -58,7 +58,7 @@ func TestCachedReportsBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if cs := mcpat.ArraySynthCacheStats(); cs.Hits == 0 {
+	if cs := mcpat.ReadEngineCounters().Cache; cs.Hits == 0 {
 		t.Error("warm pass produced no cache hits; cache not exercised")
 	}
 }

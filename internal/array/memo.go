@@ -51,9 +51,6 @@ func ResetCache() { results.Reset() }
 // combine with ResetCache for a cold, cache-free run.
 func SetCacheEnabled(enabled bool) bool { return results.SetEnabled(enabled) }
 
-// CacheEnabled reports whether synthesis results are being cached.
-func CacheEnabled() bool { return results.Enabled() }
-
 // clone returns a copy of the result safe to hand to a caller that may
 // mutate it. Tag is the only pointer field, and tag arrays never nest.
 func (r *Result) clone() *Result {

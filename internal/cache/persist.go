@@ -9,6 +9,7 @@ import (
 	"mcpat/internal/array"
 	"mcpat/internal/memo"
 	"mcpat/internal/power"
+	"mcpat/internal/tech"
 )
 
 // Disk codec for synthesized shared caches (L2/L3) — the
@@ -26,6 +27,14 @@ import (
 // cacheDiskNS versions the on-disk shape; bump when synthKey, Config,
 // Cache, or array.Result change.
 const cacheDiskNS = "subsys.cache.v2"
+
+// synthKey is one shared-cache synthesis's identity on disk: the
+// technology node's value fingerprint and the canonical key config
+// Synthesize memoizes under.
+type synthKey struct {
+	TechFP uint64
+	Cfg    Config
+}
 
 // encodeKey serializes the synthKey deterministically. Explicit
 // field-by-field binary encoding, same discipline as array.Key's: gob
@@ -73,13 +82,15 @@ type cacheDisk struct {
 	Cfg       Config // Tech nil'd; reattached on decode
 }
 
-// persistCodec builds the per-call codec. norm is the caller's
-// normalized config (defaults applied), whose Tech pointer Decode
-// reattaches.
-func persistCodec(key synthKey, norm Config) *memo.Codec[any] {
+// persistCodec builds the per-call codec for the canonical key config
+// at node. The fingerprint is taken only when the disk tier asks for
+// the key, and Decode reattaches node.
+func persistCodec(key Config, node *tech.Node) *memo.Codec[any] {
 	return &memo.Codec[any]{
-		NS:  cacheDiskNS,
-		Key: key.encodeKey,
+		NS: cacheDiskNS,
+		Key: func() []byte {
+			return synthKey{TechFP: node.Fingerprint(), Cfg: key}.encodeKey()
+		},
 		Encode: func(v any) ([]byte, error) {
 			c := v.(*Cache)
 			d := cacheDisk{
@@ -104,7 +115,7 @@ func persistCodec(key synthKey, norm Config) *memo.Codec[any] {
 				WBBuffer: d.WBBuffer, Directory: d.Directory,
 				cfg: d.Cfg,
 			}
-			c.cfg.Tech = norm.Tech
+			c.cfg.Tech = node
 			return c, nil
 		},
 	}

@@ -64,9 +64,9 @@ func TestCacheCodecRoundTripsBitIdentical(t *testing.T) {
 		if err := norm.applyDefaults(); err != nil {
 			t.Fatal(err)
 		}
-		key := synthKey{TechFP: norm.Tech.Fingerprint(), Cfg: norm}
-		key.Cfg.Tech = nil
-		pc := persistCodec(key, norm)
+		key := norm
+		key.Tech = nil
+		pc := persistCodec(key, norm.Tech)
 		data, err := pc.Encode(cold)
 		if err != nil {
 			t.Fatalf("%s encode: %v", cfg.Name, err)
@@ -92,10 +92,9 @@ func TestCacheDiskKeyIsCanonical(t *testing.T) {
 	if err := norm.applyDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	key := synthKey{TechFP: norm.Tech.Fingerprint(), Cfg: norm}
-	key.Cfg.Tech = nil
-	key.Cfg.Name = ""
-	pc := persistCodec(key, norm)
+	cfg := norm
+	cfg.Tech, cfg.Name = nil, ""
+	pc := persistCodec(cfg, norm.Tech)
 	k1 := pc.Key()
 	k2 := pc.Key()
 	if !bytes.Equal(k1, k2) {
@@ -117,6 +116,10 @@ func TestCacheDiskKeyIsCanonical(t *testing.T) {
 		func(k *synthKey) { k.Cfg.Directory = !k.Cfg.Directory; k.Cfg.Sharers = 8 },
 		func(k *synthKey) { k.Cfg.TargetHz *= 2 },
 		func(k *synthKey) { k.Cfg.EDRAM = !k.Cfg.EDRAM },
+	}
+	key := synthKey{TechFP: norm.Tech.Fingerprint(), Cfg: cfg}
+	if !bytes.Equal(k1, key.encodeKey()) {
+		t.Fatal("codec key differs from the synthKey encoding")
 	}
 	for i, m := range mutate {
 		k := key

@@ -10,8 +10,8 @@
 //   - Synthesize: config-dependent and expensive. Geometry, energies and
 //     leakage are solved once per distinct configuration (what core.New,
 //     cache.New, the interconnect constructors, mc.New and clock.New do).
-//     Synthesis results are memoized process-wide (see Memoize), keyed by
-//     a canonical config value plus the technology node's fingerprint.
+//     Synthesis results are memoized process-wide (see Synthesize), keyed
+//     by a canonical config value plus the technology node's fingerprint.
 //
 //   - Score: cheap and pure. chip.New registers one closure per chip
 //     part that maps the peak (TDP) and runtime activity to the part's

@@ -1,6 +1,9 @@
 package component
 
-import "mcpat/internal/memo"
+import (
+	"mcpat/internal/memo"
+	"mcpat/internal/tech"
+)
 
 // Subsystem-level memoized synthesis.
 //
@@ -22,12 +25,12 @@ import "mcpat/internal/memo"
 //     the subsystem was to build.
 //
 //   - Keys are supplied by the caller. Each subsystem package owns its
-//     canonical key (its normalized Config with Tech and Name cleared,
-//     plus the tech.Node value fingerprint), because only it knows which
-//     fields its constructor reads. The key rules mirror
-//     internal/array/key.go: two configs that can synthesize different
-//     results must key differently; Name never keys (it only labels
-//     reports and errors).
+//     canonical key (its normalized Config with Tech and Name cleared),
+//     because only it knows which fields its constructor reads;
+//     Synthesize adds the tech.Node value fingerprint. The key rules
+//     mirror internal/array/key.go: two configs that can synthesize
+//     different results must key differently; Name never keys (it only
+//     labels reports and errors).
 //
 //   - Counters and lock stripes are per kind. A caller's key is an any,
 //     which cannot be hashed here without reflection, and contention
@@ -36,41 +39,42 @@ import "mcpat/internal/memo"
 //
 //   - The disk tier is opt-in per call. Subsystem values are arbitrary
 //     Go structs, so there is no universal serialization: packages that
-//     can round-trip their value pass a codec to MemoizePersist. Kinds
+//     can round-trip their value pass a codec to Synthesize. Kinds
 //     without one stop at the memory tier; their re-synthesis is already
 //     cheap when the array tier underneath is disk-warm, because a
 //     subsystem build decomposes into array solves (all disk hits) plus
 //     fast analytic logic.
 
-// memoKey scopes a caller's key to its kind, so equal keys of two kinds
-// never meet.
+// memoKey scopes a caller's key to its kind and node. An interface
+// compares dynamic types too, so config types sharing a kind (router
+// and link, NIU and PCIe) never meet even with equal field values.
 type memoKey struct {
 	kind Kind
-	key  any // comparable, caller-supplied canonical key
+	fp   uint64 // tech.Node value fingerprint
+	key  any    // comparable, caller-supplied canonical config
 }
 
 // subsystems is the subsystem tier: one lock stripe and one counter set
 // per kind, and hits share the stored value.
 var subsystems = memo.NewTable[memoKey, any](NumKinds, NumKinds, nil)
 
-// Memoize returns the memoized result of synth for the given (kind, key)
-// pair, running synth at most once per key across the process.
-// Concurrent calls with the same key share one in-flight synthesis. key
-// must be a comparable value that canonically identifies the synthesis
-// inputs (see the package rules above). The returned value is shared:
-// callers must treat it as immutable.
-func Memoize[T any](kind Kind, key any, synth func() (T, error)) (T, error) {
-	return MemoizePersist(kind, key, nil, synth)
-}
-
-// MemoizePersist is Memoize extended with a disk tier: when a
-// persistent cache is configured (persist.SetDefault) and pc is
-// non-nil, the single-flight owner of a memory miss first tries to
-// hydrate the value from disk, and publishes freshly synthesized
-// values back. Disk problems of every kind degrade to cold synthesis.
-// pc's Decode must return a T.
-func MemoizePersist[T any](kind Kind, key any, pc *memo.Codec[any], synth func() (T, error)) (T, error) {
-	v, err := subsystems.Do(int(kind), uint64(kind), memoKey{kind, key}, pc, func() (any, error) { return synth() })
+// Synthesize is the memoized front every subsystem constructor shares:
+// it runs build at most once per (kind, node fingerprint, key) across
+// the process, and concurrent calls with one key share a single
+// in-flight synthesis. key is the caller's config with Tech cleared and
+// every field its constructor ignores zeroed. The returned value is
+// shared: callers must treat it as immutable. A nil node runs build
+// uncached and uncounted, so the constructor reports its own error.
+//
+// A non-nil codec adds the disk tier: with a persistent cache installed
+// (persist.SetDefault), the owner of a memory miss first tries to
+// hydrate the value from disk and publishes fresh syntheses back; disk
+// problems degrade to cold synthesis. codec's Decode must return a T.
+func Synthesize[C comparable, T any](kind Kind, node *tech.Node, key C, codec *memo.Codec[any], build func() (T, error)) (T, error) {
+	if node == nil {
+		return build()
+	}
+	v, err := subsystems.Do(int(kind), uint64(kind), memoKey{kind, node.Fingerprint(), key}, codec, func() (any, error) { return build() })
 	if err != nil {
 		var zero T
 		return zero, err

@@ -1,9 +1,13 @@
 package component
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"mcpat/internal/tech"
+	"mcpat/internal/tech/techtest"
 )
 
 // resetForTest gives each test a clean, enabled cache.
@@ -19,19 +23,24 @@ func resetForTest(t *testing.T) {
 
 type testKey struct{ ID int }
 
+// otherKey has testKey's shape but is a distinct config type, like the
+// fabric and off-chip families that share a kind.
+type otherKey struct{ ID int }
+
 func TestMemoizeHitReturnsSharedValue(t *testing.T) {
 	resetForTest(t)
+	node := techtest.Node(22)
 	var runs atomic.Int32
 	synth := func() (*int, error) {
 		runs.Add(1)
 		v := 42
 		return &v, nil
 	}
-	a, err := Memoize(KindCore, testKey{1}, synth)
+	a, err := Synthesize(KindCore, node, testKey{1}, nil, synth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Memoize(KindCore, testKey{1}, synth)
+	b, err := Synthesize(KindCore, node, testKey{1}, nil, synth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,22 +61,71 @@ func TestMemoizeHitReturnsSharedValue(t *testing.T) {
 
 func TestMemoizeKeysAndKindsAreDistinct(t *testing.T) {
 	resetForTest(t)
+	node := techtest.Node(22)
 	mk := func(v int) func() (int, error) {
 		return func() (int, error) { return v, nil }
 	}
-	if v, _ := Memoize(KindCore, testKey{1}, mk(10)); v != 10 {
+	if v, _ := Synthesize(KindCore, node, testKey{1}, nil, mk(10)); v != 10 {
 		t.Fatalf("got %d", v)
 	}
 	// Same key value under a different kind must not collide.
-	if v, _ := Memoize(KindCache, testKey{1}, mk(20)); v != 20 {
+	if v, _ := Synthesize(KindCache, node, testKey{1}, nil, mk(20)); v != 20 {
 		t.Errorf("kind collision: got %d, want 20", v)
 	}
 	// Different key under the same kind must not collide.
-	if v, _ := Memoize(KindCore, testKey{2}, mk(30)); v != 30 {
+	if v, _ := Synthesize(KindCore, node, testKey{2}, nil, mk(30)); v != 30 {
 		t.Errorf("key collision: got %d, want 30", v)
 	}
-	if cs := Stats(); cs.Entries != 3 || cs.Total().Misses != 3 {
-		t.Errorf("stats = %+v, want 3 entries / 3 misses", cs)
+	// A distinct config type with identical field values under the same
+	// kind must not collide either.
+	if v, _ := Synthesize(KindCore, node, otherKey{1}, nil, mk(40)); v != 40 {
+		t.Errorf("config-type collision: got %d, want 40", v)
+	}
+	if cs := Stats(); cs.Entries != 4 || cs.Total().Misses != 4 {
+		t.Errorf("stats = %+v, want 4 entries / 4 misses", cs)
+	}
+
+	// The node enters the key by value fingerprint: two separately
+	// built nodes of one feature size share an entry.
+	a, err := tech.ByFeature(22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tech.ByFeature(22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("ByFeature returned one shared node; the case needs two")
+	}
+	if v, _ := Synthesize(KindClock, a, testKey{1}, nil, mk(50)); v != 50 {
+		t.Fatalf("first node got %d, want 50", v)
+	}
+	if v, _ := Synthesize(KindClock, b, testKey{1}, nil, mk(60)); v != 50 {
+		t.Errorf("equal node got %d, want the shared 50", v)
+	}
+	if k := Stats().Kinds[KindClock]; k != (KindStats{Hits: 1, Misses: 1}) {
+		t.Errorf("clock counters = %+v, want 1 miss then 1 hit", k)
+	}
+
+	// A nil node runs build every time, uncached, so the constructor
+	// reports its own error, and moves no counter.
+	before := Stats()
+	runs := 0
+	for i := 0; i < 2; i++ {
+		if _, err := Synthesize(KindMC, nil, testKey{1}, nil, func() (int, error) { runs++; return runs, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs != 2 {
+		t.Errorf("nil node: build ran %d times, want 2 (uncached)", runs)
+	}
+	errNoNode := errors.New("technology node required")
+	if _, err := Synthesize(KindMC, nil, testKey{1}, nil, func() (int, error) { return 0, errNoNode }); !errors.Is(err, errNoNode) {
+		t.Errorf("nil node: err = %v, want the constructor's", err)
+	}
+	if after := Stats(); after != before {
+		t.Errorf("nil node moved the counters: %+v -> %+v", before, after)
 	}
 }
 

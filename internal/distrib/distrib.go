@@ -9,11 +9,8 @@ import (
 	"sync"
 	"time"
 
-	"mcpat/internal/array"
-	"mcpat/internal/component"
 	"mcpat/internal/explore"
 	"mcpat/internal/guard"
-	"mcpat/internal/persist"
 )
 
 // Coordinator tuning. One value of each is in use, so they are
@@ -289,10 +286,7 @@ func run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 	specs := explore.Enumerate(space)
 	size := len(specs)
 
-	cacheBefore := array.Stats()
-	subsysBefore := component.Stats()
-	optBefore := array.OptStats()
-	diskBefore := persist.DefaultStats()
+	before := explore.ReadCounters()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -406,10 +400,7 @@ func run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 	}
 
 	res := mergeOutcomes(size, results)
-	res.Cache = array.Stats().Delta(cacheBefore)
-	res.Subsys = component.Stats().Delta(subsysBefore)
-	res.ArrayOpt = array.OptStats().Delta(optBefore)
-	res.Disk = persist.DefaultStats().Delta(diskBefore)
+	res.Counters = explore.ReadCounters().Delta(before)
 	if opts.OnFrontUpdate != nil && len(res.Front) > 0 {
 		opts.OnFrontUpdate(append([]explore.Candidate(nil), res.Front...), res.Evaluated)
 	}

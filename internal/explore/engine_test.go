@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mcpat/internal/chip"
+	"mcpat/internal/component"
 	"mcpat/internal/guard"
 )
 
@@ -278,5 +279,29 @@ func TestFailureStringAndDeterministicFailureOrder(t *testing.T) {
 	}
 	if s := res.Failures[0].String(); !strings.Contains(s, "16c") {
 		t.Errorf("Failure.String should identify the design point: %q", s)
+	}
+}
+
+// TestCountersSurviveCacheReset repeats a warm sweep whose progress
+// callback resets the subsystem cache after the last candidate, so the
+// sweep's counter deltas span the reset. No delta may exceed the totals
+// the cache holds after the sweep; a wrapped difference reads ~1.8e19.
+func TestCountersSurviveCacheReset(t *testing.T) {
+	space := Space{Cores: []int{2, 4}, L2PerCoreKB: []int{64}}
+	if _, err := SearchContext(context.Background(), quickParams(), space, Constraints{}, MaxThroughput, nil); err != nil {
+		t.Fatal(err)
+	}
+	opts := &Options{OnProgress: func(done, total int) {
+		if done == total {
+			component.ResetCache()
+		}
+	}}
+	res, err := SearchContext(context.Background(), quickParams(), space, Constraints{}, MaxThroughput, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, after := res.Subsys.Total(), component.Stats().Total()
+	if got.Hits > after.Hits || got.Misses > after.Misses || got.Shared > after.Shared || got.Bypassed > after.Bypassed {
+		t.Errorf("sweep delta %+v exceeds the totals read after the sweep %+v", got, after)
 	}
 }

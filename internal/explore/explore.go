@@ -224,31 +224,42 @@ type Result struct {
 	// Search records the strategy that produced the result.
 	Search SearchKind
 
-	// Cache reports the array-synthesis cache activity attributable to
-	// this sweep (counter deltas over the sweep; Entries is the resident
-	// total afterwards). Parallel workers re-solving a structure another
-	// candidate already solved hit this cache instead of recomputing,
-	// which is what makes wide sweeps cheap.
-	Cache array.CacheStats
+	// Counters reports the synthesis tiers' activity attributable to
+	// this sweep: counter deltas over the sweep, with each section's
+	// gauges (resident entries, disk bytes) read afterwards.
+	Counters
+}
 
-	// Subsys reports the subsystem-synthesis cache activity for the
-	// sweep (same delta semantics as Cache), broken down per component
-	// kind. This is the delta-re-evaluation layer: a sweep that varies
-	// only the NoC axes reuses whole synthesized cores and shared
-	// caches, showing up here as core/cache hits with a single miss.
-	Subsys component.CacheStats
+// Counters is the engine's one counter record: the four synthesis-tier
+// sections a sweep, a serving window or a library caller reads
+// together. ReadCounters takes the process-wide totals; Delta turns two
+// reads into the movement between them.
+type Counters struct {
+	Cache    array.CacheStats     // array-synthesis cache
+	Subsys   component.CacheStats // subsystem-synthesis cache, per component kind
+	ArrayOpt array.OptimizerStats // array-optimizer organizations evaluated vs pruned
+	Disk     persist.Stats        // persistent tier; zero, Enabled false, without one
+}
 
-	// ArrayOpt reports the array-optimizer enumeration work done during
-	// the sweep (same delta semantics): organizations fully evaluated vs
-	// skipped by the branch-and-bound lower bound. Cached syntheses do
-	// no enumeration, so on a warm sweep both counters stay near zero.
-	ArrayOpt array.OptimizerStats
+// ReadCounters returns the current process-wide counters.
+func ReadCounters() Counters {
+	return Counters{
+		Cache:    array.Stats(),
+		Subsys:   component.Stats(),
+		ArrayOpt: array.OptStats(),
+		Disk:     persist.DefaultStats(),
+	}
+}
 
-	// Disk reports the persistent (disk) cache tier's activity for the
-	// sweep (same delta semantics; Bytes/Entries are the store totals
-	// afterwards). All counters are zero — and Enabled false — when no
-	// cache directory is configured.
-	Disk persist.Stats
+// Delta returns the counter movement c - prev, section by section. The
+// gauges (resident entries, disk bytes and Enabled) keep c's values.
+func (c Counters) Delta(prev Counters) Counters {
+	return Counters{
+		Cache:    c.Cache.Delta(prev.Cache),
+		Subsys:   c.Subsys.Delta(prev.Subsys),
+		ArrayOpt: c.ArrayOpt.Delta(prev.ArrayOpt),
+		Disk:     c.Disk.Delta(prev.Disk),
+	}
 }
 
 // Options tunes the parallel engine. The zero value (or nil) selects the
@@ -636,10 +647,7 @@ func SearchContext(ctx context.Context, p Params, space Space, cons Constraints,
 		return nil, guard.Configf("dse", "unknown search kind %d", int(o.Search))
 	}
 
-	cacheBefore := array.Stats()
-	subsysBefore := component.Stats()
-	optBefore := array.OptStats()
-	diskBefore := persist.DefaultStats()
+	before := ReadCounters()
 
 	// A derived context lets FailFast stop the pool without conflating
 	// that with caller cancellation.
@@ -690,10 +698,7 @@ func SearchContext(ctx context.Context, p Params, space Space, cons Constraints,
 		Search:    o.Search,
 		SpaceSize: size,
 		Front:     front.Members(),
-		Cache:     array.Stats().Delta(cacheBefore),
-		Subsys:    component.Stats().Delta(subsysBefore),
-		ArrayOpt:  array.OptStats().Delta(optBefore),
-		Disk:      persist.DefaultStats().Delta(diskBefore),
+		Counters:  ReadCounters().Delta(before),
 	}
 	for i := range outs {
 		if !outs[i].ran {

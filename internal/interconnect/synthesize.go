@@ -3,77 +3,44 @@ package interconnect
 import "mcpat/internal/component"
 
 // Memoized fronts of the fabric constructors. The configs have no Name
-// field, so their raw values (with Tech replaced by the node's value
-// fingerprint) canonically identify a synthesis; keys do not fold zero
-// fields onto their defaults, which at worst costs one extra cache entry
-// per spelling of the same configuration, never a wrong hit. Each key is
-// a distinct struct type so the fabric families can never collide inside
-// the shared KindFabric table. Results must be treated as immutable.
-
-type routerKey struct {
-	TechFP uint64
-	Cfg    RouterConfig
-}
+// field, so their raw values without Tech canonically identify a
+// synthesis; keys do not fold zero fields onto their defaults, which at
+// worst costs one extra cache entry per spelling of the same
+// configuration, never a wrong hit. Results must be treated as
+// immutable.
 
 // SynthesizeRouter is the memoized front of NewRouter.
 func SynthesizeRouter(cfg RouterConfig) (*Router, error) {
-	if cfg.Tech == nil {
-		return NewRouter(cfg) // surface the constructor's config error
-	}
-	key := routerKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
-	key.Cfg.Tech = nil
-	return component.Memoize(component.KindFabric, key, func() (*Router, error) {
+	key := cfg
+	key.Tech = nil
+	return component.Synthesize(component.KindFabric, cfg.Tech, key, nil, func() (*Router, error) {
 		return NewRouter(cfg)
 	})
 }
 
-type linkKey struct {
-	TechFP uint64
-	Cfg    LinkConfig
-}
-
 // SynthesizeLink is the memoized front of NewLink.
 func SynthesizeLink(cfg LinkConfig) (*Link, error) {
-	if cfg.Tech == nil {
-		return NewLink(cfg)
-	}
-	key := linkKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
-	key.Cfg.Tech = nil
-	return component.Memoize(component.KindFabric, key, func() (*Link, error) {
+	key := cfg
+	key.Tech = nil
+	return component.Synthesize(component.KindFabric, cfg.Tech, key, nil, func() (*Link, error) {
 		return NewLink(cfg)
 	})
-}
-
-type busKey struct {
-	TechFP uint64
-	Cfg    BusConfig
 }
 
 // SynthesizeBus is the memoized front of NewBus.
 func SynthesizeBus(cfg BusConfig) (*Link, error) {
-	if cfg.Tech == nil {
-		return NewBus(cfg)
-	}
-	key := busKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
-	key.Cfg.Tech = nil
-	return component.Memoize(component.KindFabric, key, func() (*Link, error) {
+	key := cfg
+	key.Tech = nil
+	return component.Synthesize(component.KindFabric, cfg.Tech, key, nil, func() (*Link, error) {
 		return NewBus(cfg)
 	})
 }
 
-type crossbarKey struct {
-	TechFP uint64
-	Cfg    CrossbarConfig
-}
-
 // SynthesizeCrossbar is the memoized front of NewCrossbar.
 func SynthesizeCrossbar(cfg CrossbarConfig) (*Link, error) {
-	if cfg.Tech == nil {
-		return NewCrossbar(cfg)
-	}
-	key := crossbarKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
-	key.Cfg.Tech = nil
-	return component.Memoize(component.KindFabric, key, func() (*Link, error) {
+	key := cfg
+	key.Tech = nil
+	return component.Synthesize(component.KindFabric, cfg.Tech, key, nil, func() (*Link, error) {
 		return NewCrossbar(cfg)
 	})
 }

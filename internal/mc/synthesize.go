@@ -5,63 +5,38 @@ import (
 	"mcpat/internal/power"
 )
 
-// The off-chip interface models have no Name field, so their raw Config
-// values (with Tech replaced by the node's value fingerprint) already
-// canonically identify a synthesis; keys do not fold zero fields onto
-// their defaults, which at worst costs one extra cache entry per spelling
-// of the same configuration, never a wrong hit. Each key is a distinct
-// struct type so the three interface families can never collide inside
-// the shared KindMC table.
-
-type mcKey struct {
-	TechFP uint64
-	Cfg    Config
-}
+// Memoized fronts of the off-chip interface constructors. The configs
+// have no Name field, so their raw values without Tech canonically
+// identify a synthesis; keys do not fold zero fields onto their
+// defaults, which at worst costs one extra cache entry per spelling of
+// the same configuration, never a wrong hit. Results must be treated as
+// immutable.
 
 // Synthesize is the memoized front of New: repeated synthesis of an
 // equivalent memory-controller configuration returns the one shared
-// *Controller instance, which must be treated as immutable.
+// *Controller instance.
 func Synthesize(cfg Config) (*Controller, error) {
-	if cfg.Tech == nil {
-		return New(cfg) // surface the constructor's config error
-	}
-	key := mcKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
-	key.Cfg.Tech = nil
-	return component.Memoize(component.KindMC, key, func() (*Controller, error) {
+	key := cfg
+	key.Tech = nil
+	return component.Synthesize(component.KindMC, cfg.Tech, key, nil, func() (*Controller, error) {
 		return New(cfg)
 	})
 }
 
-type niuKey struct {
-	TechFP uint64
-	Cfg    NIUConfig
-}
-
 // SynthesizeNIU is the memoized front of NewNIU.
 func SynthesizeNIU(cfg NIUConfig) (power.PAT, error) {
-	if cfg.Tech == nil {
-		return NewNIU(cfg)
-	}
-	key := niuKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
-	key.Cfg.Tech = nil
-	return component.Memoize(component.KindMC, key, func() (power.PAT, error) {
+	key := cfg
+	key.Tech = nil
+	return component.Synthesize(component.KindMC, cfg.Tech, key, nil, func() (power.PAT, error) {
 		return NewNIU(cfg)
 	})
 }
 
-type pcieKey struct {
-	TechFP uint64
-	Cfg    PCIeConfig
-}
-
 // SynthesizePCIe is the memoized front of NewPCIe.
 func SynthesizePCIe(cfg PCIeConfig) (power.PAT, error) {
-	if cfg.Tech == nil {
-		return NewPCIe(cfg)
-	}
-	key := pcieKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
-	key.Cfg.Tech = nil
-	return component.Memoize(component.KindMC, key, func() (power.PAT, error) {
+	key := cfg
+	key.Tech = nil
+	return component.Synthesize(component.KindMC, cfg.Tech, key, nil, func() (power.PAT, error) {
 		return NewPCIe(cfg)
 	})
 }

@@ -212,9 +212,6 @@ func (t *Table[K, V]) SetEnabled(enabled bool) bool {
 	return !t.disabled.Swap(!enabled)
 }
 
-// Enabled reports whether the table caches.
-func (t *Table[K, V]) Enabled() bool { return !t.disabled.Load() }
-
 // Stats is a snapshot of one counter set.
 type Stats struct {
 	// Hits counts lookups served from the table (including Shared).
@@ -244,14 +241,24 @@ func (s Stats) HitRate() float64 {
 }
 
 // Delta returns the counter difference s - prev, for reporting one
-// sweep's or one serving window's memo behavior.
+// sweep's or one serving window's memo behavior. A counter that reads
+// lower than in prev was reset in between, so its delta is its current
+// value (Prometheus's rule for counter resets).
 func (s Stats) Delta(prev Stats) Stats {
 	return Stats{
-		Hits:     s.Hits - prev.Hits,
-		Misses:   s.Misses - prev.Misses,
-		Shared:   s.Shared - prev.Shared,
-		Bypassed: s.Bypassed - prev.Bypassed,
+		Hits:     since(s.Hits, prev.Hits),
+		Misses:   since(s.Misses, prev.Misses),
+		Shared:   since(s.Shared, prev.Shared),
+		Bypassed: since(s.Bypassed, prev.Bypassed),
 	}
+}
+
+// since is one counter's movement from prev to cur; a drop is a reset.
+func since(cur, prev uint64) uint64 {
+	if cur < prev {
+		return cur
+	}
+	return cur - prev
 }
 
 // Codec is one lookup's disk form. It is built per lookup, so Decode

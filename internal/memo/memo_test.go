@@ -152,8 +152,8 @@ func TestDisabledBypasses(t *testing.T) {
 	if prev := tb.SetEnabled(false); !prev {
 		t.Error("a new table should be enabled")
 	}
-	if tb.Enabled() {
-		t.Error("Enabled() true after disabling")
+	if prev := tb.SetEnabled(false); prev {
+		t.Error("table still enabled after disabling")
 	}
 	var runs int
 	synth := func() (int, error) { runs++; return 1, nil }
@@ -315,6 +315,12 @@ func TestStatsDeltaAndHitRate(t *testing.T) {
 	}
 	if got := now.Delta(prev).HitRate(); got != 0.75 {
 		t.Errorf("HitRate = %v, want 0.75", got)
+	}
+	// A Reset between the two reads drops every counter below prev's;
+	// each delta is then the count since the reset, never a wrap.
+	afterReset := Stats{Hits: 3, Misses: 2, Shared: 1}
+	if d := afterReset.Delta(prev); d != afterReset {
+		t.Errorf("Delta across a reset = %+v, want %+v", d, afterReset)
 	}
 	if got := (Stats{}).HitRate(); got != 0 {
 		t.Errorf("empty HitRate = %v, want 0", got)

@@ -138,17 +138,27 @@ func (s Stats) HitRate() float64 {
 
 // Delta returns the counter difference s - prev for reporting one
 // sweep's disk activity. Bytes/Entries/Enabled carry the newer values.
+// A counter that reads lower than in prev belongs to a store installed
+// in between (SetDefault), so its delta is its current value.
 func (s Stats) Delta(prev Stats) Stats {
 	return Stats{
-		Hits:        s.Hits - prev.Hits,
-		Misses:      s.Misses - prev.Misses,
-		Corrupt:     s.Corrupt - prev.Corrupt,
-		Evicted:     s.Evicted - prev.Evicted,
-		WriteErrors: s.WriteErrors - prev.WriteErrors,
+		Hits:        since(s.Hits, prev.Hits),
+		Misses:      since(s.Misses, prev.Misses),
+		Corrupt:     since(s.Corrupt, prev.Corrupt),
+		Evicted:     since(s.Evicted, prev.Evicted),
+		WriteErrors: since(s.WriteErrors, prev.WriteErrors),
 		Bytes:       s.Bytes,
 		Entries:     s.Entries,
 		Enabled:     s.Enabled,
 	}
+}
+
+// since is one counter's movement from prev to cur; a drop is a restart.
+func since(cur, prev uint64) uint64 {
+	if cur < prev {
+		return cur
+	}
+	return cur - prev
 }
 
 // Open opens (creating if needed) a cache directory and verifies it is

@@ -179,6 +179,32 @@ func TestTwoStoresShareOneDirectory(t *testing.T) {
 	}
 }
 
+// TestDefaultStatsDeltaAcrossStores swaps the default store inside a
+// measured span, as EnablePersistentCache does: the newer store's
+// counters start below the older one's, and the span's delta must be
+// the newer store's own counts, not a wrapped difference.
+func TestDefaultStatsDeltaAcrossStores(t *testing.T) {
+	a := openTemp(t, Options{})
+	b := openTemp(t, Options{})
+	prev := SetDefault(a)
+	defer SetDefault(prev)
+	for i := 0; i < 3; i++ {
+		a.Get("ns.v1", []byte(fmt.Sprintf("missing-%d", i)))
+	}
+	a.Put("ns.v1", []byte("k"), []byte("v"))
+	a.Get("ns.v1", []byte("k"))
+	before := DefaultStats()
+
+	SetDefault(b)
+	b.Get("ns.v1", []byte("absent"))
+	b.Put("ns.v1", []byte("k"), []byte("v"))
+	d := DefaultStats().Delta(before)
+	want := Stats{Misses: 1, Bytes: b.Stats().Bytes, Entries: 1, Enabled: true}
+	if d != want {
+		t.Errorf("delta across a store swap = %+v, want %+v", d, want)
+	}
+}
+
 func TestOpenRejectsFilePath(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "not-a-dir")

@@ -13,8 +13,8 @@ import (
 	"net/http"
 	"sync"
 
+	"mcpat/internal/explore"
 	"mcpat/internal/guard"
-	"mcpat/internal/persist"
 )
 
 // maxBatchItems bounds one batch; larger workloads belong in /v1/dse
@@ -94,7 +94,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		workers = len(req.Items)
 	}
 
-	diskBefore := persist.DefaultStats()
+	before := explore.ReadCounters()
 	resp := &BatchResponse{Items: make([]BatchItemResult, len(req.Items))}
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
@@ -157,7 +157,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Failed++
 		}
 	}
-	resp.Disk = newDiskCacheStatsJSON(persist.DefaultStats().Delta(diskBefore))
+	resp.Disk = newDiskCacheStatsJSON(explore.ReadCounters().Delta(before).Disk)
 	writeJSON(w, http.StatusOK, resp)
 }
 

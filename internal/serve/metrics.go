@@ -7,10 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mcpat/internal/array"
-	"mcpat/internal/component"
 	"mcpat/internal/distrib"
-	"mcpat/internal/persist"
+	"mcpat/internal/explore"
 )
 
 // latencyBucketsMS are the upper bounds (milliseconds) of the request
@@ -36,11 +34,8 @@ func (h *histogram) observe(ms float64) {
 // histograms, job lifecycle counters, and the synthesis-cache deltas
 // since the server started. Everything is monotonic except the gauges.
 type metrics struct {
-	start      time.Time
-	cacheBase  array.CacheStats
-	subsysBase component.CacheStats
-	optBase    array.OptimizerStats
-	diskBase   persist.Stats
+	start time.Time
+	base  explore.Counters
 
 	inFlight atomic.Int64
 
@@ -87,13 +82,10 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{
-		start:      time.Now(),
-		cacheBase:  array.Stats(),
-		subsysBase: component.Stats(),
-		optBase:    array.OptStats(),
-		diskBase:   persist.DefaultStats(),
-		requests:   make(map[string]map[string]uint64),
-		latency:    make(map[string]*histogram),
+		start:    time.Now(),
+		base:     explore.ReadCounters(),
+		requests: make(map[string]map[string]uint64),
+		latency:  make(map[string]*histogram),
 	}
 }
 
@@ -201,6 +193,7 @@ func bucketLabel(i int) string {
 
 // snapshot captures the current instrumentation state.
 func (m *metrics) snapshot() MetricsSnapshot {
+	d := explore.ReadCounters().Delta(m.base)
 	snap := MetricsSnapshot{
 		UptimeSec: time.Since(m.start).Seconds(),
 		InFlight:  m.inFlight.Load(),
@@ -225,10 +218,10 @@ func (m *metrics) snapshot() MetricsSnapshot {
 			Failed:     m.shardsFailed.Load(),
 			Candidates: m.shardCandidates.Load(),
 		},
-		Cache:    newCacheStatsJSON(array.Stats().Delta(m.cacheBase)),
-		Subsys:   newSubsysCacheStatsJSON(component.Stats().Delta(m.subsysBase)),
-		ArrayOpt: newArrayOptStatsJSON(array.OptStats().Delta(m.optBase)),
-		Disk:     newDiskCacheStatsJSON(persist.DefaultStats().Delta(m.diskBase)),
+		Cache:    newCacheStatsJSON(d.Cache),
+		Subsys:   newSubsysCacheStatsJSON(d.Subsys),
+		ArrayOpt: newArrayOptStatsJSON(d.ArrayOpt),
+		Disk:     newDiskCacheStatsJSON(d.Disk),
 	}
 	if m.coord != nil {
 		st := m.coord.Snapshot()

@@ -130,10 +130,6 @@ const subthresholdSlopeK = 34.0
 // width w (ohms).
 func (d Device) REqN(w float64) float64 { return rEffFactor * d.Vdd / (d.IonN * w) }
 
-// REqP returns the effective drive resistance of a PMOS transistor of
-// width w (ohms).
-func (d Device) REqP(w float64) float64 { return rEffFactor * d.Vdd / (d.IonP * w) }
-
 // Ioff returns the average subthreshold leakage current (A) of a gate with
 // total NMOS width wn and PMOS width wp at temperature tempK, assuming
 // half the devices leak at any time (standard stacked-gate average).
@@ -248,10 +244,6 @@ func (n *Node) FO4(t DeviceType, longChannel bool) float64 {
 	r := d.REqN(wn)
 	return 0.69 * r * (4*cin + cself)
 }
-
-// LeakTempScale exposes the subthreshold temperature multiplier so that
-// higher layers can report temperature sensitivity.
-func LeakTempScale(tempK float64) float64 { return leakTempScale(tempK) }
 
 // LeakScaleAt is the cheap temperature view over an already-tuned node:
 // it returns the multiplier that converts the node's synthesized

@@ -262,13 +262,6 @@ func NewDieModel(pkg PackageSpec, initialTempK float64) (*Model, error) {
 	return NewModel(pkg, []Block{{Name: "die", RthetaJA: pkg.RthetaJA}}, initialTempK)
 }
 
-// Blocks returns the model's block list (shared slice; do not mutate).
-func (m *Model) Blocks() []Block { return m.blocks }
-
-// BlockTemps returns the current per-block temperatures in block order
-// (shared slice; valid until the next Step).
-func (m *Model) BlockTemps() []float64 { return m.temps }
-
 // Ambient returns the resolved ambient temperature (K).
 func (m *Model) Ambient() float64 { return m.pkg.AmbientK }
 

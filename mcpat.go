@@ -541,21 +541,22 @@ func VFScan(cfg Config, scales []float64) ([]VFPoint, error) {
 	return chip.VFScan(cfg, scales)
 }
 
-// ArrayCacheStats is a snapshot of the array-synthesis cache counters:
-// hits, misses, single-flight shared solves, bypassed (uncached) solves,
-// and resident entries. See ArraySynthCacheStats.
-type ArrayCacheStats = array.CacheStats
+// EngineCounters is the one record of the synthesis engine's counters:
+// Cache (array-synthesis cache), Subsys (the subsystem cache above it),
+// ArrayOpt (array-optimizer enumeration) and Disk (persistent tier).
+// DSEResult embeds it as one sweep's delta.
+type EngineCounters = explore.Counters
 
-// ArraySynthCacheStats returns the current counters of the process-wide
-// circuit-synthesis result cache. Every storage structure on a chip
-// (caches, register files, queues, TLBs, buffers) is solved by an
-// internal optimizer that enumerates subarray organizations; the cache
-// memoizes those solves by a canonical configuration key plus the
-// technology node's value fingerprint, so repeated evaluation - a DSE
-// sweep, a DVFS scan, a thermal fixed-point iteration - reuses earlier
-// work. Cached results are bit-identical to uncached ones; concurrent
-// solves of the same structure share a single computation.
-func ArraySynthCacheStats() ArrayCacheStats { return array.Stats() }
+// ReadEngineCounters returns the current process-wide counters; Delta
+// takes the movement between two reads. Both caches key on a canonical
+// configuration plus the technology node's value fingerprint, and
+// cached results are bit-identical to uncached ones.
+func ReadEngineCounters() EngineCounters { return explore.ReadCounters() }
+
+// ArrayCacheStats is the Cache section of EngineCounters: hits, misses,
+// single-flight shared solves, bypassed (uncached) solves, and resident
+// entries of the array-synthesis cache.
+type ArrayCacheStats = array.CacheStats
 
 // ResetArraySynthCache drops every cached synthesis result and zeroes
 // the counters, forcing subsequent evaluations to start cold (useful for
@@ -568,26 +569,12 @@ func ResetArraySynthCache() { array.ResetCache() }
 // cold, cache-free run.
 func SetArraySynthCache(enabled bool) bool { return array.SetCacheEnabled(enabled) }
 
-// SubsysCacheStats is a snapshot of the subsystem synthesis-cache
-// counters, broken down by component kind (core, cache, fabric, mc,
-// clock). See SubsysSynthCacheStats.
+// SubsysCacheStats is the Subsys section of EngineCounters, broken down
+// by component kind (core, cache, fabric, mc, clock).
 type SubsysCacheStats = component.CacheStats
 
 // SubsysKindStats is the per-kind counter record inside SubsysCacheStats.
 type SubsysKindStats = component.KindStats
-
-// SubsysSynthCacheStats returns the current counters of the process-wide
-// subsystem synthesis cache — the layer above the array cache. Whole
-// synthesized subsystems (a core with all of its arrays, a banked shared
-// cache, a router, a memory controller, the clock network) are memoized
-// by canonical configuration keys, so a DSE candidate that shares a
-// subsystem configuration with an earlier candidate reuses the
-// synthesized model outright instead of re-running its synthesis. This
-// is what makes sweeps incremental: a sweep that varies only NoC
-// parameters re-synthesizes fabrics and clocks but never cores or
-// caches (delta re-evaluation). Scoring a report from shared components
-// is pure, so reuse is bit-identical and safe under concurrency.
-func SubsysSynthCacheStats() SubsysCacheStats { return component.Stats() }
 
 // ResetSubsysSynthCache drops every cached subsystem and zeroes the
 // counters, forcing subsequent chip builds to re-synthesize (the array
@@ -600,10 +587,10 @@ func ResetSubsysSynthCache() { component.ResetCache() }
 // fully cold run.
 func SetSubsysSynthCache(enabled bool) bool { return component.SetCacheEnabled(enabled) }
 
-// DiskCacheStats is a snapshot of the persistent (disk) synthesis-cache
-// counters: hits, misses, corrupt entries quarantined, evictions, write
-// errors, and the resident set size. Enabled is false when no cache
-// directory is configured. See EnablePersistentCache.
+// DiskCacheStats is the Disk section of EngineCounters: hits, misses,
+// corrupt entries quarantined, evictions, write errors, and the
+// resident set size of the persistent cache tier. Enabled is false when
+// no cache directory is configured. See EnablePersistentCache.
 type DiskCacheStats = persist.Stats
 
 // EnablePersistentCache opens (creating if needed) a disk-backed cache
@@ -632,11 +619,6 @@ func EnablePersistentCache(dir string, maxBytes int64) (func(), error) {
 		store.Close()
 	}, nil
 }
-
-// PersistentCacheStats returns the current counters of the installed
-// disk cache tier, or a zero snapshot (Enabled false) when none is
-// installed.
-func PersistentCacheStats() DiskCacheStats { return persist.DefaultStats() }
 
 // Indices into SubsysCacheStats.Kinds for the core, cache and fabric
 // families; SubsysKindName names every index.

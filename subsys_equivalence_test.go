@@ -35,7 +35,7 @@ func TestSubsysCachedReportsBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	cs := mcpat.SubsysSynthCacheStats()
+	cs := mcpat.ReadEngineCounters().Subsys
 	if cs.Total().Hits == 0 {
 		t.Error("warm pass produced no subsystem cache hits; cache not exercised")
 	}
@@ -103,7 +103,7 @@ func TestSubsysDeltaReuse(t *testing.T) {
 			t.Fatalf("fabric %v: %v", k, err)
 		}
 	}
-	cs := mcpat.SubsysSynthCacheStats()
+	cs := mcpat.ReadEngineCounters().Subsys
 	if got := cs.Kinds[mcpat.SubsysKindCore]; got.Misses != 1 || got.Hits != uint64(len(kinds)-1) {
 		t.Errorf("core reuse across NoC-only sweep: %+v, want 1 miss and %d hits", got, len(kinds)-1)
 	}

@@ -77,7 +77,7 @@ func TestTemperatureVariantsShareSynthesis(t *testing.T) {
 			t.Fatalf("%s: %v", target.Ref.Name, err)
 		}
 	}
-	before := mcpat.SubsysSynthCacheStats()
+	before := mcpat.ReadEngineCounters().Subsys
 	for _, target := range mcpat.ValidationTargets() {
 		for _, temp := range []float64{310, 355, 395} {
 			cfg := target.Chip
@@ -87,7 +87,7 @@ func TestTemperatureVariantsShareSynthesis(t *testing.T) {
 			}
 		}
 	}
-	d := mcpat.SubsysSynthCacheStats().Delta(before).Total()
+	d := mcpat.ReadEngineCounters().Subsys.Delta(before).Total()
 	if d.Misses != 0 || d.Bypassed != 0 {
 		t.Errorf("temperature-only variants caused %d synthesis misses and %d bypasses; parts must be shared",
 			d.Misses, d.Bypassed)
@@ -148,7 +148,7 @@ func TestClosedLoopSteadyStateMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterBuild := mcpat.SubsysSynthCacheStats()
+	afterBuild := mcpat.ReadEngineCounters().Subsys
 
 	// Legacy fixed point over the engine's own processor, balancing
 	// runtime power (zero activity: the leakage-dominated floor).
@@ -189,7 +189,7 @@ func TestClosedLoopSteadyStateMatchesSolve(t *testing.T) {
 	// Everything after the engine build — solver iterations, loop setup
 	// (one heap report), and 200 scored intervals — must be pure Score
 	// work: zero synthesis-layer activity of any kind.
-	d := mcpat.SubsysSynthCacheStats().Delta(afterBuild).Total()
+	d := mcpat.ReadEngineCounters().Subsys.Delta(afterBuild).Total()
 	if d.Misses != 0 || d.Hits != 0 || d.Bypassed != 0 {
 		t.Errorf("thermal loop touched the synthesis layer: %+v", d)
 	}
