@@ -75,39 +75,6 @@ func BenchmarkDSESweepCold(b *testing.B) {
 	b.ReportMetric(float64(evaluated)*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
 }
 
-// BenchmarkDSESweepDiskWarm measures the restart path the persistent
-// cache tier targets: a first sweep populates the disk tier, then each
-// iteration simulates a process restart by dropping both in-memory
-// cache layers, so every candidate hydrates from disk instead of
-// re-running synthesis. Compare with BenchmarkDSESweepCold (the true
-// cold baseline, what a restart costs without -cache-dir) for the
-// warm-start win, and with BenchmarkDSESweep for the residual decode
-// overhead versus a purely in-memory hit.
-func BenchmarkDSESweepDiskWarm(b *testing.B) {
-	release, err := mcpat.EnablePersistentCache(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer release()
-	mcpat.ResetArraySynthCache()
-	mcpat.ResetSubsysSynthCache()
-	dseSweep(b) // populate the disk tier once
-	b.ReportAllocs()
-	b.ResetTimer()
-	var evaluated int
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		mcpat.ResetArraySynthCache()
-		mcpat.ResetSubsysSynthCache()
-		b.StartTimer()
-		res := dseSweep(b)
-		evaluated = res.Evaluated
-	}
-	b.ReportMetric(float64(evaluated)*float64(b.N)/b.Elapsed().Seconds(), "candidates/s")
-	ds := mcpat.ReadEngineCounters().Disk
-	b.ReportMetric(100*ds.HitRate(), "disk-hit%")
-}
-
 // deltaSweep is a NoC-only sweep: cores, L2 capacity, and clustering are
 // fixed while the fabric varies, so candidates differ only in their
 // interconnect. This is the delta-re-evaluation shape the subsystem

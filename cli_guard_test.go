@@ -21,7 +21,9 @@ import (
 // input of the same chip still prints. mcpat prints the runtime power
 // /v1/evaluate returns, net of power-gating savings, rejects a zero flit
 // width as a configuration error at the fabric, and mcpat-trace treats a
-// bad -governor as a usage error.
+// bad -governor as a usage error. The synthesis caches live only in
+// memory, so -cache-dir is an unknown flag: the flag package's usage
+// exit (2), not a silently ignored setting.
 func TestCLIOutputGuard(t *testing.T) {
 	dir := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", dir, "./cmd/mcpat", "./cmd/mcpat-m5", "./cmd/mcpat-trace").CombinedOutput(); err != nil {
@@ -100,6 +102,10 @@ func TestCLIOutputGuard(t *testing.T) {
 		{"mcpat-trace bad governor", []string{"mcpat-trace", "-config", "examples/gem5-trace/config.json",
 			"-stats", "examples/gem5-trace/stats.txt", "-thermal", "-rtheta", "0.8", "-governor", "bogus"},
 			cliutil.ExitConfig, "", "unknown governor"},
+		{"mcpat -cache-dir", []string{"mcpat", "-cache-dir", dir, "-infile", chipXML}, cliutil.ExitConfig, "",
+			"flag provided but not defined: -cache-dir"},
+		{"mcpat-trace -cache-dir", []string{"mcpat-trace", "-cache-dir", dir, "-config", "examples/gem5-trace/config.json",
+			"-stats", "examples/gem5-trace/stats.txt"}, cliutil.ExitConfig, "", "flag provided but not defined: -cache-dir"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -66,11 +66,7 @@ func main() {
 		noCache   = flag.Bool("no-cache", false, "disable the synthesis result caches (array and subsystem)")
 		asJSON    = flag.Bool("json", false, "emit the sweep as JSON (candidates, failures, cache stats) - the same schema the mcpatd service returns")
 	)
-	cacheDir, cacheSize := cliutil.CacheFlags(flag.CommandLine)
 	flag.Parse()
-	if closeCache := cliutil.EnablePersistentCache(*cacheDir, *cacheSize); closeCache != nil {
-		defer closeCache()
-	}
 
 	obj, err := explore.ParseObjective(*objName)
 	if err != nil {
@@ -211,13 +207,6 @@ func main() {
 		op := res.ArrayOpt
 		fmt.Printf("Array optimizer: %d organizations evaluated, %d pruned (%.1f%% of the enumeration skipped)\n",
 			op.Evaluated, op.Pruned, 100*op.PruneRate())
-		if ds := res.Disk; ds.Enabled {
-			fmt.Printf("Disk cache: %d hits, %d misses, %d corrupt, %d evicted, %d write errors (%.1f%% hit rate; %d entries, %.1f MiB resident)\n",
-				ds.Hits, ds.Misses, ds.Corrupt, ds.Evicted, ds.WriteErrors,
-				100*ds.HitRate(), ds.Entries, float64(ds.Bytes)/(1<<20))
-		} else {
-			fmt.Println("Disk cache: disabled (set -cache-dir to persist synthesis results)")
-		}
 	}
 	if *stats && coord != nil {
 		st := coord.Snapshot()

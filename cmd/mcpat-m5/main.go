@@ -26,11 +26,7 @@ func main() {
 		asJSON     = flag.Bool("json", false, "emit the report as JSON")
 		interval   = flag.Int("interval", -1, "statistics dump to use (0-based; -1 = last)")
 	)
-	cacheDir, cacheSize := cliutil.CacheFlags(flag.CommandLine)
 	flag.Parse()
-	if closeCache := cliutil.EnablePersistentCache(*cacheDir, *cacheSize); closeCache != nil {
-		defer closeCache()
-	}
 	if *infile == "" || *statsFile == "" {
 		flag.Usage()
 		cliutil.Usagef("mcpat-m5", "-infile and -stats are required")

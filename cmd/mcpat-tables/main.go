@@ -33,11 +33,7 @@ func main() {
 		fig   = flag.String("fig", "", "figure to print: devices|perf|power|area|metrics|scaling")
 		all   = flag.Bool("all", false, "print every table and figure")
 	)
-	cacheDir, cacheSize := cliutil.CacheFlags(flag.CommandLine)
 	flag.Parse()
-	if closeCache := cliutil.EnablePersistentCache(*cacheDir, *cacheSize); closeCache != nil {
-		defer closeCache()
-	}
 
 	var err error
 	switch {

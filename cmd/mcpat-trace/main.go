@@ -48,11 +48,7 @@ func main() {
 		governor  = flag.String("governor", "none", "DVFS policy: none or headroom")
 		targetK   = flag.Float64("target", 0, "headroom governor throttle setpoint in K (0 = tjmax-5)")
 	)
-	cacheDir, cacheSize := cliutil.CacheFlags(flag.CommandLine)
 	flag.Parse()
-	if closeCache := cliutil.EnablePersistentCache(*cacheDir, *cacheSize); closeCache != nil {
-		defer closeCache()
-	}
 	if *configFile == "" || *statsFile == "" {
 		flag.Usage()
 		cliutil.Usagef("mcpat-trace", "-config and -stats are required")

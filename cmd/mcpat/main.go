@@ -33,11 +33,7 @@ func main() {
 		timing     = flag.Bool("timing", false, "print the per-component timing report (critical paths)")
 		asJSON     = flag.Bool("json", false, "emit the report as JSON instead of text")
 	)
-	cacheDir, cacheSize := cliutil.CacheFlags(flag.CommandLine)
 	flag.Parse()
-	if closeCache := cliutil.EnablePersistentCache(*cacheDir, *cacheSize); closeCache != nil {
-		defer closeCache()
-	}
 
 	if *listTmpl {
 		for _, p := range mcpat.Presets() {

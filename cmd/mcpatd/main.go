@@ -28,14 +28,11 @@
 // With -journal the job store is durable: accepted DSE jobs are
 // journaled (fsynced) before the 202 response, and jobs that were
 // queued or running when the process died — SIGKILL included — are
-// re-run with their original ids on the next start. With -cache-dir the
-// synthesis caches gain a crash-safe disk tier shared with the CLIs, so
-// a restarted daemon warm-starts instead of re-synthesizing.
+// re-run with their original ids on the next start.
 //
 // Distributed sweeps: -worker turns the daemon into a shard evaluator
 // for a coordinator (mcpat-dse -remote, or another mcpatd started with
-// -remote host1,host2 that fans its /v1/dse jobs out). Workers sharing
-// a -cache-dir on one host also share the persistent synthesis tier.
+// -remote host1,host2 that fans its /v1/dse jobs out).
 // -pprof-addr exposes net/http/pprof on a separate (keep it local)
 // listener for profiling coordinator and worker hot paths in situ.
 //
@@ -80,12 +77,7 @@ func main() {
 		pprofAddr    = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty = disabled); keep it on localhost")
 		quiet        = flag.Bool("quiet", false, "suppress per-request logging")
 	)
-	cacheDir, cacheSize := cliutil.CacheFlags(flag.CommandLine)
 	flag.Parse()
-
-	if closeCache := cliutil.EnablePersistentCache(*cacheDir, *cacheSize); closeCache != nil {
-		defer closeCache()
-	}
 
 	logf := log.Printf
 	if *quiet {

@@ -21,7 +21,6 @@ import (
 
 	"mcpat/internal/circuit"
 	"mcpat/internal/guard"
-	"mcpat/internal/memo"
 	"mcpat/internal/power"
 	"mcpat/internal/tech"
 )
@@ -197,8 +196,7 @@ func New(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	key := canonicalKey(&cfg, wordBits)
-	codec := memo.Codec[*Result]{NS: arrayNS, Key: key.encodeKey, Encode: encodeResult, Decode: decodeResult}
-	return results.Do(0, key.shard(), key, &codec, func() (*Result, error) {
+	return results.Do(0, key.shard(), key, func() (*Result, error) {
 		return synthesize(cfg, totalBits, wordBits)
 	})
 }

@@ -9,6 +9,11 @@ import (
 	"mcpat/internal/tech/techtest"
 )
 
+func resetTiers() {
+	component.ResetCache()
+	array.ResetCache()
+}
+
 func l2cfg() Config {
 	return Config{
 		Name: "l2", Tech: techtest.Node(65), Dev: tech.HP,

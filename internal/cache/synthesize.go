@@ -20,10 +20,7 @@ func Synthesize(cfg Config) (*Cache, error) {
 	if !key.Directory {
 		key.Sharers = 0 // unread without a directory
 	}
-	// The disk tier (active only when a persistent cache directory is
-	// configured) round-trips the synthesized cache through the codec in
-	// persist.go, which reattaches norm.Tech on decode.
-	return component.Synthesize(component.KindCache, norm.Tech, key, persistCodec(key, norm.Tech), func() (*Cache, error) {
+	return component.Synthesize(component.KindCache, norm.Tech, key, func() (*Cache, error) {
 		return New(cfg)
 	})
 }

@@ -11,7 +11,7 @@ import "mcpat/internal/component"
 func Synthesize(cfg Config) (*Network, error) {
 	key := cfg
 	key.Tech = nil
-	return component.Synthesize(component.KindClock, cfg.Tech, key, nil, func() (*Network, error) {
+	return component.Synthesize(component.KindClock, cfg.Tech, key, func() (*Network, error) {
 		return New(cfg)
 	})
 }

@@ -36,14 +36,6 @@ import (
 //     which cannot be hashed here without reflection, and contention
 //     concentrates within one kind only during homogeneous sweeps,
 //     where the critical section is a single map operation.
-//
-//   - The disk tier is opt-in per call. Subsystem values are arbitrary
-//     Go structs, so there is no universal serialization: packages that
-//     can round-trip their value pass a codec to Synthesize. Kinds
-//     without one stop at the memory tier; their re-synthesis is already
-//     cheap when the array tier underneath is disk-warm, because a
-//     subsystem build decomposes into array solves (all disk hits) plus
-//     fast analytic logic.
 
 // memoKey scopes a caller's key to its kind and node. An interface
 // compares dynamic types too, so config types sharing a kind (router
@@ -65,16 +57,11 @@ var subsystems = memo.NewTable[memoKey, any](NumKinds, NumKinds, nil)
 // every field its constructor ignores zeroed. The returned value is
 // shared: callers must treat it as immutable. A nil node runs build
 // uncached and uncounted, so the constructor reports its own error.
-//
-// A non-nil codec adds the disk tier: with a persistent cache installed
-// (persist.SetDefault), the owner of a memory miss first tries to
-// hydrate the value from disk and publishes fresh syntheses back; disk
-// problems degrade to cold synthesis. codec's Decode must return a T.
-func Synthesize[C comparable, T any](kind Kind, node *tech.Node, key C, codec *memo.Codec[any], build func() (T, error)) (T, error) {
+func Synthesize[C comparable, T any](kind Kind, node *tech.Node, key C, build func() (T, error)) (T, error) {
 	if node == nil {
 		return build()
 	}
-	v, err := subsystems.Do(int(kind), uint64(kind), memoKey{kind, node.Fingerprint(), key}, codec, func() (any, error) { return build() })
+	v, err := subsystems.Do(int(kind), uint64(kind), memoKey{kind, node.Fingerprint(), key}, func() (any, error) { return build() })
 	if err != nil {
 		var zero T
 		return zero, err

@@ -36,11 +36,11 @@ func TestMemoizeHitReturnsSharedValue(t *testing.T) {
 		v := 42
 		return &v, nil
 	}
-	a, err := Synthesize(KindCore, node, testKey{1}, nil, synth)
+	a, err := Synthesize(KindCore, node, testKey{1}, synth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Synthesize(KindCore, node, testKey{1}, nil, synth)
+	b, err := Synthesize(KindCore, node, testKey{1}, synth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +65,20 @@ func TestMemoizeKeysAndKindsAreDistinct(t *testing.T) {
 	mk := func(v int) func() (int, error) {
 		return func() (int, error) { return v, nil }
 	}
-	if v, _ := Synthesize(KindCore, node, testKey{1}, nil, mk(10)); v != 10 {
+	if v, _ := Synthesize(KindCore, node, testKey{1}, mk(10)); v != 10 {
 		t.Fatalf("got %d", v)
 	}
 	// Same key value under a different kind must not collide.
-	if v, _ := Synthesize(KindCache, node, testKey{1}, nil, mk(20)); v != 20 {
+	if v, _ := Synthesize(KindCache, node, testKey{1}, mk(20)); v != 20 {
 		t.Errorf("kind collision: got %d, want 20", v)
 	}
 	// Different key under the same kind must not collide.
-	if v, _ := Synthesize(KindCore, node, testKey{2}, nil, mk(30)); v != 30 {
+	if v, _ := Synthesize(KindCore, node, testKey{2}, mk(30)); v != 30 {
 		t.Errorf("key collision: got %d, want 30", v)
 	}
 	// A distinct config type with identical field values under the same
 	// kind must not collide either.
-	if v, _ := Synthesize(KindCore, node, otherKey{1}, nil, mk(40)); v != 40 {
+	if v, _ := Synthesize(KindCore, node, otherKey{1}, mk(40)); v != 40 {
 		t.Errorf("config-type collision: got %d, want 40", v)
 	}
 	if cs := Stats(); cs.Entries != 4 || cs.Total().Misses != 4 {
@@ -98,10 +98,10 @@ func TestMemoizeKeysAndKindsAreDistinct(t *testing.T) {
 	if a == b {
 		t.Fatal("ByFeature returned one shared node; the case needs two")
 	}
-	if v, _ := Synthesize(KindClock, a, testKey{1}, nil, mk(50)); v != 50 {
+	if v, _ := Synthesize(KindClock, a, testKey{1}, mk(50)); v != 50 {
 		t.Fatalf("first node got %d, want 50", v)
 	}
-	if v, _ := Synthesize(KindClock, b, testKey{1}, nil, mk(60)); v != 50 {
+	if v, _ := Synthesize(KindClock, b, testKey{1}, mk(60)); v != 50 {
 		t.Errorf("equal node got %d, want the shared 50", v)
 	}
 	if k := Stats().Kinds[KindClock]; k != (KindStats{Hits: 1, Misses: 1}) {
@@ -113,7 +113,7 @@ func TestMemoizeKeysAndKindsAreDistinct(t *testing.T) {
 	before := Stats()
 	runs := 0
 	for i := 0; i < 2; i++ {
-		if _, err := Synthesize(KindMC, nil, testKey{1}, nil, func() (int, error) { runs++; return runs, nil }); err != nil {
+		if _, err := Synthesize(KindMC, nil, testKey{1}, func() (int, error) { runs++; return runs, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestMemoizeKeysAndKindsAreDistinct(t *testing.T) {
 		t.Errorf("nil node: build ran %d times, want 2 (uncached)", runs)
 	}
 	errNoNode := errors.New("technology node required")
-	if _, err := Synthesize(KindMC, nil, testKey{1}, nil, func() (int, error) { return 0, errNoNode }); !errors.Is(err, errNoNode) {
+	if _, err := Synthesize(KindMC, nil, testKey{1}, func() (int, error) { return 0, errNoNode }); !errors.Is(err, errNoNode) {
 		t.Errorf("nil node: err = %v, want the constructor's", err)
 	}
 	if after := Stats(); after != before {

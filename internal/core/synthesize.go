@@ -14,7 +14,7 @@ func Synthesize(cfg Config) (*Core, error) {
 	}
 	node := key.Tech
 	key.Tech, key.Name = nil, ""
-	return component.Synthesize(component.KindCore, node, key, nil, func() (*Core, error) {
+	return component.Synthesize(component.KindCore, node, key, func() (*Core, error) {
 		return New(cfg)
 	})
 }

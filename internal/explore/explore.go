@@ -35,7 +35,6 @@ import (
 	"mcpat/internal/guard"
 	"mcpat/internal/mc"
 	"mcpat/internal/perfsim"
-	"mcpat/internal/persist"
 )
 
 // Space enumerates the design axes. Empty slices take single defaults.
@@ -226,11 +225,11 @@ type Result struct {
 
 	// Counters reports the synthesis tiers' activity attributable to
 	// this sweep: counter deltas over the sweep, with each section's
-	// gauges (resident entries, disk bytes) read afterwards.
+	// gauges (resident entries) read afterwards.
 	Counters
 }
 
-// Counters is the engine's one counter record: the four synthesis-tier
+// Counters is the engine's one counter record: the three synthesis-tier
 // sections a sweep, a serving window or a library caller reads
 // together. ReadCounters takes the process-wide totals; Delta turns two
 // reads into the movement between them.
@@ -238,7 +237,6 @@ type Counters struct {
 	Cache    array.CacheStats     // array-synthesis cache
 	Subsys   component.CacheStats // subsystem-synthesis cache, per component kind
 	ArrayOpt array.OptimizerStats // array-optimizer organizations evaluated vs pruned
-	Disk     persist.Stats        // persistent tier; zero, Enabled false, without one
 }
 
 // ReadCounters returns the current process-wide counters.
@@ -247,18 +245,16 @@ func ReadCounters() Counters {
 		Cache:    array.Stats(),
 		Subsys:   component.Stats(),
 		ArrayOpt: array.OptStats(),
-		Disk:     persist.DefaultStats(),
 	}
 }
 
 // Delta returns the counter movement c - prev, section by section. The
-// gauges (resident entries, disk bytes and Enabled) keep c's values.
+// gauges (resident entries) keep c's values.
 func (c Counters) Delta(prev Counters) Counters {
 	return Counters{
 		Cache:    c.Cache.Delta(prev.Cache),
 		Subsys:   c.Subsys.Delta(prev.Subsys),
 		ArrayOpt: c.ArrayOpt.Delta(prev.ArrayOpt),
-		Disk:     c.Disk.Delta(prev.Disk),
 	}
 }
 

@@ -13,7 +13,7 @@ import "mcpat/internal/component"
 func SynthesizeRouter(cfg RouterConfig) (*Router, error) {
 	key := cfg
 	key.Tech = nil
-	return component.Synthesize(component.KindFabric, cfg.Tech, key, nil, func() (*Router, error) {
+	return component.Synthesize(component.KindFabric, cfg.Tech, key, func() (*Router, error) {
 		return NewRouter(cfg)
 	})
 }
@@ -22,7 +22,7 @@ func SynthesizeRouter(cfg RouterConfig) (*Router, error) {
 func SynthesizeLink(cfg LinkConfig) (*Link, error) {
 	key := cfg
 	key.Tech = nil
-	return component.Synthesize(component.KindFabric, cfg.Tech, key, nil, func() (*Link, error) {
+	return component.Synthesize(component.KindFabric, cfg.Tech, key, func() (*Link, error) {
 		return NewLink(cfg)
 	})
 }
@@ -31,7 +31,7 @@ func SynthesizeLink(cfg LinkConfig) (*Link, error) {
 func SynthesizeBus(cfg BusConfig) (*Link, error) {
 	key := cfg
 	key.Tech = nil
-	return component.Synthesize(component.KindFabric, cfg.Tech, key, nil, func() (*Link, error) {
+	return component.Synthesize(component.KindFabric, cfg.Tech, key, func() (*Link, error) {
 		return NewBus(cfg)
 	})
 }
@@ -40,7 +40,7 @@ func SynthesizeBus(cfg BusConfig) (*Link, error) {
 func SynthesizeCrossbar(cfg CrossbarConfig) (*Link, error) {
 	key := cfg
 	key.Tech = nil
-	return component.Synthesize(component.KindFabric, cfg.Tech, key, nil, func() (*Link, error) {
+	return component.Synthesize(component.KindFabric, cfg.Tech, key, func() (*Link, error) {
 		return NewCrossbar(cfg)
 	})
 }

@@ -18,7 +18,7 @@ import (
 func Synthesize(cfg Config) (*Controller, error) {
 	key := cfg
 	key.Tech = nil
-	return component.Synthesize(component.KindMC, cfg.Tech, key, nil, func() (*Controller, error) {
+	return component.Synthesize(component.KindMC, cfg.Tech, key, func() (*Controller, error) {
 		return New(cfg)
 	})
 }
@@ -27,7 +27,7 @@ func Synthesize(cfg Config) (*Controller, error) {
 func SynthesizeNIU(cfg NIUConfig) (power.PAT, error) {
 	key := cfg
 	key.Tech = nil
-	return component.Synthesize(component.KindMC, cfg.Tech, key, nil, func() (power.PAT, error) {
+	return component.Synthesize(component.KindMC, cfg.Tech, key, func() (power.PAT, error) {
 		return NewNIU(cfg)
 	})
 }
@@ -36,7 +36,7 @@ func SynthesizeNIU(cfg NIUConfig) (power.PAT, error) {
 func SynthesizePCIe(cfg PCIeConfig) (power.PAT, error) {
 	key := cfg
 	key.Tech = nil
-	return component.Synthesize(component.KindMC, cfg.Tech, key, nil, func() (power.PAT, error) {
+	return component.Synthesize(component.KindMC, cfg.Tech, key, func() (power.PAT, error) {
 		return NewPCIe(cfg)
 	})
 }

@@ -5,10 +5,9 @@
 // (internal/component). Each tier is one Table.
 //
 // A Table maps canonical keys to synthesized values. Concurrent lookups
-// of one key share a single in-flight synthesis (single flight), and
-// only the goroutine that owns a key's flight walks the tiers below
-// memory: the default persistent store (internal/persist), then the
-// synthesis itself, then a publish back to disk.
+// of one key share a single in-flight synthesis (single flight): only
+// the goroutine that owns a key's flight runs the synthesis, and every
+// other caller waits for its value.
 //
 // Correctness properties, shared by both tiers:
 //   - Only successful syntheses are cached. Errors carry the caller's
@@ -24,8 +23,6 @@ package memo
 import (
 	"sync"
 	"sync/atomic"
-
-	"mcpat/internal/persist"
 )
 
 // Table is one memo tier: a lock-striped, single-flight map from
@@ -70,14 +67,10 @@ func NewTable[K comparable, V any](stripes, sets int, private func(V) V) *Table[
 
 // Do returns the value memoized under key, running synth at most once
 // per key across the process. The lookup is counted on counter set set
-// and locks stripe (taken modulo the stripe count). codec, when
-// non-nil, adds the disk tier: the flight's owner tries the default
-// persistent store before synth and publishes what synth returns. A
-// disk-hydrated value fills the table and counts as a miss, like a
-// synthesis; the disk tier keeps its own counters.
+// and locks stripe (taken modulo the stripe count).
 //
 // With the table disabled, Do runs synth uncached and counts a bypass.
-func (t *Table[K, V]) Do(set int, stripe uint64, key K, codec *Codec[V], synth func() (V, error)) (V, error) {
+func (t *Table[K, V]) Do(set int, stripe uint64, key K, synth func() (V, error)) (V, error) {
 	c := &t.sets[set]
 	if t.disabled.Load() {
 		c.bypassed.Add(1)
@@ -112,7 +105,7 @@ func (t *Table[K, V]) Do(set int, stripe uint64, key K, codec *Codec[V], synth f
 	s.entries[key] = e
 	s.mu.Unlock()
 
-	// This goroutine owns the flight. If the walk panics, the deferred
+	// This goroutine owns the flight. If synth panics, the deferred
 	// drop removes the entry and releases the waiters, who re-run synth
 	// themselves rather than deadlock.
 	landed := false
@@ -121,25 +114,16 @@ func (t *Table[K, V]) Do(set int, stripe uint64, key K, codec *Codec[V], synth f
 			s.drop(key, e)
 		}
 	}()
-	v, fromDisk := codec.load()
-	if !fromDisk {
-		var err error
-		if v, err = synth(); err != nil {
-			landed = true
-			s.drop(key, e)
-			var zero V
-			return zero, err
-		}
-	}
+	v, err := synth()
 	landed = true
+	if err != nil {
+		s.drop(key, e)
+		var zero V
+		return zero, err
+	}
 	c.misses.Add(1)
 	e.val, e.ok = v, true
 	close(e.done)
-	if !fromDisk {
-		// Publish so future processes warm-start. This runs after the
-		// waiters are released and never fails the caller.
-		codec.store(v)
-	}
 	return t.handOut(v), nil
 }
 
@@ -216,10 +200,7 @@ func (t *Table[K, V]) SetEnabled(enabled bool) bool {
 type Stats struct {
 	// Hits counts lookups served from the table (including Shared).
 	Hits uint64
-	// Misses counts lookups that filled the table: real syntheses, plus
-	// values hydrated from the disk tier when a persistent cache
-	// directory is configured (the disk tier keeps its own hit/miss
-	// counters; see internal/persist).
+	// Misses counts lookups that filled the table with a synthesis.
 	Misses uint64
 	// Shared counts hits that joined a flight started by a concurrent
 	// caller instead of finding a landed entry: the single-flight
@@ -259,56 +240,4 @@ func since(cur, prev uint64) uint64 {
 		return cur
 	}
 	return cur - prev
-}
-
-// Codec is one lookup's disk form. It is built per lookup, so Decode
-// may reattach live context the stored bytes leave out (the caller's
-// *tech.Node, which the key identifies by its value fingerprint).
-type Codec[V any] struct {
-	// NS is the disk namespace. It embeds a format version
-	// ("array.v1"), bumped whenever the key or value encoding changes so
-	// stale entries strand instead of decoding wrongly.
-	NS string
-	// Key returns the deterministic byte encoding of the lookup's key.
-	Key func() []byte
-	// Encode serializes a synthesized value.
-	Encode func(V) ([]byte, error)
-	// Decode reverses Encode. An error is a miss, and cold synthesis
-	// republishes; Decode must never panic.
-	Decode func([]byte) (V, error)
-}
-
-// load returns the disk tier's value for the lookup. Any disk problem
-// is a miss.
-func (c *Codec[V]) load() (V, bool) {
-	var zero V
-	store := persist.Default()
-	if c == nil || store == nil {
-		return zero, false
-	}
-	data, ok := store.Get(c.NS, c.Key())
-	if !ok {
-		return zero, false
-	}
-	v, err := c.Decode(data)
-	if err != nil {
-		// The framing verified but the payload does not decode: codec
-		// skew that slipped past the namespace version.
-		return zero, false
-	}
-	return v, true
-}
-
-// store publishes a synthesized value. A dropped write only costs a
-// later process one cold synthesis.
-func (c *Codec[V]) store(v V) {
-	store := persist.Default()
-	if c == nil || store == nil {
-		return
-	}
-	data, err := c.Encode(v)
-	if err != nil {
-		return
-	}
-	store.Put(c.NS, c.Key(), data)
 }

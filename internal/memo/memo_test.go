@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"mcpat/internal/persist"
 )
 
 // waitFor polls cond until it holds, failing the test after a generous
@@ -44,7 +42,7 @@ func TestSingleFlight(t *testing.T) {
 			got[w] = make([]*int, keys)
 			for r := 0; r < rounds; r++ {
 				for k := 0; k < keys; k++ {
-					v, err := tb.Do(0, uint64(k), k, nil, func() (*int, error) {
+					v, err := tb.Do(0, uint64(k), k, func() (*int, error) {
 						runs[k].Add(1)
 						x := k
 						return &x, nil
@@ -98,10 +96,10 @@ func TestErrorNotCached(t *testing.T) {
 		}
 		return 7, nil
 	}
-	if _, err := tb.Do(0, 0, 1, nil, synth); !errors.Is(err, boom) {
+	if _, err := tb.Do(0, 0, 1, synth); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, err := tb.Do(0, 0, 1, nil, synth)
+	v, err := tb.Do(0, 0, 1, synth)
 	if err != nil || v != 7 {
 		t.Fatalf("retry after error: v=%d err=%v", v, err)
 	}
@@ -119,7 +117,7 @@ func TestFailedFlightReruns(t *testing.T) {
 	ownerErr, waiterErr := errors.New("owner"), errors.New("waiter")
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, err := tb.Do(0, 0, 1, nil, func() (int, error) {
+		_, err := tb.Do(0, 0, 1, func() (int, error) {
 			<-release
 			return 0, ownerErr
 		})
@@ -128,7 +126,7 @@ func TestFailedFlightReruns(t *testing.T) {
 	waitFor(t, "the owner's flight", func() bool { return tb.Len() == 1 })
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := tb.Do(0, 0, 1, nil, func() (int, error) { return 0, waiterErr })
+		_, err := tb.Do(0, 0, 1, func() (int, error) { return 0, waiterErr })
 		waiterDone <- err
 	}()
 	waitFor(t, "the waiter to join", func() bool { return tb.Stats(0).Shared == 1 })
@@ -158,7 +156,7 @@ func TestDisabledBypasses(t *testing.T) {
 	var runs int
 	synth := func() (int, error) { runs++; return 1, nil }
 	for i := 0; i < 3; i++ {
-		if _, err := tb.Do(0, 0, 1, nil, synth); err != nil {
+		if _, err := tb.Do(0, 0, 1, synth); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,10 +179,10 @@ func TestPanicUnblocksAndRetries(t *testing.T) {
 				t.Fatal("expected the synthesis panic to propagate")
 			}
 		}()
-		tb.Do(0, 0, 1, nil, func() (int, error) { panic("model fault") })
+		tb.Do(0, 0, 1, func() (int, error) { panic("model fault") })
 	}()
 	// The panicked entry must be gone: a later call runs a real synthesis.
-	v, err := tb.Do(0, 0, 1, nil, func() (int, error) { return 5, nil })
+	v, err := tb.Do(0, 0, 1, func() (int, error) { return 5, nil })
 	if err != nil || v != 5 {
 		t.Fatalf("after panic: v=%d err=%v", v, err)
 	}
@@ -202,7 +200,7 @@ func TestResetDuringFlight(t *testing.T) {
 	release := make(chan struct{})
 	ownerDone := make(chan error, 1)
 	go func() {
-		_, err := tb.Do(0, 0, 1, nil, func() (int, error) {
+		_, err := tb.Do(0, 0, 1, func() (int, error) {
 			<-release
 			return 0, errors.New("stale flight")
 		})
@@ -215,14 +213,14 @@ func TestResetDuringFlight(t *testing.T) {
 		t.Fatalf("after Reset: %+v, Len %d", s, tb.Len())
 	}
 	// The emptied table starts a new flight for the same key.
-	if v, err := tb.Do(0, 0, 1, nil, func() (int, error) { return 2, nil }); err != nil || v != 2 {
+	if v, err := tb.Do(0, 0, 1, func() (int, error) { return 2, nil }); err != nil || v != 2 {
 		t.Fatalf("new flight: v=%d err=%v", v, err)
 	}
 	close(release)
 	if err := <-ownerDone; err == nil {
 		t.Fatal("the stale flight should fail")
 	}
-	v, err := tb.Do(0, 0, 1, nil, func() (int, error) {
+	v, err := tb.Do(0, 0, 1, func() (int, error) {
 		t.Error("the stale flight's failure dropped the newer entry")
 		return 3, nil
 	})
@@ -246,64 +244,17 @@ func TestPrivateCopies(t *testing.T) {
 	})
 	var made *int
 	synth := func() (*int, error) { x := 1; made = &x; return made, nil }
-	a, _ := tb.Do(0, 0, 1, nil, synth)
-	b, _ := tb.Do(0, 0, 1, nil, synth)
+	a, _ := tb.Do(0, 0, 1, synth)
+	b, _ := tb.Do(0, 0, 1, synth)
 	if a == made || b == made || a == b {
 		t.Error("the stored value was handed out")
 	}
 	tb.SetEnabled(false)
-	if c, _ := tb.Do(0, 0, 2, nil, synth); c != made {
+	if c, _ := tb.Do(0, 0, 2, synth); c != made {
 		t.Error("a bypassed synthesis was copied")
 	}
 	if n := copies.Load(); n != 2 {
 		t.Errorf("copied %d times, want 2", n)
-	}
-}
-
-// TestDiskWalk: only a miss's owner walks memory -> disk -> synthesize.
-// A published value hydrates a fresh table without running synth, and
-// counts as a miss there.
-func TestDiskWalk(t *testing.T) {
-	store, err := persist.Open(persist.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := persist.SetDefault(store)
-	t.Cleanup(func() {
-		persist.SetDefault(prev)
-		store.Close()
-	})
-	codec := &Codec[int]{
-		NS:     "memo.test.v1",
-		Key:    func() []byte { return []byte("k") },
-		Encode: func(v int) ([]byte, error) { return []byte{byte(v)}, nil },
-		Decode: func(b []byte) (int, error) { return int(b[0]), nil },
-	}
-	var runs int
-	synth := func() (int, error) { runs++; return 9, nil }
-
-	tb := NewTable[int, int](1, 1, nil)
-	if v, err := tb.Do(0, 0, 1, codec, synth); err != nil || v != 9 {
-		t.Fatalf("cold: v=%d err=%v", v, err)
-	}
-	if v, _ := tb.Do(0, 0, 1, codec, synth); v != 9 {
-		t.Fatalf("memory hit: v=%d", v)
-	}
-	if st := store.Stats(); st.Hits != 0 || st.Entries != 1 {
-		t.Fatalf("disk after one synthesis and one memory hit: %+v", st)
-	}
-	fresh := NewTable[int, int](1, 1, nil)
-	if v, err := fresh.Do(0, 0, 1, codec, synth); err != nil || v != 9 {
-		t.Fatalf("hydrated: v=%d err=%v", v, err)
-	}
-	if runs != 1 {
-		t.Errorf("synthesis ran %d times, want 1 (the second table hydrates)", runs)
-	}
-	if s := fresh.Stats(0); s != (Stats{Misses: 1}) {
-		t.Errorf("hydrating table counters = %+v, want 1 miss", s)
-	}
-	if st := store.Stats(); st.Hits != 1 {
-		t.Errorf("disk hits = %d, want 1", st.Hits)
 	}
 }
 

@@ -2,9 +2,9 @@ package serve
 
 // POST /v1/batch: evaluate many chip configurations in one request, so
 // they share a single warm cache generation — every array and subsystem
-// the first item synthesizes is a memory-cache (and, with -cache-dir, a
-// disk) hit for the rest. Items are independent: one bad config yields
-// a per-item error, never a failed batch.
+// the first item synthesizes is a memory-cache hit for the rest. Items
+// are independent: one bad config yields a per-item error, never a
+// failed batch.
 
 import (
 	"context"
@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"sync"
 
-	"mcpat/internal/explore"
 	"mcpat/internal/guard"
 )
 
@@ -44,9 +43,6 @@ type BatchResponse struct {
 	Items     []BatchItemResult `json:"items"`
 	Succeeded int               `json:"succeeded"`
 	Failed    int               `json:"failed"`
-	// Disk reports the persistent cache tier's activity during this
-	// batch — the warm-sharing the endpoint exists for.
-	Disk DiskCacheStatsJSON `json:"disk_cache"`
 }
 
 // handleBatch serves POST /v1/batch. Admission takes one synchronous
@@ -94,7 +90,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		workers = len(req.Items)
 	}
 
-	before := explore.ReadCounters()
 	resp := &BatchResponse{Items: make([]BatchItemResult, len(req.Items))}
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
@@ -157,7 +152,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Failed++
 		}
 	}
-	resp.Disk = newDiskCacheStatsJSON(explore.ReadCounters().Delta(before).Disk)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"mcpat/internal/chip"
 	"mcpat/internal/guard"
-	"mcpat/internal/persist"
 )
 
 func TestBatchEvaluate(t *testing.T) {
@@ -74,40 +73,6 @@ func TestBatchValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", tc.name, resp.StatusCode, body)
 		}
-	}
-}
-
-func TestBatchReportsDiskTier(t *testing.T) {
-	store, err := persist.Open(persist.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := persist.SetDefault(store)
-	t.Cleanup(func() {
-		persist.SetDefault(prev)
-		store.Close()
-	})
-
-	_, ts := newTestServer(t, Config{})
-	cfg := tinyChip()
-	resp, body := doJSON(t, "POST", ts.URL+"/v1/batch", BatchRequest{
-		Items: []EvaluateRequest{{Config: &cfg}},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: %d %s", resp.StatusCode, body)
-	}
-	br := decode[BatchResponse](t, body)
-	if !br.Disk.Enabled {
-		t.Error("batch with a configured store must report disk_cache.enabled")
-	}
-
-	// /metrics mirrors the disk tier.
-	resp, body = doJSON(t, "GET", ts.URL+"/metrics", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
-	}
-	if snap := decode[MetricsSnapshot](t, body); !snap.Disk.Enabled {
-		t.Error("metrics must report the disk tier as enabled")
 	}
 }
 

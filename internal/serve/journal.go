@@ -25,11 +25,14 @@ package serve
 //     torn "end" re-runs one idempotent sweep — both safe).
 //   - Open replays the log, then compacts it to just the live submit
 //     records via write-temp-then-rename, so the file stays bounded by
-//     the number of in-flight jobs, not server lifetime.
+//     the number of in-flight jobs, not server lifetime. The directory
+//     is synced after the rename: the rename lives in the directory, and
+//     without that sync a power loss can bring back the old journal (or
+//     none, on a first start) and lose every job accepted since.
 //
 // Journal write failures after open (disk full, pulled volume) degrade:
 // the failure is logged once and the server keeps running without
-// durability, matching the persist tier's never-fatal contract.
+// durability. Durability is never a reason to stop serving evaluations.
 
 import (
 	"bufio"
@@ -109,11 +112,28 @@ func openJournal(path string, logf func(string, ...any)) (*journal, []recoveredJ
 		os.Remove(tmp)
 		return nil, nil, fmt.Errorf("journal compact: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return nil, nil, fmt.Errorf("journal compact: %w", err)
+	}
 	h, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal open: %w", err)
 	}
 	return &journal{f: h, path: path, logf: logf}, live, nil
+}
+
+// syncDir flushes the directory entry changes in dir (a rename) to
+// stable storage. It is a variable so tests can observe the call.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // replayJournal reads every parseable record and returns the jobs that

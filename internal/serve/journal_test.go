@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -100,6 +101,43 @@ func TestJournalOpenOnMissingAndEmptyFile(t *testing.T) {
 	jl.close()
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("journal file not created: %v", err)
+	}
+}
+
+// TestJournalCompactionSyncsDir: the compaction's rename is made durable
+// by syncing the journal's directory once the rename has landed, and a
+// failed sync fails the open (the server then runs without durability).
+func TestJournalCompactionSyncsDir(t *testing.T) {
+	path := journalPath(t)
+	realSync := syncDir
+	t.Cleanup(func() { syncDir = realSync })
+	var synced []string
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("directory synced before the rename: %v", err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("directory synced while the temp file exists (stat: %v)", err)
+		}
+		return realSync(dir)
+	}
+	jl, _, err := openJournal(path, func(string, ...any) {})
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
+	jl.close()
+	if want := []string{filepath.Dir(path)}; !reflect.DeepEqual(synced, want) {
+		t.Errorf("synced %q, want %q", synced, want)
+	}
+
+	boom := errors.New("injected sync failure")
+	syncDir = func(string) error { return boom }
+	if jl, _, err := openJournal(path, func(string, ...any) {}); !errors.Is(err, boom) {
+		if jl != nil {
+			jl.close()
+		}
+		t.Errorf("openJournal with a failing directory sync: err = %v, want %v", err, boom)
 	}
 }
 

@@ -178,10 +178,6 @@ type MetricsSnapshot struct {
 	// ArrayOpt reports array-optimizer enumeration work (evaluated vs
 	// pruned organizations) since the server started.
 	ArrayOpt ArrayOptStatsJSON `json:"array_optimizer"`
-	// Disk reports the persistent cache tier's activity since the server
-	// started (Bytes/Entries are the store's current totals; Enabled is
-	// false when the server runs without a cache directory).
-	Disk DiskCacheStatsJSON `json:"disk_cache"`
 }
 
 func bucketLabel(i int) string {
@@ -221,7 +217,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		Cache:    newCacheStatsJSON(d.Cache),
 		Subsys:   newSubsysCacheStatsJSON(d.Subsys),
 		ArrayOpt: newArrayOptStatsJSON(d.ArrayOpt),
-		Disk:     newDiskCacheStatsJSON(d.Disk),
 	}
 	if m.coord != nil {
 		st := m.coord.Snapshot()

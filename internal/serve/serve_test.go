@@ -18,7 +18,6 @@ import (
 	"mcpat/internal/core"
 	"mcpat/internal/explore"
 	"mcpat/internal/guard"
-	"mcpat/internal/persist"
 )
 
 // tinyChip returns a deliberately small configuration so synchronous
@@ -399,10 +398,9 @@ func TestDSEBadRequest(t *testing.T) {
 }
 
 // TestDSEReportCountersBytes pins the wire bytes of a sweep report's
-// four counter sections (cache, subsys_cache, array_optimizer,
-// disk_cache), which mcpat-dse -json, finished jobs and /metrics
-// clients decode. The expected body was captured before the counters
-// moved into one explore.Counters record and must not change.
+// three counter sections (cache, subsys_cache, array_optimizer), which
+// mcpat-dse -json, finished jobs and /metrics clients decode. The
+// expected body must not change.
 func TestDSEReportCountersBytes(t *testing.T) {
 	res := &explore.Result{}
 	res.Cache.Hits, res.Cache.Misses, res.Cache.Shared, res.Cache.Bypassed = 7, 3, 1, 2
@@ -411,7 +409,6 @@ func TestDSEReportCountersBytes(t *testing.T) {
 	res.Subsys.Kinds[component.KindFabric] = component.KindStats{Hits: 2, Misses: 2, Shared: 1, Bypassed: 3}
 	res.Subsys.Entries = 5
 	res.ArrayOpt = array.OptimizerStats{Evaluated: 100, Pruned: 7}
-	res.Disk = persist.Stats{Enabled: true, Hits: 9, Misses: 1, Corrupt: 1, Evicted: 2, Bytes: 4096, Entries: 3}
 	got, err := json.Marshal(NewDSEReport(res, explore.MaxThroughput))
 	if err != nil {
 		t.Fatal(err)
@@ -420,8 +417,7 @@ func TestDSEReportCountersBytes(t *testing.T) {
 		`"cache":{"hits":7,"misses":3,"shared":1,"bypassed":2,"entries":11,"hit_rate":0.7},` +
 		`"subsys_cache":{"hits":6,"misses":3,"shared":1,"bypassed":3,"entries":5,"hit_rate":0.6666666666666666,` +
 		`"kinds":{"core":{"hits":4,"misses":1},"fabric":{"hits":2,"misses":2,"shared":1,"bypassed":3}}},` +
-		`"array_optimizer":{"evaluated":100,"pruned":7,"prune_rate":0.06542056074766354},` +
-		`"disk_cache":{"enabled":true,"hits":9,"misses":1,"corrupt":1,"evicted":2,"write_errors":0,"bytes":4096,"entries":3,"hit_rate":0.8181818181818182}}`
+		`"array_optimizer":{"evaluated":100,"pruned":7,"prune_rate":0.06542056074766354}}`
 	if string(got) != want {
 		t.Errorf("report bytes changed:\n got %s\nwant %s", got, want)
 	}

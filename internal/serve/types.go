@@ -9,7 +9,6 @@ import (
 	"mcpat/internal/distrib"
 	"mcpat/internal/explore"
 	"mcpat/internal/guard"
-	"mcpat/internal/persist"
 	"mcpat/internal/power"
 )
 
@@ -235,35 +234,6 @@ func newArrayOptStatsJSON(os array.OptimizerStats) ArrayOptStatsJSON {
 	}
 }
 
-// DiskCacheStatsJSON is the wire form of the persistent (disk) cache
-// tier's counters. Enabled is false — and every counter zero — when the
-// server runs without a cache directory.
-type DiskCacheStatsJSON struct {
-	Enabled     bool    `json:"enabled"`
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	Corrupt     uint64  `json:"corrupt"`
-	Evicted     uint64  `json:"evicted"`
-	WriteErrors uint64  `json:"write_errors"`
-	Bytes       int64   `json:"bytes"`
-	Entries     int64   `json:"entries"`
-	HitRate     float64 `json:"hit_rate"`
-}
-
-func newDiskCacheStatsJSON(ds persist.Stats) DiskCacheStatsJSON {
-	return DiskCacheStatsJSON{
-		Enabled:     ds.Enabled,
-		Hits:        ds.Hits,
-		Misses:      ds.Misses,
-		Corrupt:     ds.Corrupt,
-		Evicted:     ds.Evicted,
-		WriteErrors: ds.WriteErrors,
-		Bytes:       ds.Bytes,
-		Entries:     ds.Entries,
-		HitRate:     ds.HitRate(),
-	}
-}
-
 func newSubsysCacheStatsJSON(cs component.CacheStats) SubsysCacheStatsJSON {
 	tot := cs.Total()
 	out := SubsysCacheStatsJSON{
@@ -313,9 +283,6 @@ type DSEReport struct {
 	// ArrayOpt reports the array-optimizer enumeration work the sweep's
 	// cold syntheses did (and how much the pruning bound skipped).
 	ArrayOpt ArrayOptStatsJSON `json:"array_optimizer"`
-	// Disk reports the persistent cache tier's activity during the sweep
-	// (zero-valued with Enabled false when no cache directory is set).
-	Disk DiskCacheStatsJSON `json:"disk_cache"`
 	// Distrib reports the coordinator's shard accounting when the sweep
 	// ran distributed (mcpat-dse -remote); absent on single-process
 	// sweeps.
@@ -334,7 +301,6 @@ func NewDSEReport(res *explore.Result, obj explore.Objective) *DSEReport {
 		Cache:      newCacheStatsJSON(res.Cache),
 		Subsys:     newSubsysCacheStatsJSON(res.Subsys),
 		ArrayOpt:   newArrayOptStatsJSON(res.ArrayOpt),
-		Disk:       newDiskCacheStatsJSON(res.Disk),
 	}
 	for _, c := range res.Candidates {
 		rep.Candidates = append(rep.Candidates, newDSECandidate(c))

@@ -57,7 +57,6 @@ import (
 	"mcpat/internal/m5compat"
 	"mcpat/internal/mc"
 	"mcpat/internal/perfsim"
-	"mcpat/internal/persist"
 	"mcpat/internal/power"
 	"mcpat/internal/presets"
 	"mcpat/internal/serve"
@@ -542,9 +541,9 @@ func VFScan(cfg Config, scales []float64) ([]VFPoint, error) {
 }
 
 // EngineCounters is the one record of the synthesis engine's counters:
-// Cache (array-synthesis cache), Subsys (the subsystem cache above it),
-// ArrayOpt (array-optimizer enumeration) and Disk (persistent tier).
-// DSEResult embeds it as one sweep's delta.
+// Cache (array-synthesis cache), Subsys (the subsystem cache above it)
+// and ArrayOpt (array-optimizer enumeration). DSEResult embeds it as
+// one sweep's delta.
 type EngineCounters = explore.Counters
 
 // ReadEngineCounters returns the current process-wide counters; Delta
@@ -586,39 +585,6 @@ func ResetSubsysSynthCache() { component.ResetCache() }
 // does not drop resident entries; pair with ResetSubsysSynthCache for a
 // fully cold run.
 func SetSubsysSynthCache(enabled bool) bool { return component.SetCacheEnabled(enabled) }
-
-// DiskCacheStats is the Disk section of EngineCounters: hits, misses,
-// corrupt entries quarantined, evictions, write errors, and the
-// resident set size of the persistent cache tier. Enabled is false when
-// no cache directory is configured. See EnablePersistentCache.
-type DiskCacheStats = persist.Stats
-
-// EnablePersistentCache opens (creating if needed) a disk-backed cache
-// tier under dir and installs it as the process default: every later
-// array and subsystem synthesis first consults it on a memory miss and
-// publishes new results back, so separate processes — CLI runs, daemon
-// restarts — warm-start from each other's work. maxBytes bounds the
-// resident set (0 selects the 1 GiB default, negative disables
-// eviction). Entries are verified on load (magic, lengths, checksum,
-// and full key comparison); anything corrupt or truncated is
-// quarantined and resynthesized, never served, so disk-hydrated reports
-// are bit-identical to cold synthesis. Several processes may share one
-// directory concurrently.
-//
-// The returned release function uninstalls the tier and closes the
-// store. An unusable directory returns an error and the process keeps
-// running purely in-memory.
-func EnablePersistentCache(dir string, maxBytes int64) (func(), error) {
-	store, err := persist.Open(persist.Options{Dir: dir, MaxBytes: maxBytes})
-	if err != nil {
-		return nil, err
-	}
-	prev := persist.SetDefault(store)
-	return func() {
-		persist.SetDefault(prev)
-		store.Close()
-	}, nil
-}
 
 // Indices into SubsysCacheStats.Kinds for the core, cache and fabric
 // families; SubsysKindName names every index.
