@@ -272,6 +272,8 @@ type Core struct {
 	// MMU
 	itlb *array.Result
 	dtlb *array.Result
+
+	area float64 // m^2 with layout overhead, fixed at synthesis (see Area)
 }
 
 // glueLogic models the non-array, non-FU control and datapath logic of
@@ -546,6 +548,7 @@ func New(cfg Config) (*Core, error) {
 
 	// ---------------- Bypass network and pipeline registers -------------
 	c.buildBypassAndPipeline()
+	c.area = c.Report(Activity{}, Activity{}).Area
 	return c, nil
 }
 

@@ -321,8 +321,8 @@ func (c *Core) ReportIn(ar *power.Arena, peak, run Activity) *power.Item {
 	return item
 }
 
-// Area returns the core area (m^2) including layout overhead.
-func (c *Core) Area() float64 {
-	rep := c.Report(Activity{}, Activity{})
-	return rep.Area
-}
+// Area returns the core area (m^2) including layout overhead: the root
+// area of the core's report. A synthesized core never changes after New
+// (Synthesize shares one instance), so New computes it once and every
+// chip build reads it without building the report tree again.
+func (c *Core) Area() float64 { return c.area }

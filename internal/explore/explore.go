@@ -35,6 +35,7 @@ import (
 	"mcpat/internal/guard"
 	"mcpat/internal/mc"
 	"mcpat/internal/perfsim"
+	"mcpat/internal/power"
 )
 
 // Space enumerates the design axes. Empty slices take single defaults.
@@ -656,6 +657,7 @@ func SearchContext(ctx context.Context, p Params, space Space, cons Constraints,
 		o: &o, p: p, cons: cons, obj: obj,
 		total: planned,
 	}
+	defer eng.stop()
 
 	var outs []outcome
 	notified := front.Version()
@@ -753,8 +755,8 @@ type outcome struct {
 }
 
 // engine carries the per-sweep evaluation state shared across batches:
-// the derived context, progress accounting against the planned total,
-// and the first hard failure for FailFast.
+// the derived context, each worker's evaluator, progress accounting
+// against the planned total, and the first hard failure for FailFast.
 type engine struct {
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -763,6 +765,13 @@ type engine struct {
 	cons   Constraints
 	obj    Objective
 	total  int
+
+	// evals holds worker w's evaluator at index w, nil until the worker
+	// first needs one or after it abandoned one. It grows to the widest
+	// batch's worker count. Only worker w touches its slot, and batches
+	// run one after another, so the evaluators and their arenas carry
+	// over from batch to batch.
+	evals []*evaluator
 
 	mu           sync.Mutex
 	progressDone int
@@ -808,6 +817,9 @@ func (e *engine) evalBatch(specs []Candidate) []outcome {
 	if workers < 1 {
 		workers = 1
 	}
+	for len(e.evals) < workers {
+		e.evals = append(e.evals, nil)
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -816,11 +828,9 @@ func (e *engine) evalBatch(specs []Candidate) []outcome {
 				if e.ctx.Err() != nil {
 					continue // drain without evaluating
 				}
-				cand := specs[idx]
-				err := evalCandidate(e.ctx, e.o, e.p, e.cons, e.obj, &cand)
-				outs[idx] = outcome{cand: cand, err: err, ran: true}
+				outs[idx] = e.evalCandidate(w, specs[idx])
 				e.reportProgress()
-				if err != nil && e.o.FailFast {
+				if err := outs[idx].err; err != nil && e.o.FailFast {
 					e.mu.Lock()
 					if e.firstFailure == nil {
 						e.firstFailure = err
@@ -844,58 +854,112 @@ feed:
 	return outs
 }
 
-// evalCandidate evaluates one design point behind its own panic-recovery
-// boundary and, when timeout > 0, its own deadline. The evaluation runs
-// in a child goroutine so that cancellation and deadlines take effect
-// promptly even while the (CPU-bound) models are busy; a timed-out
-// evaluation is abandoned and its late result discarded.
-func evalCandidate(ctx context.Context, o *Options, p Params, cons Constraints, obj Objective, cand *Candidate) error {
-	cctx := ctx
-	if timeout := o.CandidateTimeout; timeout > 0 {
+// evalCandidate evaluates one design point on worker w's evaluator,
+// under the sweep context and, when CandidateTimeout > 0, its own
+// deadline. The models run on the evaluator's goroutine, so cancellation
+// and deadlines take effect promptly even while they are busy: the
+// worker then abandons the evaluator, which finishes its candidate into
+// its own reply buffer and exits, and the worker's next candidate starts
+// a fresh one. The late result is discarded.
+func (e *engine) evalCandidate(w int, cand Candidate) outcome {
+	cctx := e.ctx
+	if timeout := e.o.CandidateTimeout; timeout > 0 {
 		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, timeout)
+		cctx, cancel = context.WithTimeout(e.ctx, timeout)
 		defer cancel()
 		// A deadline already past fails the candidate here: raced
 		// against a finished evaluation, the select below would pick
 		// either outcome at random.
 		if err := cctx.Err(); err != nil {
-			return guard.At(err, cand.name())
+			return outcome{cand: cand, err: guard.At(err, cand.name()), ran: true}
 		}
 	}
-	type evalOut struct {
-		cand Candidate
-		err  error
+	ev := e.evals[w]
+	if ev == nil {
+		ev = newEvaluator(e.p, e.cons, e.obj)
+		e.evals[w] = ev
 	}
-	ch := make(chan evalOut, 1)
-	go func() {
-		c := *cand
-		err := func() (err error) {
-			defer guard.Recover(&err, c.name())
-			return evaluate(p, cons, obj, &c)
-		}()
-		ch <- evalOut{c, err}
-	}()
+	ev.in <- cand
 	select {
-	case out := <-ch:
-		*cand = out.cand
-		return out.err
+	case out := <-ev.out:
+		return out
 	case <-cctx.Done():
-		return guard.At(cctx.Err(), cand.name())
+		close(ev.in)
+		e.evals[w] = nil
+		return outcome{cand: cand, err: guard.At(cctx.Err(), cand.name()), ran: true}
 	}
+}
+
+// stop ends every evaluator the workers still hold and waits for each
+// to exit; called once the sweep is over. An abandoned evaluator exits
+// on its own once its candidate finishes.
+func (e *engine) stop() {
+	for _, ev := range e.evals {
+		if ev != nil {
+			close(ev.in)
+			<-ev.done
+		}
+	}
+}
+
+// evaluator is one worker's long-lived evaluation goroutine. It reads
+// candidates from in until in is closed and answers each on out, whose
+// one-slot buffer lets an abandoned evaluator finish its last candidate
+// without a reader. It owns one report arena, reset before every
+// candidate: evaluate keeps only scalars and strings from the trees it
+// builds there.
+type evaluator struct {
+	in   chan Candidate
+	out  chan outcome
+	done chan struct{} // closed when the goroutine exits
+}
+
+func newEvaluator(p Params, cons Constraints, obj Objective) *evaluator {
+	ev := &evaluator{in: make(chan Candidate), out: make(chan outcome, 1), done: make(chan struct{})}
+	go func() {
+		defer close(ev.done)
+		var ar power.Arena
+		// One variable for the evaluator's life: its address escapes
+		// through evaluate, so a per-iteration one would be a heap
+		// allocation per candidate.
+		var c Candidate
+		for c = range ev.in {
+			ar.Reset()
+			err := evaluateGuarded(p, cons, obj, &c, &ar)
+			ev.out <- outcome{cand: c, err: err, ran: true}
+		}
+	}()
+	return ev
+}
+
+// evaluateGuarded runs evaluate behind the panic-recovery boundary. A
+// recovered panic is named after the candidate only once it happened:
+// formatting the name up front would cost every candidate.
+func evaluateGuarded(p Params, cons Constraints, obj Objective, c *Candidate, ar *power.Arena) (err error) {
+	finished := false
+	defer func() {
+		if !finished {
+			err = guard.At(err, c.name())
+		}
+	}()
+	defer guard.Recover(&err, "")
+	err = evaluate(p, cons, obj, c, ar)
+	finished = true
+	return err
 }
 
 // testEvalHook, when set, runs at the start of every candidate
 // evaluation inside the recovery boundary. Tests use it to poison or
-// stall specific candidates. Atomic because abandoned (timed-out or
-// cancelled) evaluation goroutines may still start after a test has
-// swapped the hook out.
+// stall specific candidates. Atomic because an abandoned (timed-out or
+// cancelled) evaluator may still reach it after a test has swapped the
+// hook out.
 var testEvalHook atomic.Pointer[func(c *Candidate)]
 
-// evaluate synthesizes and scores one design point. A nil return with
-// cand.Feasible == false means the point was legitimately rejected
-// (malformed combination or budget violation); a non-nil error is a hard
-// failure of the models themselves.
-func evaluate(p Params, cons Constraints, obj Objective, cand *Candidate) error {
+// evaluate synthesizes and scores one design point, building its report
+// trees in ar. A nil return with cand.Feasible == false means the point
+// was legitimately rejected (malformed combination or budget violation);
+// a non-nil error is a hard failure of the models themselves.
+func evaluate(p Params, cons Constraints, obj Objective, cand *Candidate, ar *power.Arena) error {
 	if hook := testEvalHook.Load(); hook != nil {
 		(*hook)(cand)
 	}
@@ -914,11 +978,12 @@ func evaluate(p Params, cons Constraints, obj Objective, cand *Candidate) error 
 		cand.Reject = err.Error()
 		return nil
 	}
-	rep, ds, err := proc.Check(nil)
+	// Processor.Check's two steps, with the tree in the arena.
+	rep, err := proc.ReportArena(nil, ar)
 	if err != nil {
 		return guard.At(err, cand.name())
 	}
-	if dErr := ds.Err(); dErr != nil {
+	if dErr := guard.CheckReport(rep, nil).Err(); dErr != nil {
 		// The synthesized chip's numbers are not physical: fail loudly
 		// instead of ranking garbage.
 		return guard.At(dErr, cand.name())
@@ -946,19 +1011,20 @@ func evaluate(p Params, cons Constraints, obj Objective, cand *Candidate) error 
 		MeshDim: dim, MemBandwidth: p.MemBW, BusBytes: 16,
 	}
 	var sumPerf, logW float64
+	var stats chip.Stats
 	for _, w := range p.Workloads {
 		sim, err := perfsim.Run(m, w)
 		if err != nil {
 			return guard.Wrap(guard.ErrInternal, cand.name(), err)
 		}
-		stats := &chip.Stats{
+		stats = chip.Stats{
 			CoreRun:    sim.CoreActivity,
 			L2Reads:    sim.L2ReadsSec,
 			L2Writes:   sim.L2WritesSec,
 			NoCFlits:   sim.FabricFlits,
 			MCAccesses: sim.MemAccessesS,
 		}
-		runRep, err := proc.ReportE(stats)
+		runRep, err := proc.ReportArena(&stats, ar)
 		if err != nil {
 			return guard.At(err, cand.name())
 		}

@@ -77,14 +77,17 @@ func (o *CheckOptions) defaults() CheckOptions {
 // to no more than their parents (within tolerance), power-gating savings
 // never exceed the leakage they gate, and runtime power stays within a
 // sane multiple of TDP. It returns every violation found rather than
-// stopping at the first, so a caller can log the full picture.
+// stopping at the first, so a caller can log the full picture. A clean
+// tree is checked without allocating: node paths are joined only for a
+// diagnostic.
 func CheckReport(rep *power.Item, opts *CheckOptions) Diagnostics {
 	if rep == nil {
 		return Diagnostics{{Path: "", Field: "report", Msg: "nil report"}}
 	}
 	o := opts.defaults()
 	var ds Diagnostics
-	checkItem(rep, rep.Name, o, &ds)
+	var names [pathDepth]string
+	checkItem(rep, append(names[:0], rep.Name), o, &ds)
 
 	// Root-level runtime-vs-TDP bound; only meaningful when runtime
 	// statistics were applied.
@@ -101,68 +104,66 @@ func CheckReport(rep *power.Item, opts *CheckOptions) Diagnostics {
 	return ds
 }
 
-// fieldsOf enumerates the checked quantities of one node.
-func fieldsOf(it *power.Item) [6]struct {
-	name string
-	val  float64
-} {
-	return [6]struct {
-		name string
-		val  float64
-	}{
-		{"Area", it.Area},
-		{"PeakDynamic", it.PeakDynamic},
-		{"RuntimeDynamic", it.RuntimeDynamic},
-		{"SubLeak", it.SubLeak},
-		{"GateLeak", it.GateLeak},
-		{"LeakSaved", it.LeakSaved},
-	}
+// pathDepth is the node-name stack CheckReport keeps on its own frame;
+// a deeper tree spills the stack to the heap.
+const pathDepth = 16
+
+// fieldNames names the checked quantities of a node, in fieldsOf order.
+var fieldNames = [6]string{"Area", "PeakDynamic", "RuntimeDynamic", "SubLeak", "GateLeak", "LeakSaved"}
+
+// fieldsOf returns the checked quantities of one node.
+func fieldsOf(it *power.Item) [6]float64 {
+	return [6]float64{it.Area, it.PeakDynamic, it.RuntimeDynamic, it.SubLeak, it.GateLeak, it.LeakSaved}
 }
 
-func checkItem(it *power.Item, path string, o CheckOptions, ds *Diagnostics) {
-	for _, f := range fieldsOf(it) {
+// checkItem checks one node and its subtree. path holds the names from
+// the root down to it; a diagnostic joins them with dots.
+func checkItem(it *power.Item, path []string, o CheckOptions, ds *Diagnostics) {
+	vals := fieldsOf(it)
+	for i, v := range vals {
 		switch {
-		case math.IsNaN(f.val):
-			*ds = append(*ds, Diagnostic{Path: path, Field: f.name, Value: f.val, Msg: "NaN"})
-		case math.IsInf(f.val, 0):
-			*ds = append(*ds, Diagnostic{Path: path, Field: f.name, Value: f.val, Msg: "infinite"})
-		case f.val < 0:
-			*ds = append(*ds, Diagnostic{Path: path, Field: f.name, Value: f.val, Msg: "negative"})
+		case math.IsNaN(v):
+			ds.add(path, fieldNames[i], v, "NaN")
+		case math.IsInf(v, 0):
+			ds.add(path, fieldNames[i], v, "infinite")
+		case v < 0:
+			ds.add(path, fieldNames[i], v, "negative")
 		}
 	}
 	if it.LeakSaved > 0 {
 		if leak := it.SubLeak + it.GateLeak; it.LeakSaved > leak*(1+o.SumTolerance) {
-			*ds = append(*ds, Diagnostic{
-				Path: path, Field: "LeakSaved", Value: it.LeakSaved,
-				Msg: fmt.Sprintf("power-gating savings exceed total leakage %.3g W", leak),
-			})
+			ds.add(path, "LeakSaved", it.LeakSaved,
+				fmt.Sprintf("power-gating savings exceed total leakage %.3g W", leak))
 		}
 	}
 	if len(it.Children) > 0 {
 		var sums [6]float64
 		for _, c := range it.Children {
-			for i, f := range fieldsOf(c) {
-				sums[i] += f.val
+			for i, v := range fieldsOf(c) {
+				sums[i] += v
 			}
 		}
-		for i, f := range fieldsOf(it) {
+		for i, v := range vals {
 			sum := sums[i]
-			if !isFinite(sum) || !isFinite(f.val) {
+			if !isFinite(sum) || !isFinite(v) {
 				continue // the per-node checks above already flagged these
 			}
 			// Absolute slack keeps near-zero quantities from tripping on
 			// float rounding.
-			if sum > f.val*(1+o.SumTolerance)+1e-12 {
-				*ds = append(*ds, Diagnostic{
-					Path: path, Field: f.name, Value: f.val,
-					Msg: fmt.Sprintf("children sum to %.6g, exceeding the parent total", sum),
-				})
+			if sum > v*(1+o.SumTolerance)+1e-12 {
+				ds.add(path, fieldNames[i], v,
+					fmt.Sprintf("children sum to %.6g, exceeding the parent total", sum))
 			}
 		}
 	}
 	for _, c := range it.Children {
-		checkItem(c, path+"."+c.Name, o, ds)
+		checkItem(c, append(path, c.Name), o, ds)
 	}
+}
+
+// add appends one diagnostic at the node the name stack path leads to.
+func (ds *Diagnostics) add(path []string, field string, v float64, msg string) {
+	*ds = append(*ds, Diagnostic{Path: strings.Join(path, "."), Field: field, Value: v, Msg: msg})
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

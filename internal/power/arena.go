@@ -1,11 +1,13 @@
 package power
 
 // Arena is a bump allocator for report Items, built for callers that
-// score the same synthesized chip many times in a row (the time-series
-// trace engine scores one report tree per statistics interval). A Score
-// pass allocates a few hundred Items and child slices; with an arena
-// those come from reusable chunks instead of the heap, so a long trace
-// produces near-zero garbage after the first interval.
+// build report trees over and over and keep only numbers from them: the
+// time-series trace engine scores one report tree per statistics
+// interval, and each DSE evaluator builds a candidate's TDP tree and
+// runtime trees, resetting its arena per candidate. A Score pass
+// allocates a few hundred Items and child slices; with an arena those
+// come from reusable chunks instead of the heap, so a long trace or
+// sweep produces near-zero report garbage after its first pass.
 //
 // Lifetime contract: every Item and Children slice handed out by an
 // arena is valid only until the next Reset. Callers must extract the

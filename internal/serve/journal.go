@@ -28,7 +28,9 @@ package serve
 //     the number of in-flight jobs, not server lifetime. The directory
 //     is synced after the rename: the rename lives in the directory, and
 //     without that sync a power loss can bring back the old journal (or
-//     none, on a first start) and lose every job accepted since.
+//     none, on a first start) and lose every job accepted since. For
+//     the same reason, a journal directory that open creates is synced
+//     into its parent, and so is every parent it creates.
 //
 // Journal write failures after open (disk full, pulled volume) degrade:
 // the failure is logged once and the server keeps running without
@@ -37,7 +39,9 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -77,7 +81,7 @@ type journal struct {
 // compacts it to the surviving live jobs, and returns the append handle
 // plus those jobs in original submission order.
 func openJournal(path string, logf func(string, ...any)) (*journal, []recoveredJob, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := makeDirDurable(filepath.Dir(path)); err != nil {
 		return nil, nil, fmt.Errorf("journal dir: %w", err)
 	}
 	live, err := replayJournal(path, logf)
@@ -122,8 +126,37 @@ func openJournal(path string, logf func(string, ...any)) (*journal, []recoveredJ
 	return &journal{f: h, path: path, logf: logf}, live, nil
 }
 
-// syncDir flushes the directory entry changes in dir (a rename) to
-// stable storage. It is a variable so tests can observe the call.
+// makeDirDurable creates dir and any missing parents, then syncs the
+// parent of each directory it created, deepest first: a new directory's
+// entry lives in its parent, and until that parent is synced a power loss
+// can drop the directory together with the journal inside it.
+func makeDirDurable(dir string) error {
+	var created []string
+	for d := dir; ; {
+		if _, err := os.Stat(d); !errors.Is(err, fs.ErrNotExist) {
+			break // exists, or MkdirAll reports why it cannot be reached
+		}
+		created = append(created, d)
+		parent := filepath.Dir(d)
+		if parent == d {
+			break
+		}
+		d = parent
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, d := range created {
+		if err := syncDir(filepath.Dir(d)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// syncDir flushes the directory entry changes in dir (a rename, a new
+// subdirectory) to stable storage. It is a variable so tests can observe
+// the call.
 var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -141,6 +141,36 @@ func TestJournalCompactionSyncsDir(t *testing.T) {
 	}
 }
 
+// TestJournalCreatesDirDurably: a journal whose directories do not exist
+// yet gets each new directory's entry synced into its parent, deepest
+// first, before the compaction syncs the journal's own directory. A
+// second open finds every directory in place and syncs only that one.
+func TestJournalCreatesDirDurably(t *testing.T) {
+	tmp := t.TempDir()
+	path := filepath.Join(tmp, "a", "b", "jobs.jsonl")
+	realSync := syncDir
+	t.Cleanup(func() { syncDir = realSync })
+	var synced []string
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return realSync(dir)
+	}
+	for _, want := range [][]string{
+		{filepath.Join(tmp, "a"), tmp, filepath.Join(tmp, "a", "b")},
+		{filepath.Join(tmp, "a", "b")},
+	} {
+		synced = nil
+		jl, _, err := openJournal(path, func(string, ...any) {})
+		if err != nil {
+			t.Fatalf("openJournal: %v", err)
+		}
+		jl.close()
+		if !reflect.DeepEqual(synced, want) {
+			t.Errorf("synced %q, want %q", synced, want)
+		}
+	}
+}
+
 // TestJobRecoveryAfterKill simulates a SIGKILL: the first server is
 // abandoned without any drain, and a second server on the same journal
 // must re-run the in-flight job under its original id.

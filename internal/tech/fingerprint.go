@@ -21,7 +21,9 @@ import "math"
 //
 // The hash is recomputed from current field values on every call, so
 // in-place mutations (OverrideVdd, test poisoning) always change the
-// identity a subsequent synthesis sees.
+// identity a subsequent synthesis sees. It mixes one 64-bit word per
+// field (see hashU), so the recompute stays cheap enough for every memo
+// lookup to pay it.
 func (n *Node) Fingerprint() uint64 {
 	h := uint64(fnvOffset)
 	h = hashF(h, n.Feature)
@@ -60,9 +62,9 @@ func (n *Node) Fingerprint() uint64 {
 	return h
 }
 
-// FNV-1a over the IEEE-754 bit patterns. Bit patterns (not values) keep
-// the hash total: NaNs and signed zeros poisoned into test nodes still
-// produce a deterministic, distinguishing identity.
+// The mix runs over the IEEE-754 bit patterns. Bit patterns (not
+// values) keep the hash total: NaNs and signed zeros poisoned into test
+// nodes still produce a deterministic, distinguishing identity.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -70,11 +72,13 @@ const (
 
 func hashF(h uint64, v float64) uint64 { return hashU(h, math.Float64bits(v)) }
 
+// hashU folds one word into the state: xor it in, multiply by the (odd)
+// FNV prime, then xor the high half onto the low half. Each of the three
+// steps is invertible, so for a fixed tail of words the state maps to
+// the final hash one-to-one: two nodes that differ in exactly one field
+// never share a fingerprint.
 func hashU(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
+	h ^= v
+	h *= fnvPrime
+	return h ^ h>>32
 }
