@@ -1,19 +1,26 @@
 package config
 
 import (
+	"encoding/xml"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"mcpat/internal/guard"
 	"mcpat/internal/presets"
 )
 
 // addConfigSeeds adds the XML fuzzers' seed corpus: the test fixture,
-// edge cases, and every bundled preset serialized through
-// FromChipConfig, so mutation starts from realistic documents.
+// the idiom documents, edge cases, and every bundled preset serialized
+// through FromChipConfig, so mutation starts from realistic documents.
 func addConfigSeeds(f *testing.F) {
 	f.Add(sampleXML)
+	for _, tc := range idiomDocs {
+		f.Add(tc.doc)
+	}
+	f.Add(presetDoc(f))
 	f.Add("")
 	f.Add("<component id=\"system\" type=\"System\"></component>")
 	f.Add(`<component id="system" type="System"><param name="tech_node_nm" value="nan"/></component>`)
@@ -69,6 +76,112 @@ func FuzzConfigParse(f *testing.F) {
 			t.Fatalf("accepted config did not re-serialize: %v", err)
 		}
 	})
+}
+
+// FuzzParseMatchesDecoder holds the scanner to the encoding/xml decoder
+// it replaced (refParse). A document the scanner accepts, the reference
+// accepts, and the trees are equal, XMLName and nil slices included. A
+// document the reference rejects, the scanner rejects. Every rejection
+// is a config error, and one the reference did not make falls in a
+// listed class (newRejection).
+func FuzzParseMatchesDecoder(f *testing.F) {
+	addConfigSeeds(f)
+	f.Fuzz(func(t *testing.T, doc string) {
+		got, err := ParseString(doc)
+		want, refErr := refParse(doc)
+		if err != nil {
+			if !errors.Is(err, guard.ErrConfig) {
+				t.Fatalf("rejection %v is not a config error", err)
+			}
+			if refErr == nil && newRejection(doc) == "" {
+				t.Fatalf("scanner rejected a document the reference accepts, in no listed class: %v", err)
+			}
+			return
+		}
+		if refErr != nil {
+			t.Fatalf("scanner accepted a document the reference rejects: %v", refErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanner\n%s\nreference\n%s", treeText(got), treeText(want))
+		}
+	})
+}
+
+// newRejection names the class, among those CHANGES.md lists, of a
+// document the reference accepts, or returns "" if it is in none. It
+// reads the document as the reference does, with encoding/xml's
+// tokenizer, up to the root's end tag.
+func newRejection(doc string) string {
+	d := xml.NewDecoder(strings.NewReader(doc))
+	var open []string // names of the open elements
+	for {
+		off := d.InputOffset()
+		tok, err := d.RawToken()
+		if err != nil {
+			return ""
+		}
+		raw := doc[off:d.InputOffset()]
+		switch t := tok.(type) {
+		case xml.Directive:
+			return "DOCTYPE or other <! declaration"
+		case xml.CharData:
+			if off == 0 {
+				raw = strings.TrimPrefix(raw, bom)
+			}
+			switch {
+			case strings.HasPrefix(raw, "<![CDATA["):
+				return "CDATA section"
+			case strings.Trim(raw, " \t\r\n") != "":
+				return "character data"
+			}
+		case xml.ProcInst:
+			if !asciiName(t.Target) {
+				return "colon or non-ASCII byte in a name"
+			}
+		case xml.StartElement:
+			if n := len(open); n > 0 && open[n-1] != "component" {
+				return "element inside <param> or <stat>"
+			}
+			if t.Name.Space != "" {
+				return "namespace prefix"
+			}
+			switch t.Name.Local {
+			case "component", "param", "stat":
+			default:
+				return "other element"
+			}
+			for _, a := range t.Attr {
+				if a.Name.Space != "" || a.Name.Local == "xmlns" {
+					return "namespace prefix"
+				}
+				if !asciiName(a.Name.Local) {
+					return "colon or non-ASCII byte in a name"
+				}
+			}
+			if len(open) == maxDepth {
+				return "nesting past maxDepth components"
+			}
+			open = append(open, t.Name.Local)
+		case xml.EndElement:
+			if open = open[:len(open)-1]; len(open) == 0 {
+				// The reference read no further. The rest decides
+				// only if the document up to here parses.
+				if _, err := ParseString(doc[:d.InputOffset()]); err == nil {
+					return "content after the root element"
+				}
+				return ""
+			}
+		}
+	}
+}
+
+func asciiName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isNameByte(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // nonFinitePath walks structs, pointers, and slices looking for the

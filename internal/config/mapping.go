@@ -185,11 +185,13 @@ func flag[S any](name string, def bool, when policy[S], at func(*S) *bool) entry
 }
 
 // text binds a string parameter that defaults to its component's id,
-// the part after the last dot.
+// the part after the last dot. The value is a copy: a parsed tree's
+// strings share its document, and a name outlives the tree in the
+// memoized part it labels.
 func text[S any](name string, when policy[S], at func(*S) *string) entry[S] {
 	return entry[S]{
 		read: func(c *Component, s *S) {
-			*at(s) = c.ParamString(name, c.ID[strings.LastIndex(c.ID, ".")+1:])
+			*at(s) = strings.Clone(c.ParamString(name, c.ID[strings.LastIndex(c.ID, ".")+1:]))
 		},
 		write: func(c *Component, s *S) {
 			if v := *at(s); when(s, float64(len(v))) {
@@ -398,7 +400,7 @@ func ToChipConfig(root *Component) (chip.Config, error) {
 	if root == nil {
 		return cfg, guard.Configf("config", "nil root")
 	}
-	cfg.Name = root.ParamString("name", root.ID)
+	cfg.Name = strings.Clone(root.ParamString("name", root.ID))
 	if cfg.NM = root.ParamFloat("tech_node_nm", 0); cfg.NM == 0 {
 		return cfg, guard.Configf("config", "tech_node_nm is required")
 	}

@@ -1,8 +1,10 @@
 package config
 
 import (
+	"encoding/xml"
 	"math"
 	"strconv"
+	"strings"
 
 	"mcpat/internal/cache"
 	"mcpat/internal/chip"
@@ -12,11 +14,26 @@ import (
 	"mcpat/internal/tech"
 )
 
-// This file keeps the hand-written mappings as a test-only oracle: the
+// This file keeps two test-only oracles. The first is the encoding/xml
+// decoder Parse used before the scanner; FuzzParseMatchesDecoder holds
+// the scanner to it. The second is the hand-written mappings: the
 // four functions the schema tables replaced, with the noc_vcs writer
 // fix and the rejection of non-finite params applied.
 // FuzzMappingMatchesReference holds the table walks to them: the same
 // errors, configs and statistics, and the same bytes.
+
+// refParse decodes doc with encoding/xml into the Component tree, as
+// Parse did. It reads up to the root's end tag and no further.
+func refParse(doc string) (*Component, error) {
+	var root Component
+	if err := xml.NewDecoder(strings.NewReader(doc)).Decode(&root); err != nil {
+		return nil, guard.Wrap(guard.ErrConfig, "config", err)
+	}
+	if root.ID == "" {
+		return nil, guard.Configf("config", "root component has no id")
+	}
+	return &root, nil
+}
 
 // refToChipConfig converts a parsed XML tree into a chip configuration.
 func refToChipConfig(root *Component) (chip.Config, error) {

@@ -236,6 +236,40 @@ func TestEvaluateBadRequests(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("malformed XML: status %d body %s", resp.StatusCode, data)
 	}
+
+	// Two roots: the document is refused, not evaluated for its first.
+	doc := config.FromChipConfig(tinyChip()).String()
+	req, _ = http.NewRequest("POST", ts.URL+"/v1/evaluate", strings.NewReader(doc+doc))
+	req.Header.Set("Content-Type", "application/xml")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 400 || decode[ErrorBody](t, data).Error.Kind != kindBadRequest {
+		t.Fatalf("two XML roots: status %d body %s", resp.StatusCode, data)
+	}
+}
+
+// TestEvaluateBodyLimit: a body one byte over maxBodyBytes, its root
+// still open at the limit, is a 400 bad_request in either representation.
+func TestEvaluateBodyLimit(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	for ct, head := range map[string]string{
+		"application/xml":  `<component id="system" type="System">`,
+		"application/json": `{"preset":"niagara",`,
+	} {
+		body := head + strings.Repeat(" ", maxBodyBytes+1-len(head))
+		req := httptest.NewRequest("POST", "/v1/evaluate", strings.NewReader(body))
+		req.Header.Set("Content-Type", ct)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 400 || decode[ErrorBody](t, rec.Body.Bytes()).Error.Kind != kindBadRequest {
+			t.Errorf("%s body over the limit: status %d body %s", ct, rec.Code, rec.Body.Bytes())
+		}
+	}
 }
 
 // TestAdmissionControl saturates the single evaluation slot and checks
