@@ -280,10 +280,11 @@ func objective(cfg *Config, r *Result) float64 {
 
 // sramEnv holds every derived quantity of the SRAM evaluation that is
 // invariant across the (rows, column-mux, sub-word) enumeration: device
-// parameters, wire classes, cell geometry, FO4, and per-unit leakage
-// rates (whose temperature scaling costs an exp() each). Hoisting them
-// out of evalSRAM keeps the optimizer's inner loop free of repeated
-// device-table lookups and transcendental math.
+// parameters, wire classes, one repeater design per repeated wire class,
+// cell geometry, FO4, and per-unit leakage rates (whose temperature
+// scaling costs an exp() each). Hoisting them out of the enumeration
+// keeps the optimizer's inner loop free of repeated device-table lookups
+// and transcendental math.
 type sramEnv struct {
 	n       *tech.Node
 	per     circuit.Ctx
@@ -292,8 +293,8 @@ type sramEnv struct {
 	f, wmin      float64
 	cellW, cellH float64
 	localWire    tech.Wire
-	semiWire     tech.Wire
-	globalWire   tech.Wire
+	htree        circuit.Repeater // semi-global H-tree inside a bank
+	bankRoute    circuit.Repeater // global route between banks
 	fo4          float64
 	vdd          float64
 
@@ -320,8 +321,8 @@ func newSRAMEnv(cfg *Config) *sramEnv {
 	e.wmin = n.MinWidthN()
 	e.cellW, e.cellH = cellGeometry(n, SRAM, cfg.ports()-1)
 	e.localWire = n.Wire(tech.Aggressive, tech.Local)
-	e.semiWire = n.Wire(tech.Aggressive, tech.SemiGlobal)
-	e.globalWire = n.Wire(tech.Aggressive, tech.Global)
+	e.htree = e.per.Repeater(n.Wire(tech.Aggressive, tech.SemiGlobal))
+	e.bankRoute = e.per.Repeater(n.Wire(tech.Aggressive, tech.Global))
 	e.fo4 = e.per.FO4()
 	e.vdd = e.per.Vdd()
 	e.accessW = 1.3 * e.f
@@ -362,36 +363,60 @@ func optimizeEnv(env *sramEnv, cfg Config, totalBits, wordBits int) (*Result, er
 // against the float additions the bound omits re-associating the
 // comparison by a few ulps; the selection comparison is strict (<), so
 // skipped ties can never have replaced the incumbent either.
+//
+// Every column count is wordBits·2^k, and distinct (column-mux,
+// sub-word) pairs land on the same one, so the work is done once per
+// distinct quantity: the wordline once per column count for the whole
+// solve, the bank geometry, wires, leakage and area once per (rows,
+// cols) in a geometry slot reset for each row, and only the column-mux
+// and sub-word terms per organization.
 func optimizeEnvMode(env *sramEnv, cfg Config, totalBits, wordBits int, prune bool) (*Result, error) {
 	var (
 		best, fastest, cur Result
 		haveBest, haveFast bool
 		bestObj            float64
 		evaluated, pruned  int
+		wls                [colSlots]wordline
+		geo                [colSlots]geometry
 	)
-	subWords, nSub := subWordChoices(wordBits)
-	// The wordline load and its driver chain depend only on the column
-	// count, which recurs across every row count of the enumeration;
-	// memoize the (expensive, pure) buffer-chain sizing per cols.
-	wlCache := make(map[int]wlEval, 16)
+	subWords, nSub := subWordChoices(env, wordBits)
+	bankBits := (totalBits + cfg.Banks - 1) / cfg.Banks
+	// Data plus address bits ride the H-tree and the bank route (a word
+	// under one bit reaches no organization).
+	addrIn := float64(wordBits) + float64(ceilLog2(maxInt(2, bankBits/maxInt(wordBits, 1))))
+	cur.Banks = cfg.Banks
 
 	for rows := 16; rows <= 1024; rows *= 2 {
 		row := newRowEnv(env, rows)
-		for colMux := 1; colMux <= 32; colMux *= 2 {
-			for _, subWord := range subWords[:nSub] {
-				cols := subWord * colMux
+		geo = [colSlots]geometry{}
+		for mux := 0; mux <= 5; mux++ {
+			colMux := 1 << mux
+			tMux := float64(ceilLog2(colMux)) * 0.5 * env.fo4
+			for i := range subWords[:nSub] {
+				sw := &subWords[i]
+				cols := sw.bits * colMux
 				if cols < 16 || cols > 8192 {
 					continue
 				}
-				org, ok := planOrg(&cfg, totalBits, wordBits, rows, cols, colMux)
-				if !ok {
+				slot := mux + sw.shift + 3
+				g := &geo[slot]
+				if g.cols == 0 { // not planned yet in this row
+					g.plan(rows, cols, bankBits)
+				}
+				if sw.active > g.subarrays {
 					continue
 				}
-				if prune && haveBest && boundExceedsBest(env, &row, &cfg, &org, bestObj) {
+				if prune && haveBest && boundExceedsBest(env, &row, &cfg, g, sw, tMux, bestObj) {
 					pruned++
 					continue
 				}
-				evalSRAM(env, &row, &cfg, wordBits, &org, wlCache, &cur)
+				if !g.filled {
+					if !wls[slot].done {
+						wls[slot] = newWordline(env, cols)
+					}
+					g.fill(env, &row, cfg.Banks, &wls[slot], addrIn)
+				}
+				evalOrg(env, &row, g, sw, colMux, tMux, &cur)
 				evaluated++
 				if !haveFast || cur.AccessTime < fastest.AccessTime {
 					fastest, haveFast = cur, true
@@ -426,13 +451,13 @@ func optimizeEnvMode(env *sramEnv, cfg Config, totalBits, wordBits int, prune bo
 // objective gap between organizations.
 const pruneMargin = 1e-9
 
-// boundExceedsBest reports whether org provably cannot beat the
-// incumbent objective (or meet the timing target): its admissible
+// boundExceedsBest reports whether an organization provably cannot beat
+// the incumbent objective (or meet the timing target): its admissible
 // objective lower bound exceeds bestObj with margin.
-func boundExceedsBest(env *sramEnv, row *rowEnv, cfg *Config, org *orgPlan, bestObj float64) bool {
+func boundExceedsBest(env *sramEnv, row *rowEnv, cfg *Config, g *geometry, sw *subWord, tMux, bestObj float64) bool {
 	// Delay floor: decode + bitline + sense + column mux; omits the
 	// wordline, both H-tree traversals, and inter-bank routing.
-	delayLB := row.tDecode + row.tBitline + env.tSense + float64(ceilLog2(org.colMux))*0.5*env.fo4
+	delayLB := row.tDecode + row.tBitline + env.tSense + tMux
 	if cfg.TargetCycle > 0 {
 		// Cycle floor: decode + read + sense (omits wordline and the
 		// 0.8*tBitline precharge term). An organization whose floor
@@ -445,91 +470,74 @@ func boundExceedsBest(env *sramEnv, row *rowEnv, cfg *Config, org *orgPlan, best
 	var objLB float64
 	switch cfg.Obj {
 	case OptEnergyDelay:
-		objLB = energyLB(env, row, org) * delayLB
+		objLB = energyLB(env, row, g, sw) * delayLB
 	case OptArea:
-		subW := float64(org.cols)*env.cellW + 40*env.f + float64(row.addrBits)*8*env.f
-		objLB = float64(org.subarrays) * (subW * row.subH) * arrayOverhead * float64(cfg.Banks)
+		subW := float64(g.cols)*env.cellW + 40*env.f + float64(row.addrBits)*8*env.f
+		objLB = float64(g.subarrays) * (subW * row.subH) * arrayOverhead * float64(cfg.Banks)
 	case OptDelay:
 		objLB = delayLB
 	default: // OptED2
-		objLB = energyLB(env, row, org) * delayLB * delayLB
+		objLB = energyLB(env, row, g, sw) * delayLB * delayLB
 	}
 	return objLB > bestObj*(1+pruneMargin)
 }
 
 // energyLB is the read-energy floor of an organization: bitline swing
 // plus sense energy of the active subarrays, omitting decode, H-tree,
-// and bank routing. The terms mirror evalSRAM's expressions exactly.
-func energyLB(env *sramEnv, row *rowEnv, org *orgPlan) float64 {
-	eBitlineRead := float64(org.cols) * row.cBL * env.vdd * env.vSwing
-	eSense := float64(org.subWord) * env.eSense1
-	return float64(org.activeSubs) * (eBitlineRead + eSense)
+// and bank routing. The terms mirror the evaluation's expressions
+// exactly.
+func energyLB(env *sramEnv, row *rowEnv, g *geometry, sw *subWord) float64 {
+	eBitlineRead := float64(g.cols) * row.cBL * env.vdd * env.vSwing
+	return float64(sw.active) * (eBitlineRead + sw.eSense)
+}
+
+// colSlots is the number of column counts a solve can meet: every
+// organization has cols = wordBits·2^k with k in [-3, 7] (a sub-word of
+// wordBits/8 … 4·wordBits times a column mux of 1 … 32), kept at slot
+// k+3.
+const colSlots = 11
+
+// subWord is one per-subarray output width a solve considers: its bit
+// count, its log2 ratio to the word (its column slot's offset), the
+// subarrays an access activates to deliver the word, and their sense
+// energy.
+type subWord struct {
+	bits, shift, active int
+	eSense              float64
 }
 
 // subWordChoices yields the per-subarray output widths to consider: the
 // full word and power-of-two fractions of it (the word is then spread
 // across several active subarrays). The fixed-size return keeps the
 // enumeration allocation-free on the cold path.
-func subWordChoices(wordBits int) (choices [6]int, n int) {
-	choices[0] = wordBits
+func subWordChoices(env *sramEnv, wordBits int) (choices [6]subWord, n int) {
+	choices[0] = subWord{bits: wordBits}
 	n = 1
-	for d := 2; d <= 8; d *= 2 {
+	for d, shift := 2, -1; d <= 8; d, shift = d*2, shift-1 {
 		if wordBits%d == 0 && wordBits/d >= 8 {
-			choices[n] = wordBits / d
+			choices[n] = subWord{bits: wordBits / d, shift: shift}
 			n++
 		}
 	}
 	// Also allow wider subarrays than the word for very small words.
-	for m := 2; m <= 4; m *= 2 {
-		choices[n] = wordBits * m
+	for m, shift := 2, 1; m <= 4; m, shift = m*2, shift+1 {
+		choices[n] = subWord{bits: wordBits * m, shift: shift}
 		n++
 	}
+	for i := range choices[:n] {
+		sw := &choices[i]
+		// A sub-word under one bit never reaches 16 columns.
+		sw.active = (wordBits + sw.bits - 1) / maxInt(sw.bits, 1)
+		sw.eSense = float64(sw.bits) * env.eSense1
+	}
 	return choices, n
-}
-
-// orgPlan is the integer skeleton of one candidate organization: the
-// feasibility screen (subarray count, active-subarray fit, the 4x
-// over-provisioning cap) needs no float math, so it runs before any
-// circuit evaluation or bound check.
-type orgPlan struct {
-	rows, cols, colMux    int
-	subWord, activeSubs   int
-	bitsPerSub, subarrays int
-	bankBits              int
-}
-
-func planOrg(cfg *Config, totalBits, wordBits, rows, cols, colMux int) (orgPlan, bool) {
-	bankBits := (totalBits + cfg.Banks - 1) / cfg.Banks
-	bitsPerSub := rows * cols
-	subarrays := (bankBits + bitsPerSub - 1) / bitsPerSub
-	if subarrays < 1 {
-		return orgPlan{}, false
-	}
-	subWord := cols / colMux
-	activeSubs := (wordBits + subWord - 1) / subWord
-	if activeSubs > subarrays {
-		return orgPlan{}, false
-	}
-	// Keep silly organizations out: don't allow more than 4x
-	// over-provisioned cells.
-	if float64(subarrays*bitsPerSub) > 4*float64(bankBits) {
-		return orgPlan{}, false
-	}
-	return orgPlan{
-		rows: rows, cols: cols, colMux: colMux,
-		subWord: subWord, activeSubs: activeSubs,
-		bitsPerSub: bitsPerSub, subarrays: subarrays,
-		bankBits: bankBits,
-	}, true
 }
 
 // rowEnv carries the evaluation terms that depend only on the row count
 // (and the shared env): decoder timing/energy, bitline RC, subarray
 // height, and the per-row periphery width terms. One rowEnv serves the
 // whole (colMux, subWord) inner enumeration for its row count, keeping
-// repeated transcendental and RC math out of the inner loop. Every field
-// is computed with exactly the expression evalSRAM previously inlined,
-// so hoisting cannot move a single bit.
+// repeated transcendental and RC math out of the inner loop.
 type rowEnv struct {
 	addrBits int
 	tDecode  float64 // predecode + final decode levels of FO4
@@ -568,137 +576,128 @@ func newRowEnv(env *sramEnv, rows int) rowEnv {
 // BIST, and inter-subarray routing channels are accounted for.
 const arrayOverhead = 2.2
 
-// wlEval is one memoized wordline evaluation: load, driver chain, and
-// distributed-RC delay, all pure functions of the column count.
-type wlEval struct {
-	chain       circuit.Chain
-	wlWireDelay float64
+// wordline is the wordline of one column count: its driver chain's delay
+// plus the line's distributed-RC delay, and the chain's energy.
+type wordline struct {
+	done bool
+	t, e float64
 }
 
-// evalSRAM computes PAT for one feasible organization of a plain SRAM
-// array (org passed planOrg). cols = subWord*colMux columns per
-// subarray; subWord bits leave each active subarray per access. env and
-// row carry the enumeration-invariant and row-invariant derived
-// parameters; the result is written into *out so the enumeration loop
-// reuses one scratch value instead of copying the full struct per
-// candidate.
-func evalSRAM(env *sramEnv, row *rowEnv, cfg *Config, wordBits int, org *orgPlan, wlCache map[int]wlEval, out *Result) {
+func newWordline(env *sramEnv, cols int) wordline {
 	per := &env.per
+	cWL := float64(cols)*(2*env.accessW*per.Dev.CgPerW) + float64(cols)*env.cellW*env.localWire.CapPerM
+	chain := per.BufferChain(cWL)
+	// Distributed RC of the wordline itself: 0.69 * R_total * C_total/2.
+	wlWireDelay := 0.69 * (env.localWire.ResPerM * float64(cols) * env.cellW) * cWL / 2
+	return wordline{done: true, t: chain.Delay + wlWireDelay, e: chain.Energy}
+}
 
-	rows, cols, colMux := org.rows, org.cols, org.colMux
-	subWord, activeSubs := org.subWord, org.activeSubs
-	bankBits, bitsPerSub, subarrays := org.bankBits, org.bitsPerSub, org.subarrays
+// geometry holds one (rows, cols) pair's evaluation terms. plan fills
+// the integer skeleton, the feasibility screen that needs no float math
+// (subarray count and the 4x over-provisioning cap), before any bound
+// check; fill adds the float terms on the first evaluation that reaches
+// the pair. Both are pure functions of (rows, cols) within a solve.
+type geometry struct {
+	rows, cols, subarrays int
+	filled                bool
 
-	cellW := env.cellW
-	localWire := env.localWire
+	tPre          float64 // H-tree in + decode + wordline + bitline + sense
+	tHtree        float64 // one H-tree traversal
+	tBankRoute    float64
+	cycle         float64
+	eDecode       float64 // decoder + wordline chain energy
+	eDecRead      float64 // eDecode + read bitline swing
+	eHtree        float64
+	eBankRoute    float64
+	static        power.Static
+	area          float64
+	height, width float64
+}
 
-	f := env.f
-	wmin := env.wmin
-
-	// --- Wordline ---------------------------------------------------
-	wl, cached := wlCache[cols]
-	if !cached {
-		cWL := float64(cols)*(2*env.accessW*per.Dev.CgPerW) + float64(cols)*cellW*localWire.CapPerM
-		wl.chain = per.BufferChain(cWL)
-		// Distributed RC of the wordline itself: 0.69 * R_total * C_total/2.
-		wl.wlWireDelay = 0.69 * (localWire.ResPerM * float64(cols) * cellW) * cWL / 2
-		wlCache[cols] = wl
+func (g *geometry) plan(rows, cols, bankBits int) {
+	bitsPerSub := rows * cols
+	g.rows, g.cols = rows, cols
+	g.subarrays = (bankBits + bitsPerSub - 1) / bitsPerSub
+	// Keep silly organizations out: don't allow more than 4x
+	// over-provisioned cells. An unfit pair keeps no subarrays, so no
+	// sub-word (each needs at least one) fits it.
+	if float64(g.subarrays*bitsPerSub) > 4*float64(bankBits) {
+		g.subarrays = 0
 	}
-	wlChain := wl.chain
-	tWordline := wlChain.Delay + wl.wlWireDelay
+}
 
-	// --- Decoder ----------------------------------------------------
-	addrBits := row.addrBits
-	tDecode := row.tDecode
-	eDecode := row.eDecode0 + wlChain.Energy
-
-	// --- Bitline ----------------------------------------------------
-	cBL := row.cBL
-	tBitline := row.tBitline
-	// Read energy: all columns of active subarrays swing by vSwing.
-	eBitlineRead := float64(cols) * cBL * env.vdd * env.vSwing
-	// Write: full differential swing on written columns only.
-	eBitlineWrite := float64(subWord) * cBL * env.vdd * env.vdd * 2 * 0.5
-
-	// --- Sense amps + column mux -------------------------------------
-	tSense := env.tSense
-	eSense := float64(subWord) * env.eSense1
-	tMux := float64(ceilLog2(colMux)) * 0.5 * env.fo4
-
+// fill computes the pair's bank geometry, H-tree and bank-route wires,
+// leakage and area. addrIn is the data plus address bits the wires carry.
+func (g *geometry) fill(env *sramEnv, row *rowEnv, banks int, wl *wordline, addrIn float64) {
 	// --- Subarray and bank geometry ----------------------------------
-	subW := float64(cols)*cellW + 40*f + float64(addrBits)*8*f // row decoder strip
-	subH := row.subH
-	subArea := subW * subH
-	bankArea := float64(subarrays) * subArea * arrayOverhead
+	subW := float64(g.cols)*env.cellW + 40*env.f + float64(row.addrBits)*8*env.f // row decoder strip
+	subArea := subW * row.subH
+	bankArea := float64(g.subarrays) * subArea * arrayOverhead
 	bankW := math.Sqrt(bankArea)
 	bankH := bankArea / bankW
 
-	// --- H-tree within the bank --------------------------------------
-	htreeLen := 0.5 * (bankW + bankH)
-	htreeIn := per.RepeatedWire(env.semiWire, htreeLen)
-	addrInBits := float64(ceilLog2(maxInt(2, bankBits/wordBits)))
-	eHtree := (float64(wordBits) + addrInBits) * htreeIn.EnergyPerBit
-	tHtree := htreeIn.Delay
-
-	// --- Inter-bank routing -------------------------------------------
-	var eBankRoute, tBankRoute float64
-	var bankRouteLeakSub, bankRouteLeakGate, bankRouteArea float64
-	if cfg.Banks > 1 {
-		chipSide := math.Sqrt(bankArea * float64(cfg.Banks))
-		route := per.RepeatedWire(env.globalWire, 0.5*chipSide)
-		eBankRoute = (float64(wordBits) + addrInBits) * route.EnergyPerBit
-		tBankRoute = route.Delay
-		bankRouteLeakSub = route.SubLeak * (float64(wordBits) + addrInBits)
-		bankRouteLeakGate = route.GateLeak * (float64(wordBits) + addrInBits)
-		bankRouteArea = route.Area * (float64(wordBits) + addrInBits)
+	// --- H-tree within the bank and inter-bank routing -----------------
+	htree := env.htree.Wire(0.5 * (bankW + bankH))
+	var route circuit.WireResult
+	if banks > 1 {
+		chipSide := math.Sqrt(bankArea * float64(banks))
+		route = env.bankRoute.Wire(0.5 * chipSide)
 	}
+	g.eHtree = addrIn * htree.EnergyPerBit
+	g.tHtree = htree.Delay
+	g.eBankRoute = addrIn * route.EnergyPerBit
+	g.tBankRoute = route.Delay
 
-	access := tHtree + tDecode + tWordline + tBitline + tSense + tMux + tHtree + tBankRoute
+	g.tPre = g.tHtree + row.tDecode + wl.t + row.tBitline + env.tSense
 	// Cycle limited by decode+read+precharge of one subarray.
-	cycle := tDecode + tWordline + tBitline + tSense + tBitline*0.8
-	if mn := 6 * env.fo4; cycle < mn {
-		cycle = mn
+	g.cycle = row.tDecode + wl.t + row.tBitline + env.tSense + row.tBitline*0.8
+	if mn := 6 * env.fo4; g.cycle < mn {
+		g.cycle = mn
 	}
-
-	// --- Energy totals per access -------------------------------------
-	a := float64(activeSubs)
-	eRead := a*(eDecode+eBitlineRead+eSense) + eHtree + eBankRoute
-	eWrite := a*(eDecode+eBitlineWrite) + eHtree + eBankRoute
+	g.eDecode = row.eDecode0 + wl.e
+	// Read energy: all columns of active subarrays swing by vSwing.
+	eBitlineRead := float64(g.cols) * row.cBL * env.vdd * env.vSwing
+	g.eDecRead = g.eDecode + eBitlineRead
 
 	// --- Leakage -------------------------------------------------------
-	allBits := float64(cfg.Banks) * float64(subarrays) * float64(bitsPerSub)
+	allBits := float64(banks) * float64(g.subarrays) * float64(g.rows*g.cols)
 	cellLeakSub := env.cellSubPerBit * allBits
 	cellLeakGate := env.cellGatePerBit * allBits
 	// Periphery: one wordline driver per row, sense amps and write
 	// drivers per column, decoders.
-	periphW := row.wRowPeri + float64(cols)*8*wmin + row.wDecPeri
-	periphW *= float64(subarrays * cfg.Banks)
+	periphW := row.wRowPeri + float64(g.cols)*8*env.wmin + row.wDecPeri
+	periphW *= float64(g.subarrays * banks)
 	periphLeakSub := env.periphSubPerW * periphW
 	periphLeakGate := env.periphGatePerW * periphW
-
-	totalArea := bankArea*float64(cfg.Banks) + bankRouteArea
-
-	*out = Result{
-		PAT: power.PAT{
-			Energy: power.Energy{Read: eRead, Write: eWrite},
-			Static: power.Static{
-				Sub:  cellLeakSub + periphLeakSub + htreeIn.SubLeak + bankRouteLeakSub,
-				Gate: cellLeakGate + periphLeakGate + htreeIn.GateLeak + bankRouteLeakGate,
-			},
-			Area:  totalArea,
-			Delay: access,
-			Cycle: cycle,
-		},
-		AccessTime: access,
-		CycleTime:  cycle,
-		Height:     bankH * math.Sqrt(float64(cfg.Banks)),
-		Width:      bankW * math.Sqrt(float64(cfg.Banks)),
-		Rows:       rows,
-		Cols:       cols,
-		Subarrays:  subarrays,
-		ColMux:     colMux,
-		Banks:      cfg.Banks,
+	g.static = power.Static{
+		Sub:  cellLeakSub + periphLeakSub + htree.SubLeak + route.SubLeak*addrIn,
+		Gate: cellLeakGate + periphLeakGate + htree.GateLeak + route.GateLeak*addrIn,
 	}
+
+	g.area = bankArea*float64(banks) + route.Area*addrIn
+	g.height = bankH * math.Sqrt(float64(banks))
+	g.width = bankW * math.Sqrt(float64(banks))
+	g.filled = true
+}
+
+// evalOrg writes one organization's PAT into *out: the filled geometry's
+// terms plus the column mux's delay and the sub-word's sense and write
+// energy, summed in the evaluation's operand order. Only the fields an
+// organization sets are written; the enumeration reuses one scratch
+// Result.
+func evalOrg(env *sramEnv, row *rowEnv, g *geometry, sw *subWord, colMux int, tMux float64, out *Result) {
+	// Write: full differential swing on written columns only.
+	eBitlineWrite := float64(sw.bits) * row.cBL * env.vdd * env.vdd * 2 * 0.5
+	access := g.tPre + tMux + g.tHtree + g.tBankRoute
+	a := float64(sw.active)
+	out.Energy.Read = a*(g.eDecRead+sw.eSense) + g.eHtree + g.eBankRoute
+	out.Energy.Write = a*(g.eDecode+eBitlineWrite) + g.eHtree + g.eBankRoute
+	out.Static = g.static
+	out.Area = g.area
+	out.Delay, out.AccessTime = access, access
+	out.Cycle, out.CycleTime = g.cycle, g.cycle
+	out.Height, out.Width = g.height, g.width
+	out.Rows, out.Cols, out.Subarrays, out.ColMux = g.rows, g.cols, g.subarrays, colMux
 }
 
 // ceilLog2 is ceil(log2(x)) over non-negative ints: bits.Len(x-1) for

@@ -54,14 +54,14 @@ func assertSameWinner(t *testing.T, name string, pruned, exhaustive *Result) {
 	}
 }
 
-// TestPrunedOptimizerMatchesExhaustiveTable covers the deliberate corner
-// cases: every objective, banked arrays, tight and absent timing
-// targets, and the fastest-fallback path where nothing meets the target
-// (pruning must stay inert there: no incumbent, no bound).
-func TestPrunedOptimizerMatchesExhaustiveTable(t *testing.T) {
+// pruneTable holds the deliberate corner cases: every objective, banked
+// arrays, tight and absent timing targets, and the fastest-fallback path
+// where nothing meets the target (pruning must stay inert there: no
+// incumbent, no bound).
+func pruneTable() []Config {
 	n32 := techtest.Node(32)
 	n22 := techtest.Node(22)
-	cases := []Config{
+	return []Config{
 		{Name: "l2-ed2", Tech: n32, Periph: tech.HP, Cell: tech.LSTP,
 			Bytes: 256 << 10, Banks: 4, TargetCycle: 1 / 2.0e9, Obj: OptED2},
 		{Name: "l1-delay", Tech: n22, Periph: tech.HP,
@@ -75,7 +75,12 @@ func TestPrunedOptimizerMatchesExhaustiveTable(t *testing.T) {
 		{Name: "impossible-target", Tech: n32, Periph: tech.HP,
 			Bytes: 512 << 10, Banks: 2, TargetCycle: 1e-12, Obj: OptED2},
 	}
-	for _, cfg := range cases {
+}
+
+// TestPrunedOptimizerMatchesExhaustiveTable runs pruneTable's corner
+// cases with pruning on and off.
+func TestPrunedOptimizerMatchesExhaustiveTable(t *testing.T) {
+	for _, cfg := range pruneTable() {
 		pruned, exhaustive := runBothModes(t, cfg)
 		assertSameWinner(t, cfg.Name, pruned, exhaustive)
 	}
