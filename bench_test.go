@@ -202,8 +202,8 @@ func BenchmarkChipSynthesis(b *testing.B) {
 
 // BenchmarkColdChipSynthesis is BenchmarkChipSynthesis with both
 // synthesis cache layers disabled: every iteration pays the full
-// cold-path cost — array-optimizer enumeration (with lower-bound
-// pruning) plus subsystem assembly on the worker pool. This is the
+// cold-path cost — array-optimizer enumeration plus the serial
+// subsystem assembly. This is the
 // number the cold-path optimizations move; the gap to
 // BenchmarkChipSynthesis is the caches' contribution.
 func BenchmarkColdChipSynthesis(b *testing.B) {

@@ -204,9 +204,7 @@ func main() {
 			}
 			fmt.Printf("  %-7s %d hits, %d misses\n", mcpat.SubsysKindName(i), k.Hits, k.Misses)
 		}
-		op := res.ArrayOpt
-		fmt.Printf("Array optimizer: %d organizations evaluated, %d pruned (%.1f%% of the enumeration skipped)\n",
-			op.Evaluated, op.Pruned, 100*op.PruneRate())
+		fmt.Printf("Array optimizer: %d organizations evaluated\n", res.ArrayOpt.Evaluated)
 	}
 	if *stats && coord != nil {
 		st := coord.Snapshot()

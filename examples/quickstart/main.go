@@ -63,5 +63,5 @@ func main() {
 	fmt.Printf("\n=== runtime analysis (workload %q, IPC %.2f/core) ===\n",
 		sim.Workload.Name, sim.CoreIPC)
 	fmt.Printf("Runtime power = %.2f W (vs TDP %.2f W)\n",
-		runRep.RuntimeDynamic+runRep.Leakage(), runRep.Peak())
+		runRep.Runtime(), runRep.Peak())
 }

@@ -133,13 +133,6 @@ type Result struct {
 	// RefreshPower is the eDRAM refresh floor (W), already included in
 	// Static.Sub; zero for SRAM/DFF/CAM arrays.
 	RefreshPower float64
-
-	// Pruned counts candidate organizations the optimizer skipped via
-	// its lower-bound test during this synthesis (data + tag for
-	// associative caches). Pruning never changes the winner - this
-	// counter exists so tests and sweep stats can observe that the
-	// branch-and-bound search is actually cutting work.
-	Pruned int
 }
 
 // validate normalizes the config, returning total bits and output width.
@@ -215,7 +208,7 @@ func synthesize(cfg Config, totalBits, wordBits int) (*Result, error) {
 	if cfg.Assoc > 0 {
 		return newCache(cfg, totalBits, wordBits)
 	}
-	res, err := newRAM(cfg, totalBits, wordBits)
+	res, err := optimize(newSRAMEnv(&cfg), cfg, totalBits, wordBits)
 	if err != nil {
 		return nil, err
 	}
@@ -256,15 +249,6 @@ func cellGeometry(n *tech.Node, kind CellType, extraPorts int) (w, h float64) {
 	return w, h
 }
 
-// newRAM synthesizes a plain (non-associative) SRAM array.
-func newRAM(cfg Config, totalBits, wordBits int) (*Result, error) {
-	best, err := optimize(cfg, totalBits, wordBits)
-	if err != nil {
-		return nil, err
-	}
-	return best, nil
-}
-
 func objective(cfg *Config, r *Result) float64 {
 	switch cfg.Obj {
 	case OptEnergyDelay:
@@ -281,10 +265,9 @@ func objective(cfg *Config, r *Result) float64 {
 // sramEnv holds every derived quantity of the SRAM evaluation that is
 // invariant across the (rows, column-mux, sub-word) enumeration: device
 // parameters, wire classes, one repeater design per repeated wire class,
-// cell geometry, FO4, and per-unit leakage rates (whose temperature
-// scaling costs an exp() each). Hoisting them out of the enumeration
-// keeps the optimizer's inner loop free of repeated device-table lookups
-// and transcendental math.
+// cell geometry, FO4, and per-unit leakage rates. Hoisting them out of
+// the enumeration keeps the optimizer's inner loop free of repeated
+// device-table lookups and transcendental math.
 type sramEnv struct {
 	n       *tech.Node
 	per     circuit.Ctx
@@ -330,39 +313,19 @@ func newSRAMEnv(cfg *Config) *sramEnv {
 	e.iCell = 0.5 * e.cellDev.IonN * (2 * e.f)
 	e.eSense1 = e.per.FullSwingE(10 * e.wmin * e.per.Dev.CgPerW)
 	e.tSense = 2 * e.fo4
-	e.cellSubPerBit = e.cellDev.Ioff(n.SRAMCellNMOSWidth, n.SRAMCellPMOSWidth, n.Temperature) * e.cellDev.Vdd
+	e.cellSubPerBit = e.cellDev.Ioff(n.SRAMCellNMOSWidth, n.SRAMCellPMOSWidth) * e.cellDev.Vdd
 	e.cellGatePerBit = e.cellDev.Ig(n.SRAMCellNMOSWidth+n.SRAMCellPMOSWidth) * e.cellDev.Vdd
-	e.periphSubPerW = e.per.Dev.Ioff(1, 1, n.Temperature) * e.vdd
+	e.periphSubPerW = e.per.Dev.Ioff(1, 1) * e.vdd
 	e.periphGatePerW = e.per.Dev.Ig(2) * e.vdd
 	return e
 }
 
-// optimize enumerates subarray organizations and returns the best feasible
-// one. If nothing meets the timing target, the fastest configuration is
-// returned with its (longer) actual cycle time, mirroring McPAT's warning
-// behavior rather than failing hard.
-func optimize(cfg Config, totalBits, wordBits int) (*Result, error) {
-	return optimizeEnv(newSRAMEnv(&cfg), cfg, totalBits, wordBits)
-}
-
-// optimizeEnv is optimize with a caller-provided invariant environment,
-// letting multi-array synthesis (data + tag of a cache) share one env.
-func optimizeEnv(env *sramEnv, cfg Config, totalBits, wordBits int) (*Result, error) {
-	return optimizeEnvMode(env, cfg, totalBits, wordBits, true)
-}
-
-// optimizeEnvMode is the enumeration engine with branch-and-bound
-// pruning switchable (the property tests run it both ways and assert the
-// same winner). Once a feasible best exists, each remaining organization
-// is first screened by a cheap admissible lower bound on its objective
-// (and on its cycle time when a TargetCycle is set): every bound term is
-// a subset of the non-negative terms the full evaluation sums, computed
-// from the same hoisted sub-expressions, so a candidate whose bound
-// already exceeds the incumbent cannot win and is skipped without paying
-// the buffer-chain / repeated-wire / leakage math. The margin guards
-// against the float additions the bound omits re-associating the
-// comparison by a few ulps; the selection comparison is strict (<), so
-// skipped ties can never have replaced the incumbent either.
+// optimize enumerates every subarray organization and returns the best
+// feasible one. If nothing meets the timing target, the fastest
+// configuration is returned with its (longer) actual cycle time,
+// mirroring McPAT's warning behavior rather than failing hard. env is
+// the enumeration-invariant environment, which the data and tag arrays
+// of a cache share.
 //
 // Every column count is wordBits·2^k, and distinct (column-mux,
 // sub-word) pairs land on the same one, so the work is done once per
@@ -370,12 +333,12 @@ func optimizeEnv(env *sramEnv, cfg Config, totalBits, wordBits int) (*Result, er
 // solve, the bank geometry, wires, leakage and area once per (rows,
 // cols) in a geometry slot reset for each row, and only the column-mux
 // and sub-word terms per organization.
-func optimizeEnvMode(env *sramEnv, cfg Config, totalBits, wordBits int, prune bool) (*Result, error) {
+func optimize(env *sramEnv, cfg Config, totalBits, wordBits int) (*Result, error) {
 	var (
 		best, fastest, cur Result
 		haveBest, haveFast bool
 		bestObj            float64
-		evaluated, pruned  int
+		evaluated          int
 		wls                [colSlots]wordline
 		geo                [colSlots]geometry
 	)
@@ -406,10 +369,6 @@ func optimizeEnvMode(env *sramEnv, cfg Config, totalBits, wordBits int, prune bo
 				if sw.active > g.subarrays {
 					continue
 				}
-				if prune && haveBest && boundExceedsBest(env, &row, &cfg, g, sw, tMux, bestObj) {
-					pruned++
-					continue
-				}
 				if !g.filled {
 					if !wls[slot].done {
 						wls[slot] = newWordline(env, cols)
@@ -432,63 +391,14 @@ func optimizeEnvMode(env *sramEnv, cfg Config, totalBits, wordBits int, prune bo
 		}
 	}
 	optOrgsEvaluated.Add(uint64(evaluated))
-	optOrgsPruned.Add(uint64(pruned))
 	if !haveBest {
 		if !haveFast {
 			return nil, guard.Infeasiblef(cfg.Name, "no feasible organization for %d bits", totalBits)
 		}
 		best = fastest
 	}
-	best.Pruned = pruned
 	out := best
 	return &out, nil
-}
-
-// pruneMargin pads the lower-bound comparisons: the bound sums a subset
-// of the evaluation's terms with slightly different association, so it
-// may sit a few ulps above the exact value. 1e-9 relative is ~6 orders
-// of magnitude above double-rounding noise and far below any real
-// objective gap between organizations.
-const pruneMargin = 1e-9
-
-// boundExceedsBest reports whether an organization provably cannot beat
-// the incumbent objective (or meet the timing target): its admissible
-// objective lower bound exceeds bestObj with margin.
-func boundExceedsBest(env *sramEnv, row *rowEnv, cfg *Config, g *geometry, sw *subWord, tMux, bestObj float64) bool {
-	// Delay floor: decode + bitline + sense + column mux; omits the
-	// wordline, both H-tree traversals, and inter-bank routing.
-	delayLB := row.tDecode + row.tBitline + env.tSense + tMux
-	if cfg.TargetCycle > 0 {
-		// Cycle floor: decode + read + sense (omits wordline and the
-		// 0.8*tBitline precharge term). An organization whose floor
-		// already misses the target can only ever serve as "fastest",
-		// which is moot once a feasible best exists.
-		if row.tDecode+row.tBitline+env.tSense > cfg.TargetCycle*(1+pruneMargin) {
-			return true
-		}
-	}
-	var objLB float64
-	switch cfg.Obj {
-	case OptEnergyDelay:
-		objLB = energyLB(env, row, g, sw) * delayLB
-	case OptArea:
-		subW := float64(g.cols)*env.cellW + 40*env.f + float64(row.addrBits)*8*env.f
-		objLB = float64(g.subarrays) * (subW * row.subH) * arrayOverhead * float64(cfg.Banks)
-	case OptDelay:
-		objLB = delayLB
-	default: // OptED2
-		objLB = energyLB(env, row, g, sw) * delayLB * delayLB
-	}
-	return objLB > bestObj*(1+pruneMargin)
-}
-
-// energyLB is the read-energy floor of an organization: bitline swing
-// plus sense energy of the active subarrays, omitting decode, H-tree,
-// and bank routing. The terms mirror the evaluation's expressions
-// exactly.
-func energyLB(env *sramEnv, row *rowEnv, g *geometry, sw *subWord) float64 {
-	eBitlineRead := float64(g.cols) * row.cBL * env.vdd * env.vSwing
-	return float64(sw.active) * (eBitlineRead + sw.eSense)
 }
 
 // colSlots is the number of column counts a solve can meet: every
@@ -594,9 +504,10 @@ func newWordline(env *sramEnv, cols int) wordline {
 
 // geometry holds one (rows, cols) pair's evaluation terms. plan fills
 // the integer skeleton, the feasibility screen that needs no float math
-// (subarray count and the 4x over-provisioning cap), before any bound
-// check; fill adds the float terms on the first evaluation that reaches
-// the pair. Both are pure functions of (rows, cols) within a solve.
+// (subarray count and the 4x over-provisioning cap); fill adds the float
+// terms on the first evaluation that reaches the pair, so a pair no
+// sub-word fits never pays them. Both are pure functions of (rows, cols)
+// within a solve.
 type geometry struct {
 	rows, cols, subarrays int
 	filled                bool

@@ -51,7 +51,7 @@ func newCache(cfg Config, totalBits, wordBits int) (*Result, error) {
 		dataWord = wordBits * cfg.Assoc
 	}
 	dataCfg.BlockBits = dataWord
-	data, err := optimizeEnv(env, dataCfg, totalBits, dataWord)
+	data, err := optimize(env, dataCfg, totalBits, dataWord)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func newCache(cfg Config, totalBits, wordBits int) (*Result, error) {
 	tagCfg.Entries = sets
 	tagCfg.EntryBits = tagBits * cfg.Assoc // all ways checked together
 	tagCfg.BlockBits = tagBits * cfg.Assoc
-	tag, err := optimizeEnv(env, tagCfg, sets*tagBits*cfg.Assoc, tagBits*cfg.Assoc)
+	tag, err := optimize(env, tagCfg, sets*tagBits*cfg.Assoc, tagBits*cfg.Assoc)
 	if err != nil {
 		return nil, err
 	}
@@ -108,6 +108,5 @@ func newCache(cfg Config, totalBits, wordBits int) (*Result, error) {
 	res.Width = res.Height
 	res.Rows, res.Cols, res.Subarrays, res.ColMux, res.Banks =
 		data.Rows, data.Cols, data.Subarrays, data.ColMux, data.Banks
-	res.Pruned = data.Pruned + tag.Pruned
 	return res, nil
 }

@@ -90,10 +90,10 @@ func newCAM(cfg Config, totalBits, wordBits int) (*Result, error) {
 	// --- Leakage --------------------------------------------------------
 	bits := float64(rows * (tagCols + dataCols))
 	// CAM cells leak ~1.5x an SRAM cell (extra match transistors).
-	cellLeakSub := 1.5 * cellDev.Ioff(n.SRAMCellNMOSWidth, n.SRAMCellPMOSWidth, n.Temperature) * cellDev.Vdd * bits
+	cellLeakSub := 1.5 * cellDev.Ioff(n.SRAMCellNMOSWidth, n.SRAMCellPMOSWidth) * cellDev.Vdd * bits
 	cellLeakGate := 1.5 * cellDev.Ig(n.SRAMCellNMOSWidth+n.SRAMCellPMOSWidth) * cellDev.Vdd * bits
 	periphW := float64(rows)*6*wmin + float64(tagCols+dataCols)*6*wmin
-	periphLeakSub := per.Dev.Ioff(periphW, periphW, n.Temperature) * per.Vdd()
+	periphLeakSub := per.Dev.Ioff(periphW, periphW) * per.Vdd()
 	periphLeakGate := per.Dev.Ig(2*periphW) * per.Vdd()
 
 	access := math.Max(tSearch, tRead)
@@ -220,7 +220,7 @@ func applyEDRAM(cfg *Config, res *Result, totalBits int) {
 	// refresh sweeps the whole array every retention interval. Refresh
 	// energy per bit ≈ one full bitline write at cell granularity.
 	cellDev := n.Device(cfg.Cell, false)
-	cellSub := cellDev.Ioff(n.SRAMCellNMOSWidth, n.SRAMCellPMOSWidth, n.Temperature) *
+	cellSub := cellDev.Ioff(n.SRAMCellNMOSWidth, n.SRAMCellPMOSWidth) *
 		cellDev.Vdd * float64(totalBits)
 	res.Static.Sub -= cellSub * 0.9 // storage cells stop leaking
 	if res.Static.Sub < 0 {

@@ -98,7 +98,7 @@ func canonicalKey(cfg *Config, wordBits int) Key {
 		k.Sequential = !parallel
 		k.SearchPorts = 0
 	default:
-		// newRAM (SRAM or EDRAM): no tags, no search, no way policy.
+		// A plain RAM (SRAM or EDRAM): no tags, no search, no way policy.
 		k.TagBits = 0
 		k.SearchPorts = 0
 	}

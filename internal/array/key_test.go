@@ -171,15 +171,6 @@ func TestKeyTechFingerprint(t *testing.T) {
 		t.Error("retuned Vdd must change the key")
 	}
 
-	// Temperature is retuned at Score time (tech.LeakScaleAt), so it is
-	// deliberately absent from the synthesis identity: parts synthesized
-	// at any operating temperature are interchangeable.
-	cfg.Tech = techtest.Node(32)
-	cfg.Tech.Temperature += 20
-	if keyOf(t, cfg) != k1 {
-		t.Error("reference temperature must not change the synthesis key")
-	}
-
 	cfg.Tech = techtest.Node(22)
 	if keyOf(t, cfg) == k1 {
 		t.Error("a different node must change the key")

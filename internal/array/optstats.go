@@ -2,49 +2,29 @@ package array
 
 import "sync/atomic"
 
-// Process-wide counters of the organization optimizer's enumeration
-// work. They only move on real (uncached) syntheses - a memoized result
-// re-runs nothing - so the pair measures actual cold-path effort, and
-// their delta over a sweep shows how much of the CACTI-style search the
-// branch-and-bound pruning is cutting.
-var (
-	optOrgsEvaluated atomic.Uint64
-	optOrgsPruned    atomic.Uint64
-)
+// optOrgsEvaluated counts the organizations the optimizer evaluated. It
+// only moves on real (uncached) syntheses - a memoized result re-runs
+// nothing - so its delta over a sweep measures actual cold-path effort.
+var optOrgsEvaluated atomic.Uint64
 
-// OptimizerStats is a snapshot of the optimizer's enumeration counters.
+// OptimizerStats is a snapshot of the optimizer's enumeration counter.
 type OptimizerStats struct {
-	// Evaluated counts organizations that paid the full circuit
-	// evaluation (wordline chain, H-tree, leakage math).
+	// Evaluated counts organizations that paid the circuit evaluation.
 	Evaluated uint64
-	// Pruned counts organizations skipped by the admissible lower-bound
-	// test against the incumbent best.
-	Pruned uint64
 }
 
-// OptStats returns the current process-wide optimizer counters.
+// OptStats returns the current process-wide optimizer counter.
 func OptStats() OptimizerStats {
-	return OptimizerStats{
-		Evaluated: optOrgsEvaluated.Load(),
-		Pruned:    optOrgsPruned.Load(),
-	}
+	return OptimizerStats{Evaluated: optOrgsEvaluated.Load()}
 }
 
 // Delta returns the counter movement since a previous snapshot,
 // attributing enumeration work to one sweep or serving window.
 func (s OptimizerStats) Delta(prev OptimizerStats) OptimizerStats {
-	return OptimizerStats{
-		Evaluated: s.Evaluated - prev.Evaluated,
-		Pruned:    s.Pruned - prev.Pruned,
-	}
+	return OptimizerStats{Evaluated: s.Evaluated - prev.Evaluated}
 }
 
-// PruneRate is the fraction of enumerated organizations the bound
-// skipped (0 when nothing was enumerated).
-func (s OptimizerStats) PruneRate() float64 {
-	total := s.Evaluated + s.Pruned
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Pruned) / float64(total)
-}
+// PruneRate is 0; the optimizer evaluates every organization.
+//
+// Deprecated: the optimizer has no lower-bound screen to report.
+func (s OptimizerStats) PruneRate() float64 { return 0 }

@@ -4,7 +4,7 @@ package array
 // geometry slots, with one full evaluation per organization, the
 // wordline memoized in a map, and every repeated wire designed and
 // placed per call. TestOptimizerMatchesReference holds the optimizer to
-// it bit for bit, Pruned counts and counters included.
+// it bit for bit, counters included.
 
 import (
 	"fmt"
@@ -52,12 +52,12 @@ func refRepeatedWire(c *circuit.Ctx, w tech.Wire, length float64) circuit.WireRe
 	}
 }
 
-func refOptimizeEnvMode(env *sramEnv, cfg Config, totalBits, wordBits int, prune bool) (*Result, error) {
+func refOptimize(env *sramEnv, cfg Config, totalBits, wordBits int) (*Result, error) {
 	var (
 		best, fastest, cur Result
 		haveBest, haveFast bool
 		bestObj            float64
-		evaluated, pruned  int
+		evaluated          int
 	)
 	subWords, nSub := refSubWordChoices(wordBits)
 	wlCache := make(map[int]wlEval, 16)
@@ -72,10 +72,6 @@ func refOptimizeEnvMode(env *sramEnv, cfg Config, totalBits, wordBits int, prune
 				}
 				org, ok := planOrg(&cfg, totalBits, wordBits, rows, cols, colMux)
 				if !ok {
-					continue
-				}
-				if prune && haveBest && refBoundExceedsBest(env, &row, &cfg, &org, bestObj) {
-					pruned++
 					continue
 				}
 				evalSRAM(env, &row, &cfg, wordBits, &org, wlCache, &cur)
@@ -94,14 +90,12 @@ func refOptimizeEnvMode(env *sramEnv, cfg Config, totalBits, wordBits int, prune
 		}
 	}
 	optOrgsEvaluated.Add(uint64(evaluated))
-	optOrgsPruned.Add(uint64(pruned))
 	if !haveBest {
 		if !haveFast {
 			return nil, guard.Infeasiblef(cfg.Name, "no feasible organization for %d bits", totalBits)
 		}
 		best = fastest
 	}
-	best.Pruned = pruned
 	out := best
 	return &out, nil
 }
@@ -120,34 +114,6 @@ func refSubWordChoices(wordBits int) (choices [6]int, n int) {
 		n++
 	}
 	return choices, n
-}
-
-func refBoundExceedsBest(env *sramEnv, row *rowEnv, cfg *Config, org *orgPlan, bestObj float64) bool {
-	delayLB := row.tDecode + row.tBitline + env.tSense + float64(ceilLog2(org.colMux))*0.5*env.fo4
-	if cfg.TargetCycle > 0 {
-		if row.tDecode+row.tBitline+env.tSense > cfg.TargetCycle*(1+pruneMargin) {
-			return true
-		}
-	}
-	var objLB float64
-	switch cfg.Obj {
-	case OptEnergyDelay:
-		objLB = refEnergyLB(env, row, org) * delayLB
-	case OptArea:
-		subW := float64(org.cols)*env.cellW + 40*env.f + float64(row.addrBits)*8*env.f
-		objLB = float64(org.subarrays) * (subW * row.subH) * arrayOverhead * float64(cfg.Banks)
-	case OptDelay:
-		objLB = delayLB
-	default:
-		objLB = refEnergyLB(env, row, org) * delayLB * delayLB
-	}
-	return objLB > bestObj*(1+pruneMargin)
-}
-
-func refEnergyLB(env *sramEnv, row *rowEnv, org *orgPlan) float64 {
-	eBitlineRead := float64(org.cols) * row.cBL * env.vdd * env.vSwing
-	eSense := float64(org.subWord) * env.eSense1
-	return float64(org.activeSubs) * (eBitlineRead + eSense)
 }
 
 type orgPlan struct {
@@ -329,46 +295,38 @@ func bitsDiff(path string, a, b reflect.Value) string {
 // refCoverage tallies what the corpus exercised, so a corpus that stops
 // reaching a path fails rather than passing vacuously.
 type refCoverage struct {
-	solves, infeasible, fallback, metTarget, pruned int
+	solves, infeasible, fallback, metTarget int
 }
 
 // checkAgainstReference runs the optimizer and the reference on one
-// validated array, with pruning on and off, and compares the results
-// and the optimizer counters' movement bit for bit.
+// validated array and compares the results and the optimizer counter's
+// movement bit for bit.
 func checkAgainstReference(t *testing.T, cov *refCoverage, env *sramEnv, cfg Config, totalBits, wordBits int) {
 	t.Helper()
-	for _, prune := range []bool{true, false} {
-		before := OptStats()
-		got, gotErr := optimizeEnvMode(env, cfg, totalBits, wordBits, prune)
-		mid := OptStats()
-		want, wantErr := refOptimizeEnvMode(env, cfg, totalBits, wordBits, prune)
-		gotStats, wantStats := mid.Delta(before), OptStats().Delta(mid)
-		name := fmt.Sprintf("%s (words %d of %d bits, prune=%v)", cfg.Name, wordBits, totalBits, prune)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Errorf("%s: error %v, reference %v", name, gotErr, wantErr)
-			continue
-		}
-		if gotStats != wantStats {
-			t.Errorf("%s: counters moved %+v, reference %+v", name, gotStats, wantStats)
-		}
-		if d := bitsDiff("Result", reflect.ValueOf(got), reflect.ValueOf(want)); d != "" {
-			t.Errorf("%s: %s", name, d)
-		}
-		if !prune {
-			continue
-		}
-		cov.solves++
-		switch {
-		case gotErr != nil:
-			cov.infeasible++
-		case cfg.TargetCycle > 0 && got.CycleTime > cfg.TargetCycle:
-			cov.fallback++
-		case cfg.TargetCycle > 0:
-			cov.metTarget++
-		}
-		if got != nil && got.Pruned > 0 {
-			cov.pruned++
-		}
+	before := OptStats()
+	got, gotErr := optimize(env, cfg, totalBits, wordBits)
+	mid := OptStats()
+	want, wantErr := refOptimize(env, cfg, totalBits, wordBits)
+	gotStats, wantStats := mid.Delta(before), OptStats().Delta(mid)
+	name := fmt.Sprintf("%s (words %d of %d bits)", cfg.Name, wordBits, totalBits)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Errorf("%s: error %v, reference %v", name, gotErr, wantErr)
+		return
+	}
+	if gotStats != wantStats {
+		t.Errorf("%s: counters moved %+v, reference %+v", name, gotStats, wantStats)
+	}
+	if d := bitsDiff("Result", reflect.ValueOf(got), reflect.ValueOf(want)); d != "" {
+		t.Errorf("%s: %s", name, d)
+	}
+	cov.solves++
+	switch {
+	case gotErr != nil:
+		cov.infeasible++
+	case cfg.TargetCycle > 0 && got.CycleTime > cfg.TargetCycle:
+		cov.fallback++
+	case cfg.TargetCycle > 0:
+		cov.metTarget++
 	}
 }
 
@@ -409,8 +367,8 @@ func checkCacheAgainstReference(t *testing.T, cov *refCoverage, cfg Config) {
 	checkAgainstReference(t, cov, env, tagCfg, sets*tagBits*cfg.Assoc, tagBits*cfg.Assoc)
 
 	res, err := newCache(cfg, totalBits, wordBits)
-	data, dataErr := refOptimizeEnvMode(env, dataCfg, totalBits, dataWord, true)
-	tag, tagErr := refOptimizeEnvMode(env, tagCfg, sets*tagBits*cfg.Assoc, tagBits*cfg.Assoc, true)
+	data, dataErr := refOptimize(env, dataCfg, totalBits, dataWord)
+	tag, tagErr := refOptimize(env, tagCfg, sets*tagBits*cfg.Assoc, tagBits*cfg.Assoc)
 	if dataErr == nil {
 		dataErr = tagErr
 	}
@@ -423,10 +381,32 @@ func checkCacheAgainstReference(t *testing.T, cov *refCoverage, cfg Config) {
 	if d := bitsDiff("Tag", reflect.ValueOf(res.Tag), reflect.ValueOf(tag)); d != "" {
 		t.Errorf("%s: newCache: %s", cfg.Name, d)
 	}
-	gotOrg := [6]int{res.Rows, res.Cols, res.Subarrays, res.ColMux, res.Banks, res.Pruned}
-	wantOrg := [6]int{data.Rows, data.Cols, data.Subarrays, data.ColMux, data.Banks, data.Pruned + tag.Pruned}
+	gotOrg := [5]int{res.Rows, res.Cols, res.Subarrays, res.ColMux, res.Banks}
+	wantOrg := [5]int{data.Rows, data.Cols, data.Subarrays, data.ColMux, data.Banks}
 	if gotOrg != wantOrg {
-		t.Errorf("%s: newCache organization/pruned %v, reference %v", cfg.Name, gotOrg, wantOrg)
+		t.Errorf("%s: newCache organization %v, reference %v", cfg.Name, gotOrg, wantOrg)
+	}
+}
+
+// cornerCases holds deliberate corner cases: every objective, banked
+// arrays, tight and absent timing targets, and the fastest-fallback path
+// where nothing meets the target.
+func cornerCases() []Config {
+	n32 := techtest.Node(32)
+	n22 := techtest.Node(22)
+	return []Config{
+		{Name: "l2-ed2", Tech: n32, Periph: tech.HP, Cell: tech.LSTP,
+			Bytes: 256 << 10, Banks: 4, TargetCycle: 1 / 2.0e9, Obj: OptED2},
+		{Name: "l1-delay", Tech: n22, Periph: tech.HP,
+			Bytes: 32 << 10, BlockBits: 256, Banks: 1, TargetCycle: 1 / 3.0e9, Obj: OptDelay},
+		{Name: "rf-area", Tech: n22, Periph: tech.HP,
+			Entries: 128, EntryBits: 64, RdPorts: 4, WrPorts: 2, Obj: OptArea},
+		{Name: "buf-ed", Tech: n32, Periph: tech.HP,
+			Entries: 64, EntryBits: 128, Obj: OptEnergyDelay},
+		{Name: "no-target", Tech: n32, Periph: tech.HP, Cell: tech.LSTP,
+			Bytes: 1 << 20, Banks: 8, Obj: OptED2},
+		{Name: "impossible-target", Tech: n32, Periph: tech.HP,
+			Bytes: 512 << 10, Banks: 2, TargetCycle: 1e-12, Obj: OptED2},
 	}
 }
 
@@ -493,12 +473,11 @@ func referenceCorpus(n int) []Config {
 }
 
 // TestOptimizerMatchesReference holds the optimizer to the reference
-// enumeration bit for bit: every float of the winner, every integer
-// including Pruned, the error on infeasible arrays, and the optimizer
-// counters' movement, with pruning on and off.
+// enumeration bit for bit: every float and integer of the winner, the
+// error on infeasible arrays, and the optimizer counter's movement.
 func TestOptimizerMatchesReference(t *testing.T) {
 	var cov refCoverage
-	cfgs := append(pruneTable(), referenceCorpus(520)...)
+	cfgs := append(cornerCases(), referenceCorpus(520)...)
 	for _, cfg := range cfgs {
 		if cfg.Assoc > 0 {
 			checkCacheAgainstReference(t, &cov, cfg)
@@ -511,7 +490,7 @@ func TestOptimizerMatchesReference(t *testing.T) {
 		checkAgainstReference(t, &cov, newSRAMEnv(&cfg), cfg, totalBits, wordBits)
 	}
 	t.Logf("%+v", cov)
-	if cov.infeasible == 0 || cov.fallback == 0 || cov.metTarget == 0 || cov.pruned == 0 {
+	if cov.infeasible == 0 || cov.fallback == 0 || cov.metTarget == 0 {
 		t.Errorf("corpus misses a path: %+v", cov)
 	}
 }

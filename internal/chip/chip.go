@@ -85,7 +85,7 @@ type Config struct {
 	Dev         tech.DeviceType
 	LongChannel bool
 	// Temperature is the junction temperature reports are scored at (K);
-	// 0 keeps the node default (360 K). It is a Score-time input: it
+	// 0 keeps tech.ReferenceTempK (360 K). It is a Score-time input: it
 	// retunes leakage on the finished report and never participates in
 	// synthesis, so chips differing only in temperature share every
 	// synthesized part (see Processor.SetScoreTemperature).
@@ -196,8 +196,8 @@ type Processor struct {
 	reportPath string
 
 	// Score-time operating point. Synthesis is temperature-invariant
-	// (parts are solved at the node's reference temperature and the tech
-	// fingerprint excludes temperature), so the operating temperature and
+	// (parts are solved at tech.ReferenceTempK and the tech fingerprint
+	// has no temperature), so the operating temperature and
 	// any DVFS derating are applied as cheap multiplicative retunes over
 	// the scored report instead of participating in synthesis. Mutating
 	// these between Score passes is how the thermal/DVFS feedback loop
@@ -252,11 +252,11 @@ func New(cfg Config) (_ *Processor, err error) {
 	}
 
 	p := &Processor{Cfg: cfg, Tech: node, reportPath: path + ".Report", freqFrac: 1, vddFrac: 1}
-	p.scoreTempK = node.Temperature
+	p.scoreTempK = tech.ReferenceTempK
 	p.leakScale = 1
 	if cfg.Temperature > 0 {
 		p.scoreTempK = cfg.Temperature
-		p.leakScale = node.LeakScaleAt(cfg.Temperature)
+		p.leakScale = tech.LeakScaleAt(cfg.Temperature)
 	}
 	b := &builder{p: p, node: node, path: path}
 	if err := assemble(b); err != nil {

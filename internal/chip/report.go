@@ -4,6 +4,7 @@ import (
 	"mcpat/internal/core"
 	"mcpat/internal/guard"
 	"mcpat/internal/power"
+	"mcpat/internal/tech"
 )
 
 // topLevelOverhead multiplies summed component area for top-level routing
@@ -85,16 +86,16 @@ func (p *Processor) buildReportIn(ar *power.Arena, stats *Stats) *power.Item {
 
 // SetScoreTemperature moves the Score-time junction temperature: every
 // subsequent Report/ReportArena pass retunes subthreshold leakage to
-// tempK (a single multiplier — see tech.Node.LeakScaleAt) without any
-// re-synthesis. tempK <= 0 restores the node's reference temperature.
+// tempK (a single multiplier — see tech.LeakScaleAt) without any
+// re-synthesis. tempK <= 0 restores the reference temperature.
 // This is the per-interval entry point of the thermal feedback loop; it
 // is not safe to call concurrently with Report on the same Processor.
 func (p *Processor) SetScoreTemperature(tempK float64) {
 	if tempK <= 0 {
-		tempK = p.Tech.Temperature
+		tempK = tech.ReferenceTempK
 	}
 	p.scoreTempK = tempK
-	p.leakScale = p.Tech.LeakScaleAt(tempK)
+	p.leakScale = tech.LeakScaleAt(tempK)
 }
 
 // ScoreTemperature reports the junction temperature reports are

@@ -51,11 +51,11 @@ func (c *Ctx) InvDelay(wn, cload float64) float64 {
 	return 0.69 * r * (cload + c.InvCself(wn))
 }
 
-// InvLeak returns the static power of one inverter of NMOS width wn at the
-// node temperature.
+// InvLeak returns the static power of one inverter of NMOS width wn at
+// tech.ReferenceTempK.
 func (c *Ctx) InvLeak(wn float64) (subW, gateW float64) {
 	wp := 2 * wn
-	isub := c.Dev.Ioff(wn, wp, c.Node.Temperature)
+	isub := c.Dev.Ioff(wn, wp)
 	ig := c.Dev.Ig(wn + wp)
 	return isub * c.Dev.Vdd, ig * c.Dev.Vdd
 }
@@ -145,9 +145,9 @@ type WireResult struct {
 // Repeater is the length-independent half of an optimally repeated wire
 // of one class: the Bakoglu segment length and repeater size, the sized
 // repeater's drive and loads, and one repeater's leakage and area.
-// Designing it costs the leakage model's exp(), so a caller that places
-// many wires of one class designs the repeater once and calls Wire per
-// length.
+// Designing it costs two square roots and the device math, so a caller
+// that places many wires of one class designs the repeater once and
+// calls Wire per length.
 type Repeater struct {
 	resPerM, capPerM, vdd float64
 	lopt, hopt            float64 // optimal segment length (m) and repeater size
@@ -236,7 +236,7 @@ func (c *Ctx) NewDFF() DFF {
 	clkCap := 8 * wmin * c.Dev.CgPerW
 	// A data toggle switches ~6 internal nodes of ~min inverter size.
 	dataCap := 6 * (c.InvCin(wmin)/3 + c.InvCself(wmin)/3)
-	sub := c.Dev.Ioff(8*wmin, 8*wmin, c.Node.Temperature) * c.Dev.Vdd
+	sub := c.Dev.Ioff(8*wmin, 8*wmin) * c.Dev.Vdd
 	gate := c.Dev.Ig(16*wmin) * c.Dev.Vdd
 	return DFF{
 		EnergyClk:  c.SwitchE(clkCap),

@@ -111,7 +111,7 @@ func New(cfg Config) (*Network, error) {
 
 	// Buffer leakage: total buffer width from capacitance.
 	bufW := bufCap / c.Dev.CgPerW
-	sub := c.Dev.Ioff(bufW/2, bufW/2, n.Temperature) * vdd
+	sub := c.Dev.Ioff(bufW/2, bufW/2) * vdd
 	gate := c.Dev.Ig(bufW) * vdd
 
 	// PLL + global drivers fixed overhead area; buffers dominate.

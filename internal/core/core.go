@@ -613,7 +613,7 @@ func (c *Core) buildBypassAndPipeline() {
 		gates:   gates,
 		ePerCyc: gates * cfg.GlueActivity * cc.SwitchE(load),
 		leak: power.Static{
-			Sub:  cc.Dev.Ioff(glueW/2, glueW/2, n.Temperature) * cc.Vdd(),
+			Sub:  cc.Dev.Ioff(glueW/2, glueW/2) * cc.Vdd(),
 			Gate: cc.Dev.Ig(glueW) * cc.Vdd(),
 		},
 		area: gates * 600 * n.Feature * n.Feature,

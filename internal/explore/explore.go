@@ -237,7 +237,7 @@ type Result struct {
 type Counters struct {
 	Cache    array.CacheStats     // array-synthesis cache
 	Subsys   component.CacheStats // subsystem-synthesis cache, per component kind
-	ArrayOpt array.OptimizerStats // array-optimizer organizations evaluated vs pruned
+	ArrayOpt array.OptimizerStats // array-optimizer organizations evaluated
 }
 
 // ReadCounters returns the current process-wide counters.
@@ -1029,7 +1029,7 @@ func evaluate(p Params, cons Constraints, obj Objective, cand *Candidate, ar *po
 			return guard.At(err, cand.name())
 		}
 		sumPerf += sim.Throughput
-		logW += math.Log(runRep.RuntimeDynamic + runRep.Leakage())
+		logW += math.Log(runRep.Runtime())
 	}
 	n := float64(len(p.Workloads))
 	cand.Perf = sumPerf / n

@@ -132,7 +132,7 @@ func crossbarPAT(c circuit.Ctx, nIn, nOut, w int) power.PAT {
 
 	// Leakage: one driver per crosspoint per bit.
 	crosspoints := float64(nIn * nOut * w)
-	sub := c.Dev.Ioff(crosspoints*drvW/2, crosspoints*drvW/2, n.Temperature) * c.Vdd()
+	sub := c.Dev.Ioff(crosspoints*drvW/2, crosspoints*drvW/2) * c.Vdd()
 	gate := c.Dev.Ig(crosspoints*drvW) * c.Vdd()
 
 	return power.PAT{
@@ -157,7 +157,7 @@ func arbiterPAT(c circuit.Ctx, r, stages int) power.PAT {
 	energy := float64(stages) * float64(r) * c.SwitchE(cCell) // one row fires per grant
 	delay := float64(stages) * (2 + math.Log2(float64(r))) * 0.5 * c.FO4()
 	totalW := cells * 4 * 3 * wmin * float64(stages)
-	sub := c.Dev.Ioff(totalW/2, totalW/2, n.Temperature) * c.Vdd()
+	sub := c.Dev.Ioff(totalW/2, totalW/2) * c.Vdd()
 	gate := c.Dev.Ig(totalW) * c.Vdd()
 	area := cells * 4 * 30 * n.Feature * n.Feature * float64(stages)
 	return power.PAT{

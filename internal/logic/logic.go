@@ -92,7 +92,7 @@ func FunctionalUnit(n *tech.Node, dt tech.DeviceType, longChannel bool, kind FUK
 	// Leakage: total transistor width scales as area / feature size; the
 	// leaking fraction is the calibration's leakPct.
 	totalW := ref.leakPct * area / n.Feature
-	sub := d.Ioff(totalW/2, totalW/2, n.Temperature) * d.Vdd
+	sub := d.Ioff(totalW/2, totalW/2) * d.Vdd
 	gate := d.Ig(totalW) * d.Vdd
 
 	return power.PAT{
@@ -140,7 +140,7 @@ func Decoder(n *tech.Node, dt tech.DeviceType, longChannel bool, cfg DecoderConf
 	}
 	w := float64(cfg.Width)
 	totalW := gatesPerLane * 3 * wmin * w * mult
-	sub := c.Dev.Ioff(totalW/2, totalW/2, n.Temperature) * c.Vdd()
+	sub := c.Dev.Ioff(totalW/2, totalW/2) * c.Vdd()
 	gate := c.Dev.Ig(totalW) * c.Vdd()
 
 	return power.PAT{
@@ -174,7 +174,7 @@ func DependencyCheck(n *tech.Node, dt tech.DeviceType, longChannel bool, width, 
 	delay := (2 + math.Log2(float64(tagBits))) * 0.5 * c.FO4()
 
 	totalW := float64(comparators) * float64(tagBits) * 6 * wmin
-	sub := c.Dev.Ioff(totalW/2, totalW/2, n.Temperature) * c.Vdd()
+	sub := c.Dev.Ioff(totalW/2, totalW/2) * c.Vdd()
 	gate := c.Dev.Ig(totalW) * c.Vdd()
 	area := float64(comparators) * float64(tagBits) * 60 * n.Feature * n.Feature
 
@@ -216,7 +216,7 @@ func Selection(n *tech.Node, dt tech.DeviceType, longChannel bool, windowEntries
 
 	trees := float64(issueWidth)
 	totalW := float64(cellsPerTree) * 10 * 3 * wmin * trees
-	sub := c.Dev.Ioff(totalW/2, totalW/2, n.Temperature) * c.Vdd()
+	sub := c.Dev.Ioff(totalW/2, totalW/2) * c.Vdd()
 	gate := c.Dev.Ig(totalW) * c.Vdd()
 	area := float64(cellsPerTree) * 10 * 30 * n.Feature * n.Feature * trees
 

@@ -187,7 +187,7 @@ func New(cfg Config) (*Controller, error) {
 func logicLeak(n *tech.Node, d tech.Device, gates float64) power.Static {
 	w := gates * 6 * n.MinWidthN()
 	return power.Static{
-		Sub:  d.Ioff(w/2, w/2, n.Temperature) * d.Vdd,
+		Sub:  d.Ioff(w/2, w/2) * d.Vdd,
 		Gate: d.Ig(w) * d.Vdd,
 	}
 }

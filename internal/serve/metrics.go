@@ -175,8 +175,8 @@ type MetricsSnapshot struct {
 	// caches, fabrics, memory controllers, clock networks) over the same
 	// window, with a per-kind breakdown.
 	Subsys SubsysCacheStatsJSON `json:"subsys_cache"`
-	// ArrayOpt reports array-optimizer enumeration work (evaluated vs
-	// pruned organizations) since the server started.
+	// ArrayOpt reports array-optimizer enumeration work (organizations
+	// evaluated) since the server started.
 	ArrayOpt ArrayOptStatsJSON `json:"array_optimizer"`
 }
 

@@ -218,20 +218,13 @@ type KindStatsJSON struct {
 }
 
 // ArrayOptStatsJSON is the wire form of the array-optimizer enumeration
-// counters: organizations fully evaluated vs skipped by the
-// branch-and-bound lower bound during cold synthesis.
+// counter: organizations evaluated during cold synthesis.
 type ArrayOptStatsJSON struct {
-	Evaluated uint64  `json:"evaluated"`
-	Pruned    uint64  `json:"pruned"`
-	PruneRate float64 `json:"prune_rate"`
+	Evaluated uint64 `json:"evaluated"`
 }
 
 func newArrayOptStatsJSON(os array.OptimizerStats) ArrayOptStatsJSON {
-	return ArrayOptStatsJSON{
-		Evaluated: os.Evaluated,
-		Pruned:    os.Pruned,
-		PruneRate: os.PruneRate(),
-	}
+	return ArrayOptStatsJSON{Evaluated: os.Evaluated}
 }
 
 func newSubsysCacheStatsJSON(cs component.CacheStats) SubsysCacheStatsJSON {
@@ -281,7 +274,7 @@ type DSEReport struct {
 	// served from the component cache instead of being re-synthesized.
 	Subsys SubsysCacheStatsJSON `json:"subsys_cache"`
 	// ArrayOpt reports the array-optimizer enumeration work the sweep's
-	// cold syntheses did (and how much the pruning bound skipped).
+	// cold syntheses did.
 	ArrayOpt ArrayOptStatsJSON `json:"array_optimizer"`
 	// Distrib reports the coordinator's shard accounting when the sweep
 	// ran distributed (mcpat-dse -remote); absent on single-process

@@ -180,10 +180,10 @@ func RunClusterSweep(p Params, workloads []perfsim.Workload) ([]ClusterResult, e
 			}
 			stats := statsFrom(sim)
 			runRep := proc.Report(stats)
-			pw := runRep.RuntimeDynamic + runRep.Leakage()
+			pw := runRep.Runtime()
 			for _, name := range breakdownComponents {
 				if n := runRep.Find(name); n != nil {
-					res.RuntimeBreakdown[name] += (n.RuntimeDynamic + n.Leakage()) / float64(len(workloads))
+					res.RuntimeBreakdown[name] += n.Runtime() / float64(len(workloads))
 				}
 			}
 			run := WorkloadRun{

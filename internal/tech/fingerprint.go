@@ -9,15 +9,11 @@ import "math"
 // models are concerned, which is what makes the fingerprint a sound
 // cache-key component for memoized synthesis (see internal/array).
 //
-// The fingerprint deliberately excludes Name (presentation only) and —
-// since the Score-time temperature refactor — the reference Temperature:
-// operating temperature no longer participates in synthesis (leakage is
-// retuned per Score via LeakScaleAt), so synthesized parts are
-// temperature-invariant and a thermal feedback loop that sweeps
-// temperature every interval hits the same cache entries throughout.
-// Callers must not vary Node.Temperature between synthesis calls; the
-// chip layer never does (it threads operating temperature through the
-// Score phase instead).
+// The fingerprint deliberately excludes Name (presentation only).
+// Temperature is not a node field: synthesis runs at ReferenceTempK and
+// leakage is retuned per Score via LeakScaleAt, so a thermal feedback
+// loop that sweeps temperature every interval hits the same cache
+// entries throughout.
 //
 // The hash is recomputed from current field values on every call, so
 // in-place mutations (OverrideVdd, test poisoning) always change the

@@ -44,19 +44,8 @@ func TestFingerprintTracksMutation(t *testing.T) {
 	base := n.Fingerprint()
 
 	n.OverrideVdd(HP, 0.8)
-	afterVdd := n.Fingerprint()
-	if afterVdd == base {
+	if n.Fingerprint() == base {
 		t.Error("OverrideVdd must change the fingerprint")
-	}
-
-	// Operating temperature is a Score-time input, not a synthesis
-	// input: synthesized parts are temperature-invariant, so the
-	// fingerprint must NOT move with the reference temperature (a
-	// thermal loop sweeping temperature every interval has to keep
-	// hitting the same synthesis cache entries).
-	n.Temperature += 15
-	if n.Fingerprint() != afterVdd {
-		t.Error("temperature must not participate in the synthesis fingerprint")
 	}
 }
 

@@ -114,7 +114,6 @@ func buildNode(nm float64, raw rawNode) *Node {
 	n := &Node{
 		Name:           formatNodeName(nm),
 		Feature:        f,
-		Temperature:    360, // McPAT default junction temperature (K)
 		SRAMCellArea:   raw.sramF2 * f * f,
 		CAMCellArea:    raw.camF2 * f * f,
 		DFFCellArea:    raw.dffF2 * f * f,

@@ -92,8 +92,8 @@ func (w WireType) String() string {
 }
 
 // Device holds the per-width electrical parameters of one transistor class
-// at one node. Leakage currents are specified at the reference temperature
-// of 300 K; use the Ioff and Ig methods for operating-temperature values.
+// at one node. Leakage currents are specified at 300 K; use the Ioff and
+// Ig methods for values at ReferenceTempK.
 type Device struct {
 	Vdd float64 // supply voltage (V)
 	Vth float64 // threshold voltage (V)
@@ -126,27 +126,33 @@ const rEffFactor = 2.6
 // increase per 25 K, matching MASTAR-style fits.
 const subthresholdSlopeK = 34.0
 
+// ReferenceTempK is the junction temperature (K) at which synthesis
+// solves subthreshold leakage, McPAT's default operating point.
+// Operating temperature is a Score-time input: synthesized parts are
+// temperature-invariant and callers retune them with the multiplier
+// from LeakScaleAt (see chip.Processor.SetScoreTemperature), so a
+// thermal feedback loop can change temperature every interval against
+// one synthesis.
+const ReferenceTempK = 360.0
+
+// refLeakScale is the subthreshold leakage multiplier at ReferenceTempK
+// relative to the 300 K device tables.
+var refLeakScale = math.Exp((ReferenceTempK - 300) / subthresholdSlopeK)
+
 // REqN returns the effective drive resistance of an NMOS transistor of
 // width w (ohms).
 func (d Device) REqN(w float64) float64 { return rEffFactor * d.Vdd / (d.IonN * w) }
 
 // Ioff returns the average subthreshold leakage current (A) of a gate with
-// total NMOS width wn and PMOS width wp at temperature tempK, assuming
-// half the devices leak at any time (standard stacked-gate average).
-func (d Device) Ioff(wn, wp, tempK float64) float64 {
-	scale := leakTempScale(tempK)
-	return 0.5 * (wn*d.IoffN + wp*d.IoffP) * scale
+// total NMOS width wn and PMOS width wp at ReferenceTempK, assuming half
+// the devices leak at any time (standard stacked-gate average).
+func (d Device) Ioff(wn, wp float64) float64 {
+	return 0.5 * (wn*d.IoffN + wp*d.IoffP) * refLeakScale
 }
 
 // Ig returns the gate leakage current (A) of total gate width w. Gate
 // leakage is only weakly temperature dependent and is treated as constant.
 func (d Device) Ig(w float64) float64 { return w * d.IgN }
-
-// leakTempScale returns the subthreshold leakage multiplier at tempK
-// relative to the 300 K reference.
-func leakTempScale(tempK float64) float64 {
-	return math.Exp((tempK - 300.0) / subthresholdSlopeK)
-}
 
 // Wire holds distributed RC parameters for one metal class.
 type Wire struct {
@@ -159,16 +165,6 @@ type Wire struct {
 type Node struct {
 	Name    string  // e.g. "90nm"
 	Feature float64 // feature size F (m)
-
-	// Temperature is the reference junction temperature (K) at which the
-	// synthesis-phase leakage numbers are solved; the table default is
-	// McPAT's 360 K operating point. Operating-temperature leakage is a
-	// Score-time concern: synthesized parts stay temperature-invariant
-	// and callers retune them with the multiplier from LeakScaleAt (see
-	// chip.Processor.SetScoreTemperature), which is what lets a thermal
-	// feedback loop change temperature every interval without busting a
-	// single synthesis cache.
-	Temperature float64
 
 	devices [numDeviceTypes]Device
 	wires   [numProjections][numWireTypes]Wire
@@ -245,21 +241,20 @@ func (n *Node) FO4(t DeviceType, longChannel bool) float64 {
 	return 0.69 * r * (4*cin + cself)
 }
 
-// LeakScaleAt is the cheap temperature view over an already-tuned node:
-// it returns the multiplier that converts the node's synthesized
-// subthreshold leakage (solved at the reference Temperature) into the
-// leakage at operating temperature tempK. Subthreshold leakage is the
-// only temperature-dependent quantity in the model and temperature
-// enters it as a pure exponential factor, so retuning a synthesized
-// part is one multiply per leakage column instead of a re-synthesis.
-// tempK <= 0 selects the reference temperature (scale 1). At
-// tempK == n.Temperature the scale is exactly 1.0, which keeps
-// default-temperature reports bit-identical to an unretuned Score.
-func (n *Node) LeakScaleAt(tempK float64) float64 {
-	if tempK <= 0 || tempK == n.Temperature {
+// LeakScaleAt returns the multiplier that converts synthesized
+// subthreshold leakage (solved at ReferenceTempK) into the leakage at
+// operating temperature tempK. Subthreshold leakage is the only
+// temperature-dependent quantity in the model and temperature enters it
+// as a pure exponential factor, so retuning a synthesized part is one
+// multiply per leakage column instead of a re-synthesis. tempK <= 0
+// selects the reference temperature. At the reference the scale is
+// exactly 1.0, which keeps default-temperature reports bit-identical to
+// an unretuned Score.
+func LeakScaleAt(tempK float64) float64 {
+	if tempK <= 0 || tempK == ReferenceTempK {
 		return 1
 	}
-	return math.Exp((tempK - n.Temperature) / subthresholdSlopeK)
+	return math.Exp((tempK - ReferenceTempK) / subthresholdSlopeK)
 }
 
 // Nodes returns the list of natively supported feature sizes in nm,
@@ -327,7 +322,6 @@ func geomLerp(a, b, t float64) float64 {
 
 func interpolate(a, b *Node, t float64) *Node {
 	n := &Node{
-		Temperature:       a.Temperature,
 		SRAMCellArea:      geomLerp(a.SRAMCellArea, b.SRAMCellArea, t),
 		CAMCellArea:       geomLerp(a.CAMCellArea, b.CAMCellArea, t),
 		DFFCellArea:       geomLerp(a.DFFCellArea, b.DFFCellArea, t),

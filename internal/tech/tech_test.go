@@ -114,15 +114,20 @@ func TestLongChannelVariant(t *testing.T) {
 }
 
 func TestLeakageTemperatureScaling(t *testing.T) {
-	d := MustByFeature(65).Device(HP, false)
-	cold := d.Ioff(1e-6, 2e-6, 300)
-	hot := d.Ioff(1e-6, 2e-6, 360)
-	ratio := hot / cold
+	if s := LeakScaleAt(ReferenceTempK); s != 1 {
+		t.Errorf("scale at the reference temperature = %v, want exactly 1", s)
+	}
+	ratio := LeakScaleAt(360) / LeakScaleAt(300)
 	if ratio < 3 || ratio > 12 {
 		t.Errorf("300K->360K leakage ratio = %.2f, want roughly 3-12x", ratio)
 	}
-	if hotter := d.Ioff(1e-6, 2e-6, 380); hotter <= hot {
-		t.Error("leakage must increase monotonically with temperature")
+	prev := 0.0
+	for _, tempK := range []float64{250, 300, 340, 360, 380, 420} {
+		s := LeakScaleAt(tempK)
+		if s <= prev {
+			t.Errorf("leakage scale %v at %.0f K is not above %v at the cooler point", s, tempK, prev)
+		}
+		prev = s
 	}
 }
 
@@ -213,7 +218,7 @@ func TestQuickLeakageMonotoneInWidth(t *testing.T) {
 	f := func(a, b uint8) bool {
 		w1 := 1e-7 * (1 + float64(a))
 		w2 := w1 + 1e-7*(1+float64(b))
-		return d.Ioff(w2, w2, 350) > d.Ioff(w1, w1, 350)
+		return d.Ioff(w2, w2) > d.Ioff(w1, w1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

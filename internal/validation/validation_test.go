@@ -1,7 +1,10 @@
 package validation
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"sort"
 	"testing"
 
 	"mcpat/internal/chip"
@@ -48,6 +51,95 @@ func TestValidationComponents(t *testing.T) {
 				t.Errorf("%s / %s: modeled power must be positive", target.Ref.Name, row.Component)
 			}
 		}
+	}
+}
+
+// errorRecord is one target's validation errors as checked in to
+// testdata/errors.json: TDP, die area and every published component,
+// in percent of the published value.
+type errorRecord struct {
+	Target     string             `json:"target"`
+	TDPErrPct  float64            `json:"tdp_err_pct"`
+	AreaErrPct float64            `json:"area_err_pct"`
+	Components map[string]float64 `json:"components"`
+}
+
+// errorSlackPct is how far, in percentage points, an error may move
+// before the checked-in file must be replaced.
+const errorSlackPct = 1.0
+
+// flattenErrors keys every error of recs by target and row.
+func flattenErrors(recs []errorRecord) map[string]float64 {
+	out := make(map[string]float64)
+	for _, r := range recs {
+		out[r.Target+" / TDP"] = r.TDPErrPct
+		out[r.Target+" / area"] = r.AreaErrPct
+		for name, e := range r.Components {
+			out[r.Target+" / component "+name] = e
+		}
+	}
+	return out
+}
+
+// TestValidationErrorsMatchData holds every validation error, totals
+// and published components, to testdata/errors.json: an error that
+// moves by more than errorSlackPct, or a row that appears or
+// disappears, fails. The failure prints the fresh JSON; replace the
+// file with it by hand once the move is understood.
+func TestValidationErrorsMatchData(t *testing.T) {
+	raw, err := os.ReadFile("testdata/errors.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checkedIn []errorRecord
+	if err := json.Unmarshal(raw, &checkedIn); err != nil {
+		t.Fatalf("testdata/errors.json: %v", err)
+	}
+	round := func(x float64) float64 { return math.Round(x*1000) / 1000 }
+	var fresh []errorRecord
+	for _, target := range All() {
+		r, err := Compare(target)
+		if err != nil {
+			t.Fatalf("%s: %v", target.Ref.Name, err)
+		}
+		rec := errorRecord{Target: target.Ref.Name, TDPErrPct: round(r.TDPErr),
+			AreaErrPct: round(r.AreaErr), Components: make(map[string]float64)}
+		for _, row := range r.Rows {
+			if !math.IsNaN(row.ErrPct) {
+				rec.Components[row.Component] = round(row.ErrPct)
+			}
+		}
+		fresh = append(fresh, rec)
+	}
+	want, got := flattenErrors(checkedIn), flattenErrors(fresh)
+	keys := make([]string, 0, len(want)+len(got))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		w, inFile := want[k]
+		g, inModel := got[k]
+		switch {
+		case !inModel:
+			t.Errorf("%s: row disappeared (checked in %+.3f%%)", k, w)
+		case !inFile:
+			t.Errorf("%s: new row (error %+.3f%%)", k, g)
+		case math.Abs(g-w) > errorSlackPct:
+			t.Errorf("%s: error %+.3f%%, checked in %+.3f%%", k, g, w)
+		}
+	}
+	if t.Failed() {
+		out, err := json.MarshalIndent(fresh, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("fresh testdata/errors.json:\n%s", out)
 	}
 }
 
@@ -101,7 +193,7 @@ func TestRuntimeStatsProduceLowerPower(t *testing.T) {
 	if rep.RuntimeDynamic >= rep.PeakDynamic {
 		t.Errorf("runtime dynamic %.1f W must be below peak %.1f W", rep.RuntimeDynamic, rep.PeakDynamic)
 	}
-	total := rep.RuntimeDynamic + rep.Leakage()
+	total := rep.Runtime()
 	if total >= rep.Peak() {
 		t.Errorf("runtime total %.1f W must be below TDP %.1f W", total, rep.Peak())
 	}

@@ -542,8 +542,8 @@ func VFScan(cfg Config, scales []float64) ([]VFPoint, error) {
 
 // EngineCounters is the one record of the synthesis engine's counters:
 // Cache (array-synthesis cache), Subsys (the subsystem cache above it)
-// and ArrayOpt (array-optimizer enumeration). DSEResult embeds it as
-// one sweep's delta.
+// and ArrayOpt (organizations the array optimizer evaluated).
+// DSEResult embeds it as one sweep's delta.
 type EngineCounters = explore.Counters
 
 // ReadEngineCounters returns the current process-wide counters; Delta
