@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -106,15 +107,21 @@ func main() {
 		fatal(err)
 	}
 
+	// One buffer for every format, so records and rows do not each cost
+	// a write to stdout; it is flushed before the summary on stderr.
+	out := bufio.NewWriter(os.Stdout)
 	switch {
 	case *asNDJSON:
-		err = tr.WriteNDJSON(os.Stdout)
+		err = tr.WriteNDJSON(out)
 	case *asJSON:
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		err = enc.Encode(tr)
 	default:
-		err = tr.WriteCSV(os.Stdout)
+		err = tr.WriteCSV(out)
+	}
+	if err == nil {
+		err = out.Flush()
 	}
 	if err != nil {
 		fatal(err)

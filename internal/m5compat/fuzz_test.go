@@ -39,6 +39,17 @@ var fuzzSeeds = []string{
 	dumpDelimiter + "\nsystem.cpu0.numCycles 3.3\nsystem.cpu1.numCycles 0.7\nsystem.cpu2.numCycles 0.1\nsystem.cpu10.numCycles 0.15\n" +
 		"system.cpu0.committedInsts 0.1\nsystem.cpu1.committedInsts 0.2\nsystem.cpu2.committedInsts 0.3\nsystem.cpu10.committedInsts 0.15\n" +
 		dumpDelimiter + "\nsystem.cpu.numCycles 0.3\nsystem.cpu0.numCycles 0.1\nsystem.cpu00.numCycles 0.2\nsystem.cpu1.numCycles 0.15\n",
+	// Word-wise scanning: bytes that stop an eight-byte step (controls,
+	// DEL, U+0085 and U+00A0, invalid UTF-8) at every offset of a word,
+	// and space runs broken by a tab or a NEL.
+	"system.cpu0.numCycles\x1f1000 # unit separator is not space\nsystem.cpu0\x7f.numCycles 5\nsystem.cpu0.committedIns\u00a0900\n" +
+		"system.cpu1.numCycle\u0085s 7\nsim_seconds          \t        0.001\nsystem.l2.overall_accesses::total        \u0085     12\n" +
+		"abcdefgh\xc2ijklmnop 1\nabcdefghi\xffjklmnop 2\n\x00\x01\x02\x03\x04\x05\x06\x07 3\n",
+	// The integer fast path's edges: 15 and 16 digits, 2^53+1, leading
+	// zeros, and digit runs ParseFloat reads differently.
+	"system.cpu0.numCycles 999999999999999\nsystem.cpu1.numCycles 9999999999999999\nsystem.cpu0.committedInsts 9007199254740993\n" +
+		"system.cpu1.committedInsts 000000000000007\nsim_seconds 0\nsystem.l2.overall_accesses::total 00\nsystem.tol2bus.pkt_count::total 1e3\n" +
+		"system.mem_ctrls.num_reads::total 12345678901234567890123\nsystem.mem_ctrls.num_writes::total 1_2\n",
 }
 
 // FuzzM5Parse asserts the no-panic contract of the gem5 statistics

@@ -17,9 +17,11 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -67,11 +69,8 @@ func Parse(r io.Reader) ([]Dump, error) {
 		if len(val) == 0 || name[0] == '#' || !floatStart(val[0]) {
 			continue
 		}
-		v, err := strconv.ParseFloat(string(val), 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			// Histogram buckets don't parse; ParseFloat does accept
-			// "nan"/"inf" spellings, which gem5 emits for undefined
-			// ratios - neither may poison the counter map.
+		v, ok := parseValue(val)
+		if !ok {
 			continue
 		}
 		if cur == nil {
@@ -95,6 +94,34 @@ func Parse(r io.Reader) ([]Dump, error) {
 	return dumps, nil
 }
 
+// maxExactDigits is the longest run of decimal digits whose value is
+// below 2^53, so float64 holds it exactly.
+const maxExactDigits = 15
+
+// parseValue converts a value field as strconv.ParseFloat does, and
+// reports false for a field it rejects and for the NaN and ±Inf it
+// accepts: histogram buckets don't parse, and gem5 writes nan/inf for
+// undefined ratios - neither may poison the counter map. A field of 1
+// to 15 decimal digits is converted directly: its value is an integer
+// below 2^53, which ParseFloat returns exactly.
+func parseValue(b []byte) (float64, bool) {
+	if 0 < len(b) && len(b) <= maxExactDigits {
+		var n uint64
+		i := 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			n = n*10 + uint64(b[i]-'0')
+		}
+		if i == len(b) {
+			return float64(n), true
+		}
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, false
+	}
+	return v, true
+}
+
 // asciiSpace marks the ASCII bytes strings.Fields splits on.
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
@@ -107,9 +134,41 @@ func nextField(b []byte) (field, rest []byte) {
 	return b[start:end], b[end:]
 }
 
+// Word-wise scanning: eight spaces, and the bytes 0x21-0x7f (printable
+// ASCII and DEL), which are never white space.
+const (
+	spaces8 = 0x2020202020202020
+	lo8     = 0x2121212121212121
+	hi8     = 0x8080808080808080
+)
+
 // skipWhile returns the index of the first rune at or after i whose
-// white-space class differs from space.
+// white-space class differs from space. It first steps eight bytes at a
+// time: over spaces while skipping space, and over bytes in 0x21-0x7f
+// while skipping a field. In the word that stops it, the lowest flagged
+// byte is the first one out of class (a byte below 0x21 borrows into its
+// high bit when lo8 is subtracted, a byte from 0x80 up has it set
+// already, and no borrow reaches below the first such byte); the rune
+// loop goes on from there.
 func skipWhile(b []byte, i int, space bool) int {
+	if space {
+		for i+8 <= len(b) {
+			if x := binary.LittleEndian.Uint64(b[i:]) ^ spaces8; x != 0 {
+				i += bits.TrailingZeros64(x) / 8
+				break
+			}
+			i += 8
+		}
+	} else {
+		for i+8 <= len(b) {
+			w := binary.LittleEndian.Uint64(b[i:])
+			if m := ((w - lo8) | w) & hi8; m != 0 {
+				i += bits.TrailingZeros64(m) / 8
+				break
+			}
+			i += 8
+		}
+	}
 	for i < len(b) {
 		if c := b[i]; c < utf8.RuneSelf {
 			if asciiSpace[c] != space {
@@ -178,28 +237,52 @@ const (
 
 // cpuCounterOf maps the statistic name that follows a "system.cpuN." or
 // "system.switch_cpusN." prefix to its counter.
-var cpuCounterOf = map[string]cpuCounter{
-	"numCycles":                       ctrNumCycles,
-	"committedInsts":                  ctrCommittedInsts,
-	"commit.committedInsts":           ctrCommitCommittedInsts,
-	"rename.RenamedOperands":          ctrRenamedOperands,
-	"iq.iqInstsIssued":                ctrIQInstsIssued,
-	"iq.iqInstsAdded":                 ctrIQInstsAdded,
-	"rob.rob_reads":                   ctrROBReads,
-	"rob.rob_writes":                  ctrROBWrites,
-	"int_regfile_reads":               ctrIntRFReads,
-	"int_regfile_writes":              ctrIntRFWrites,
-	"fp_regfile_reads":                ctrFPRFReads,
-	"fp_regfile_writes":               ctrFPRFWrites,
-	"num_int_alu_accesses":            ctrIntALU,
-	"num_fp_alu_accesses":             ctrFPALU,
-	"icache.overall_accesses::total":  ctrICacheAccesses,
-	"icache.overall_misses::total":    ctrICacheMisses,
-	"dcache.ReadReq_accesses::total":  ctrDCacheReads,
-	"dcache.WriteReq_accesses::total": ctrDCacheWrites,
-	"dcache.overall_misses::total":    ctrDCacheMisses,
-	"branchPred.BTBLookups":           ctrBTBLookups,
-	"branchPred.lookups":              ctrBPLookups,
+func cpuCounterOf(stat string) (cpuCounter, bool) {
+	switch stat {
+	case "numCycles":
+		return ctrNumCycles, true
+	case "committedInsts":
+		return ctrCommittedInsts, true
+	case "commit.committedInsts":
+		return ctrCommitCommittedInsts, true
+	case "rename.RenamedOperands":
+		return ctrRenamedOperands, true
+	case "iq.iqInstsIssued":
+		return ctrIQInstsIssued, true
+	case "iq.iqInstsAdded":
+		return ctrIQInstsAdded, true
+	case "rob.rob_reads":
+		return ctrROBReads, true
+	case "rob.rob_writes":
+		return ctrROBWrites, true
+	case "int_regfile_reads":
+		return ctrIntRFReads, true
+	case "int_regfile_writes":
+		return ctrIntRFWrites, true
+	case "fp_regfile_reads":
+		return ctrFPRFReads, true
+	case "fp_regfile_writes":
+		return ctrFPRFWrites, true
+	case "num_int_alu_accesses":
+		return ctrIntALU, true
+	case "num_fp_alu_accesses":
+		return ctrFPALU, true
+	case "icache.overall_accesses::total":
+		return ctrICacheAccesses, true
+	case "icache.overall_misses::total":
+		return ctrICacheMisses, true
+	case "dcache.ReadReq_accesses::total":
+		return ctrDCacheReads, true
+	case "dcache.WriteReq_accesses::total":
+		return ctrDCacheWrites, true
+	case "dcache.overall_misses::total":
+		return ctrDCacheMisses, true
+	case "branchPred.BTBLookups":
+		return ctrBTBLookups, true
+	case "branchPred.lookups":
+		return ctrBPLookups, true
+	}
+	return 0, false
 }
 
 // cpuFamilies are the per-CPU name prefixes in precedence order: a
@@ -216,6 +299,28 @@ type coreSum struct {
 // cpuTable is a dump's per-CPU counters, folded in one scan.
 type cpuTable [numCPUCounters][len(cpuFamilies)]coreSum
 
+// fold sums every per-CPU entry of d into the zero table t in a single
+// scan of the dump. One or two addends commute exactly, so they are
+// added in map iteration order. A sum of three or more would depend on
+// that order, so the slots that have them are summed again in core-index
+// order (see sumInCoreOrder).
+func (t *cpuTable) fold(d Dump) {
+	ordered := false
+	for name, v := range d {
+		fam, _, c, ok := parseCPUStat(name)
+		if !ok {
+			continue
+		}
+		s := &t[c][fam]
+		s.sum += v
+		s.cores++
+		ordered = ordered || s.cores > 2
+	}
+	if ordered {
+		t.sumInCoreOrder(d)
+	}
+}
+
 // coreEntry is one core's contribution to a table slot.
 type coreEntry struct {
 	ctr  cpuCounter
@@ -224,35 +329,29 @@ type coreEntry struct {
 	v    float64
 }
 
-// fold sums every per-CPU entry of d into the zero table t in a single
-// scan of the dump. When a counter has three or more contributors its
-// sum would depend on map iteration order, so the entries are then added
-// in core-index order (see compareCores); one or two addends commute
-// exactly and need no sort.
-func (t *cpuTable) fold(d Dump) {
+// sumInCoreOrder replaces the sum of every slot with three or more
+// contributors by the sum of its entries in core-index order (see
+// compareCores).
+func (t *cpuTable) sumInCoreOrder(d Dump) {
 	var buf [64]coreEntry
 	entries := buf[:0]
-	ordered := false
 	for name, v := range d {
 		fam, core, c, ok := parseCPUStat(name)
-		if !ok {
-			continue
+		if ok && t[c][fam].cores > 2 {
+			entries = append(entries, coreEntry{ctr: c, fam: fam, core: core, v: v})
 		}
-		s := &t[c][fam]
-		s.cores++
-		ordered = ordered || s.cores > 2
-		entries = append(entries, coreEntry{ctr: c, fam: fam, core: core, v: v})
 	}
-	if ordered {
-		slices.SortFunc(entries, func(a, b coreEntry) int {
-			if c := cmp.Compare(a.ctr, b.ctr); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.fam, b.fam); c != 0 {
-				return c
-			}
-			return compareCores(a.core, b.core)
-		})
+	slices.SortFunc(entries, func(a, b coreEntry) int {
+		if c := cmp.Compare(a.ctr, b.ctr); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.fam, b.fam); c != 0 {
+			return c
+		}
+		return compareCores(a.core, b.core)
+	})
+	for _, e := range entries {
+		t[e.ctr][e.fam].sum = 0
 	}
 	for _, e := range entries {
 		t[e.ctr][e.fam].sum += e.v
@@ -274,7 +373,7 @@ func parseCPUStat(name string) (fam int, core string, c cpuCounter, ok bool) {
 			i++
 		}
 		if i < len(rest) && rest[i] == '.' {
-			c, ok = cpuCounterOf[rest[i+1:]]
+			c, ok = cpuCounterOf(rest[i+1:])
 		}
 		return f, rest[:i], c, ok
 	}
@@ -402,13 +501,34 @@ func ToChipStats(d Dump, clockHz float64, numCores int) (*chip.Stats, error) {
 	if v, ok := d.first("system.tol2bus.pkt_count::total"); ok {
 		stats.NoCFlits = v / seconds
 	}
-	if f, bad := firstNonFinite(reflect.ValueOf(stats).Elem()); bad {
+	if !finiteStats(stats) {
 		// Extreme but individually-finite counters can still overflow a
 		// rate division (huge count over a denormal cycle time); such a
 		// dump is rejected rather than fed to the power models.
+		f, _ := firstNonFinite(reflect.ValueOf(stats).Elem())
 		return nil, fmt.Errorf("m5compat: non-finite statistic %s", f)
 	}
 	return stats, nil
+}
+
+// finiteStats reports whether every field of s is finite: x*0 is 0 for
+// a finite x and NaN for NaN and ±Inf. It lists the fields by hand so
+// that a clean vector is checked without reflection;
+// TestFiniteStatsCoversEveryField pins the list to the struct.
+func finiteStats(s *chip.Stats) bool {
+	a := &s.CoreRun
+	z := a.ICacheAccess*0 + a.BTBAccess*0 + a.PredAccess*0 +
+		a.Decode*0 + a.Rename*0 +
+		a.IQWakeup*0 + a.IQIssue*0 + a.IQWrite*0 + a.ROBAcc*0 +
+		a.RFRead*0 + a.RFWrite*0 + a.FPRFRead*0 + a.FPRFWrite*0 +
+		a.IntOp*0 + a.MulOp*0 + a.FPOp*0 + a.Bypass*0 +
+		a.DCacheRead*0 + a.DCacheWrite*0 + a.CacheMiss*0 +
+		a.LSQSearch*0 + a.LSQAccess*0 + a.ITLBAccess*0 + a.DTLBAccess*0 +
+		a.PipelineDuty*0 +
+		s.L2Reads*0 + s.L2Writes*0 + s.L3Reads*0 + s.L3Writes*0 +
+		s.NoCFlits*0 + s.ClusterBusTransfers*0 + s.MCAccesses*0 +
+		s.NIUBitsPerSec*0 + s.PCIeBitsPerSec*0 + s.FPOpsPerSec*0
+	return z == 0
 }
 
 // firstNonFinite walks the float64 fields of a statistics struct (depth

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mcpat/internal/chip"
 )
 
 const sampleStats = `
@@ -160,13 +163,13 @@ system.cpu.committedInsts 800000 # n
 	}
 }
 
-// TestToChipStatsDeterministic pins core-order summation: four cores
-// with fractional counters, whose sum depends on the order of addition,
-// convert to the same bits on every call, equal to the sum taken in
-// core-index order (0, 1, 2, 10 - numeric, not lexicographic).
+// TestToChipStatsDeterministic pins core-order summation: three and four
+// cores with fractional counters, whose sum depends on the order of
+// addition, convert to the same bits on every call, equal to the sum
+// taken in core-index order (0, 1, 2, 10 - numeric, not lexicographic).
 func TestToChipStatsDeterministic(t *testing.T) {
 	c0, c1, c2, c10 := 0.1, 0.2, 0.3, 0.15 // float64 variables: runtime rounding
-	d := Dump{
+	four := Dump{
 		"system.cpu0.numCycles":       1,
 		"system.cpu1.numCycles":       1,
 		"system.cpu2.numCycles":       1,
@@ -176,19 +179,38 @@ func TestToChipStatsDeterministic(t *testing.T) {
 		"system.cpu2.committedInsts":  c2,
 		"system.cpu10.committedInsts": c10,
 	}
+	three := Dump{
+		"system.cpu0.numCycles":      1,
+		"system.cpu1.numCycles":      1,
+		"system.cpu2.numCycles":      1,
+		"system.cpu0.committedInsts": c0,
+		"system.cpu1.committedInsts": c1,
+		"system.cpu2.committedInsts": c2,
+	}
+	if (c0+c1)+c2 == (c1+c2)+c0 {
+		t.Fatal("fixture: the three-core sum must depend on the order of addition")
+	}
 	inOrder := ((c0 + c1) + c2) + c10
 	lexical, reversed := ((c0+c1)+c10)+c2, ((c10+c2)+c1)+c0
 	if inOrder == lexical || inOrder == reversed {
-		t.Fatal("fixture: the counter sum must depend on the order of addition")
+		t.Fatal("fixture: the four-core sum must depend on the order of addition")
 	}
-	want := math.Float64bits(inOrder / 4)
-	for i := 0; i < 200; i++ {
-		s, err := ToChipStats(d, 1e9, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := math.Float64bits(s.CoreRun.Decode); got != want {
-			t.Fatalf("call %d: Decode = %v, want %v (the core-ordered sum / 4)", i, s.CoreRun.Decode, inOrder/4)
+	for _, tc := range []struct {
+		d     Dump
+		cores int
+		want  float64
+	}{
+		{three, 3, ((c0 + c1) + c2) / 3},
+		{four, 4, inOrder / 4},
+	} {
+		for i := 0; i < 200; i++ {
+			s, err := ToChipStats(tc.d, 1e9, tc.cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.CoreRun.Decode; math.Float64bits(got) != math.Float64bits(tc.want) {
+				t.Fatalf("%d cores, call %d: Decode = %v, want %v (the core-ordered sum / %d)", tc.cores, i, got, tc.want, tc.cores)
+			}
 		}
 	}
 }
@@ -210,4 +232,55 @@ func TestParseLineLimit(t *testing.T) {
 			t.Fatalf("%d-byte line: err = %v, want bufio.ErrTooLong", n, err)
 		}
 	}
+}
+
+// TestFiniteStatsCoversEveryField pins finiteStats, the check
+// ToChipStats makes before it names a bad field by reflection, to the
+// statistics struct: a NaN or ±Inf in any float64 field fails it, and
+// finite values as large as float64 goes pass it.
+func TestFiniteStatsCoversEveryField(t *testing.T) {
+	var s chip.Stats
+	fields := floatFields(reflect.ValueOf(&s).Elem(), "", nil)
+	if len(fields) < 30 {
+		t.Fatalf("walked %d float64 fields; the statistics struct has more", len(fields))
+	}
+	for _, f := range fields {
+		f.v.SetFloat(math.MaxFloat64)
+	}
+	if !finiteStats(&s) {
+		t.Fatal("finiteStats rejects a vector of finite values")
+	}
+	for _, f := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			f.v.SetFloat(bad)
+			if finiteStats(&s) {
+				t.Errorf("finiteStats accepts %v in %s", bad, f.path)
+			}
+			if path, ok := firstNonFinite(reflect.ValueOf(&s).Elem()); !ok || path != f.path {
+				t.Errorf("firstNonFinite names %q for %v in %s", path, bad, f.path)
+			}
+		}
+		f.v.SetFloat(-math.MaxFloat64)
+	}
+}
+
+type floatField struct {
+	path string
+	v    reflect.Value
+}
+
+func floatFields(v reflect.Value, path string, out []floatField) []floatField {
+	switch v.Kind() {
+	case reflect.Float64:
+		out = append(out, floatField{path, v})
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			out = floatFields(v.Field(i), name, out)
+		}
+	}
+	return out
 }

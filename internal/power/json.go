@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 )
 
 // AppendJSON appends the compact JSON form of the subtree to dst. It is
@@ -90,10 +91,12 @@ func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 // writes it. Printable ASCII without '"', '\\', '<', '>' or '&' is copied
 // as is; any other string goes through json.Marshal, so the HTML,
 // U+2028/U+2029 and invalid-UTF-8 escaping stay encoding/json's own.
+// json.Marshal gets a copy, so s does not escape: a caller's struct that
+// holds it can stay on the caller's stack.
 func AppendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // marshaling a string cannot fail
+			q, _ := json.Marshal(strings.Clone(s)) // marshaling a string cannot fail
 			return append(dst, q...)
 		}
 	}

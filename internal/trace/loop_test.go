@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"mcpat/internal/component"
+	"mcpat/internal/m5compat"
 	"mcpat/internal/thermal"
 )
 
@@ -377,4 +382,126 @@ func TestLoopAllocBudget(t *testing.T) {
 	if closedAllocs > openAllocs+2 {
 		t.Errorf("closed-loop interval costs %.1f allocs, budget is open-loop %.1f + 2", closedAllocs, openAllocs)
 	}
+}
+
+// seededStream writes a 48-dump stats.txt stream from the fixture's
+// first dump: alternating hot phases (counters scaled 1.0-1.3) and idle
+// phases (0.02-0.1) of 2-7 dumps each, with a +-4% jitter per counter.
+// Interval length and clock counters keep the fixture's values.
+func seededStream(t *testing.T, seed int64) []byte {
+	t.Helper()
+	f, err := os.Open("testdata/stats.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dumps, err := m5compat.Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := dumps[0]
+	names := make([]string, 0, len(base))
+	for n := range base {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	r := rand.New(rand.NewSource(seed))
+	var b bytes.Buffer
+	hot := true
+	for n := 0; n < 48; hot = !hot {
+		lo, hi := 0.02, 0.1
+		if hot {
+			lo, hi = 1, 1.3
+		}
+		scale := lo + (hi-lo)*r.Float64()
+		for k := 2 + r.Intn(6); k > 0 && n < 48; k-- {
+			fmt.Fprintln(&b, "---------- Begin Simulation Statistics ----------")
+			for _, name := range names {
+				v := base[name]
+				if name != "sim_seconds" && name != "sim_ticks" && !strings.HasSuffix(name, ".numCycles") {
+					v = math.Round(v * scale * (0.96 + 0.08*r.Float64()))
+				}
+				fmt.Fprintf(&b, "%-46s %16s # statistic\n", name, strconv.FormatFloat(v, 'f', -1, 64))
+			}
+			n++
+		}
+	}
+	return b.Bytes()
+}
+
+// TestEnergyIsPowerTimeIntegral checks the trace's energy accounting
+// around the closed loop (TestSummaryIntegrals covers the open loop): a
+// seeded 48-dump stream with the headroom governor, which must throttle
+// at least one interval. Exactly: each interval's energy is its power
+// times its duration, each start time is the running sum of the
+// durations before it, and the summary's energy, seconds, average power
+// and throttled count are the folds of the samples. To 1e-12 relative:
+// a throttled interval lasts the dump's seconds over the applied
+// frequency fraction, and the subsystems' total watts sum to the
+// sample's.
+func TestEnergyIsPowerTimeIntegral(t *testing.T) {
+	eng, _ := fixtureEngine(t)
+	clock := eng.Processor().Cfg.ClockHz
+	dumps, err := m5compat.Parse(bytes.NewReader(seededStream(t, 27)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivs, err := IntervalsFromDumps(dumps, clock, eng.Processor().Cfg.NumCores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.EnableLoop(LoopOptions{
+		Package:      thermal.PackageSpec{RthetaJA: 0.8, AmbientK: 318, MaxTjK: 360, TimeConstS: 5e-4},
+		UseFloorplan: true,
+		Governor:     ThermalHeadroom{},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := eng.Run(context.Background(), ivs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Samples) != len(ivs) {
+		t.Fatalf("%d samples for %d intervals", len(tr.Samples), len(ivs))
+	}
+	rel := func(got, want float64) float64 { return math.Abs(got-want) / math.Abs(want) }
+	var start, energy float64
+	throttled := 0
+	for i, s := range tr.Samples {
+		if s.EnergyJ != s.TotalW*s.DurationS {
+			t.Errorf("interval %d: energy %v J, power x duration %v J", i, s.EnergyJ, s.TotalW*s.DurationS)
+		}
+		if s.StartS != start {
+			t.Errorf("interval %d: starts at %v s, earlier durations sum to %v s", i, s.StartS, start)
+		}
+		start += s.DurationS
+		energy += s.EnergyJ
+		want := ivs[i].Duration
+		if s.Throttled {
+			throttled++
+			want /= s.FreqHz / clock
+		}
+		if s.DurationS != want && rel(s.DurationS, want) > 1e-12 {
+			t.Errorf("interval %d: lasts %v s at %v Hz, want %v s", i, s.DurationS, s.FreqHz, want)
+		}
+		var sub float64
+		for _, p := range s.Subsystems {
+			sub += p.TotalW
+		}
+		if rel(sub, s.TotalW) > 1e-12 {
+			t.Errorf("interval %d: subsystems sum to %v W, sample %v W", i, sub, s.TotalW)
+		}
+	}
+	if throttled == 0 {
+		t.Error("the headroom governor throttled no interval of the hot/idle stream")
+	}
+	sum := tr.Summary
+	if sum.EnergyJ != energy || sum.SimSeconds != start || sum.AvgW != energy/start {
+		t.Errorf("summary %v J over %v s at %v W, samples fold to %v J over %v s at %v W",
+			sum.EnergyJ, sum.SimSeconds, sum.AvgW, energy, start, energy/start)
+	}
+	if sum.ThrottledIntervals != throttled {
+		t.Errorf("summary counts %d throttled intervals, samples %d", sum.ThrottledIntervals, throttled)
+	}
+	t.Logf("%d intervals, %d throttled, %.6f J over %.6f s", len(tr.Samples), throttled, sum.EnergyJ, sum.SimSeconds)
 }

@@ -1,17 +1,129 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"sync"
+
+	"mcpat/internal/power"
 )
 
+// AppendJSON appends the compact JSON form of the record to dst: the
+// bytes json.Marshal writes for it. Keys follow struct order, numbers
+// and strings are written as encoding/json writes them, and the
+// omitempty fields are left out when zero: a nil chip, sample or
+// summary, the open-loop thermal fields, an unthrottled flag, an empty
+// subsystem list, an unknown interval count and no throttled intervals.
+// A NaN or infinite quantity has no JSON form: AppendJSON then returns
+// dst unchanged and encoding/json's *UnsupportedValueError.
+func (r *Record) AppendJSON(dst []byte) ([]byte, error) {
+	b := append(dst, `{"type":`...)
+	b = power.AppendJSONString(b, r.Type)
+	var err error
+	num := func(key string, v float64) {
+		if err == nil {
+			b = append(b, key...)
+			b, err = power.AppendJSONFloat(b, v)
+		}
+	}
+	integer := func(key string, v int) {
+		b = strconv.AppendInt(append(b, key...), int64(v), 10)
+	}
+	if h := r.Chip; h != nil {
+		b = append(b, `,"chip":{"name":`...)
+		b = power.AppendJSONString(b, h.Name)
+		num(`,"nm":`, h.NM)
+		num(`,"clock_hz":`, h.ClockHz)
+		integer(`,"num_cores":`, h.NumCores)
+		num(`,"tdp_w":`, h.TDPW)
+		num(`,"area_mm2":`, h.AreaMM2)
+		if h.Intervals != 0 {
+			integer(`,"intervals":`, h.Intervals)
+		}
+		b = append(b, '}')
+	}
+	if s := r.Sample; s != nil {
+		integer(`,"sample":{"index":`, s.Index)
+		num(`,"start_s":`, s.StartS)
+		num(`,"duration_s":`, s.DurationS)
+		num(`,"dynamic_w":`, s.DynamicW)
+		num(`,"leakage_w":`, s.LeakageW)
+		num(`,"total_w":`, s.TotalW)
+		num(`,"energy_j":`, s.EnergyJ)
+		if s.TemperatureK != 0 {
+			num(`,"temperature_k":`, s.TemperatureK)
+		}
+		if s.FreqHz != 0 {
+			num(`,"freq_hz":`, s.FreqHz)
+		}
+		if s.Throttled {
+			b = append(b, `,"throttled":true`...)
+		}
+		if len(s.Subsystems) > 0 {
+			b = append(b, `,"subsystems":[`...)
+			for i := range s.Subsystems {
+				p := &s.Subsystems[i]
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, `{"name":`...)
+				b = power.AppendJSONString(b, p.Name)
+				num(`,"dynamic_w":`, p.DynamicW)
+				num(`,"leakage_w":`, p.LeakageW)
+				num(`,"total_w":`, p.TotalW)
+				b = append(b, '}')
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	if m := r.Summary; m != nil {
+		integer(`,"summary":{"intervals":`, m.Intervals)
+		num(`,"sim_seconds":`, m.SimSeconds)
+		num(`,"energy_j":`, m.EnergyJ)
+		num(`,"avg_w":`, m.AvgW)
+		num(`,"peak_w":`, m.PeakW)
+		integer(`,"peak_index":`, m.PeakIndex)
+		num(`,"min_w":`, m.MinW)
+		if m.MaxTempK != 0 {
+			num(`,"max_temp_k":`, m.MaxTempK)
+		}
+		if m.FinalTempK != 0 {
+			num(`,"final_temp_k":`, m.FinalTempK)
+		}
+		if m.ThrottledIntervals != 0 {
+			integer(`,"throttled_intervals":`, m.ThrottledIntervals)
+		}
+		b = append(b, '}')
+	}
+	if err != nil {
+		return dst, err
+	}
+	return append(b, '}'), nil
+}
+
+// recordBufs holds WriteRecord's encode buffers, so a warm record
+// allocates nothing.
+var recordBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
 // WriteRecord writes one NDJSON frame (a single line of JSON) in one
-// Write call: the bytes of json.Marshal plus a newline, encoded in the
-// encoder's pooled buffer rather than a fresh copy.
+// Write call: the bytes of json.Marshal plus a newline, appended into a
+// pooled buffer. A record that cannot be encoded writes nothing.
 func WriteRecord(w io.Writer, rec Record) error {
-	return json.NewEncoder(w).Encode(rec)
+	bp := recordBufs.Get().(*[]byte)
+	b, err := rec.AppendJSON((*bp)[:0])
+	if err == nil {
+		b = append(b, '\n')
+		_, err = w.Write(b)
+	}
+	*bp = b[:0]
+	recordBufs.Put(bp)
+	return err
 }
 
 // WriteNDJSON streams the materialized trace in the same framing the

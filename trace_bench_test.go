@@ -14,6 +14,7 @@ package mcpat_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -166,9 +167,9 @@ func ingestStream(b *testing.B) []byte {
 	return bytes.Repeat(example, ingestStreamDumps/per)
 }
 
-// benchStream runs op once per iteration, each op handling one 48-dump
-// stream, and reports time and allocations per dump.
-func benchStream(b *testing.B, op func() error) {
+// benchStream runs op once per iteration, each op handling n units of
+// one 48-dump stream, and reports time and allocations per unit.
+func benchStream(b *testing.B, n int, unit string, op func() error) {
 	var before, after runtime.MemStats
 	b.ReportAllocs()
 	runtime.ReadMemStats(&before)
@@ -180,16 +181,16 @@ func benchStream(b *testing.B, op func() error) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	dumps := float64(b.N * ingestStreamDumps)
-	b.ReportMetric(b.Elapsed().Seconds()*1e6/dumps, "us/dump")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/dumps, "allocs/dump")
+	units := float64(b.N * n)
+	b.ReportMetric(b.Elapsed().Seconds()*1e6/units, "us/"+unit)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/units, "allocs/"+unit)
 }
 
 // BenchmarkM5Parse is the first stats-ingestion rung: reading a 48-dump
 // gem5 stats.txt stream into name->value dumps (m5compat.Parse).
 func BenchmarkM5Parse(b *testing.B) {
 	stream := ingestStream(b)
-	benchStream(b, func() error {
+	benchStream(b, ingestStreamDumps, "dump", func() error {
 		_, err := mcpat.ParseM5StatsAll(bytes.NewReader(stream))
 		return err
 	})
@@ -204,8 +205,47 @@ func BenchmarkIntervalsFromDumps(b *testing.B) {
 		b.Fatal(err)
 	}
 	_, _, cfg := traceBenchFixture(b)
-	benchStream(b, func() error {
+	benchStream(b, ingestStreamDumps, "dump", func() error {
 		_, err := mcpat.TraceIntervalsFromDumps(dumps, cfg.ClockHz, cfg.NumCores)
 		return err
+	})
+}
+
+// BenchmarkWriteRecord is the third rung: encoding a 48-dump stream's
+// NDJSON records, the chip, sample and summary records of its open-loop
+// trace and of its closed-loop trace (the thermal benchmark's loop), to
+// a writer that drops them.
+func BenchmarkWriteRecord(b *testing.B) {
+	eng, _, cfg := traceBenchFixture(b)
+	dumps, err := mcpat.ParseM5StatsAll(bytes.NewReader(ingestStream(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ivs, err := mcpat.TraceIntervalsFromDumps(dumps, cfg.ClockHz, cfg.NumCores)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	open, err := eng.Run(ctx, ivs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.EnableLoop(mcpat.TraceLoopOptions{
+		Package:      mcpat.PackageSpec{RthetaJA: 0.8, MaxTjK: 360, TimeConstS: 5e-4},
+		UseFloorplan: true,
+		Governor:     mcpat.ThermalHeadroomGovernor{},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	closed, err := eng.Run(ctx, ivs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := 2 * (len(ivs) + 2)
+	benchStream(b, records, "record", func() error {
+		if err := open.WriteNDJSON(io.Discard); err != nil {
+			return err
+		}
+		return closed.WriteNDJSON(io.Discard)
 	})
 }
