@@ -203,9 +203,9 @@ func Run(m Machine, w Workload) (*Result, error) {
 	ipc := float64(m.IssueWidth) * 0.8 // initial guess, per core
 	var threadCPI, busRho, bankRho, memRho float64
 	for iter := 0; iter < 64; iter++ {
-		busRho = math.Min(ipc*busCoef, 0.98)
-		bankRho = math.Min(ipc*bankCoef, 0.98)
-		memRho = math.Min(ipc*memCoef, 0.98)
+		busRho = min(ipc*busCoef, 0.98)
+		bankRho = min(ipc*bankCoef, 0.98)
+		memRho = min(ipc*memCoef, 0.98)
 
 		// Loaded latencies.
 		busDelay := 2 * (1 + mdQueueWait(busRho)) // arbitration+transfer, queued
@@ -221,10 +221,10 @@ func Run(m Machine, w Workload) (*Result, error) {
 		// Fine-grained multithreading: the core issues from any ready
 		// thread; aggregate demand is T/CPI_thread instructions/cycle,
 		// capped by issue width and by every shared resource's capacity.
-		newIPC := math.Min(float64(m.IssueWidth), float64(m.ThreadsPerCore)/threadCPI)
-		for _, coef := range []float64{busCoef, bankCoef, memCoef} {
+		newIPC := min(float64(m.IssueWidth), float64(m.ThreadsPerCore)/threadCPI)
+		for _, coef := range [...]float64{busCoef, bankCoef, memCoef} {
 			if coef > 0 {
-				newIPC = math.Min(newIPC, 0.95/coef)
+				newIPC = min(newIPC, 0.95/coef)
 			}
 		}
 		if math.Abs(newIPC-ipc) < 1e-9 {
@@ -240,7 +240,7 @@ func Run(m Machine, w Workload) (*Result, error) {
 	instPerCyc := ipc
 	l2PerCyc := instPerCyc * l2PerInst
 	act := core.Activity{
-		ICacheAccess: math.Min(1, instPerCyc),
+		ICacheAccess: min(1, instPerCyc),
 		BTBAccess:    instPerCyc * w.BranchFrac,
 		PredAccess:   instPerCyc * w.BranchFrac,
 		Decode:       instPerCyc,
@@ -250,8 +250,8 @@ func Run(m Machine, w Workload) (*Result, error) {
 		DCacheRead:   instPerCyc * w.LoadFrac,
 		DCacheWrite:  instPerCyc * w.StoreFrac,
 		CacheMiss:    l2PerCyc,
-		ITLBAccess:   math.Min(1, instPerCyc),
-		PipelineDuty: math.Min(1, ipc/float64(m.IssueWidth)),
+		ITLBAccess:   min(1, instPerCyc),
+		PipelineDuty: min(1, ipc/float64(m.IssueWidth)),
 	}
 	act.DTLBAccess = act.DCacheRead + act.DCacheWrite
 	act.LSQSearch = act.DCacheWrite
