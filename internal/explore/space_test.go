@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -210,6 +211,25 @@ func TestSweepRoundTrip(t *testing.T) {
 	} {
 		if _, _, _, _, err := tc.s.Inputs(); err == nil || err.Error() != tc.want {
 			t.Errorf("%+v: error %v, want %s", tc.s, err, tc.want)
+		}
+	}
+}
+
+// TestChipNameMatchesSprintf pins chipName to the fmt form it replaced,
+// for every fabric kind (an out-of-range one included) and cluster
+// sizes 0-4.
+func TestChipNameMatchesSprintf(t *testing.T) {
+	for k := chip.NoneIC; k <= chip.Ring+1; k++ {
+		for _, fab := range []chip.InterconnectKind{k, chip.InterconnectKind(9)} {
+			for cl := 0; cl <= 4; cl++ {
+				for _, cores := range []int{1, 16, 1024} {
+					c := Candidate{Cores: cores, L2PerCoreKB: 384, Fabric: fab, ClusterSize: cl}
+					want := fmt.Sprintf("dse-%dc-%dkb-%v-cl%d", c.Cores, c.L2PerCoreKB, c.Fabric, c.ClusterSize)
+					if got := chipName(c); got != want {
+						t.Errorf("chipName(%+v) = %q, want %q", c, got, want)
+					}
+				}
+			}
 		}
 	}
 }
