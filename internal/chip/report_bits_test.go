@@ -93,12 +93,10 @@ func writeBits(w *strings.Builder, path string, it *power.Item) {
 
 // TestReportBitsGolden pins every bit of every report node, so a rewrite
 // of any part's Score code that moves one floating-point operation
-// fails here. ReportE and ReportArena must both reproduce the golden.
-// Run `go test ./internal/chip -run TestReportBitsGolden -update` after
-// an intentional model change.
+// fails here. Run `go test ./internal/chip -run TestReportBitsGolden
+// -update` after an intentional model change.
 func TestReportBitsGolden(t *testing.T) {
 	var got strings.Builder
-	var ar power.Arena
 	for _, c := range bitsChips() {
 		p, err := New(c.cfg)
 		if err != nil {
@@ -108,22 +106,11 @@ func TestReportBitsGolden(t *testing.T) {
 			p.SetScoreTemperature(sc.tempK)
 			p.SetScoreDVFS(sc.fFrac, sc.v)
 			prefix := c.name + "/" + sc.name
-			heap, err := p.ReportE(sc.stats())
+			rep, err := p.ReportE(sc.stats())
 			if err != nil {
 				t.Fatalf("%s: ReportE: %v", prefix, err)
 			}
-			ar.Reset()
-			arena, err := p.ReportArena(sc.stats(), &ar)
-			if err != nil {
-				t.Fatalf("%s: ReportArena: %v", prefix, err)
-			}
-			var h, a strings.Builder
-			writeBits(&h, prefix, heap)
-			writeBits(&a, prefix, arena)
-			if h.String() != a.String() {
-				t.Fatalf("%s: ReportArena differs from ReportE:\n%s\nvs\n%s", prefix, a.String(), h.String())
-			}
-			got.WriteString(h.String())
+			writeBits(&got, prefix, rep)
 		}
 	}
 

@@ -81,10 +81,11 @@ func TestTimedOutEvaluatorIsReplaced(t *testing.T) {
 }
 
 // TestWarmCandidateAllocBudget bounds the heap cost of a warm candidate.
-// With every synthesis memo warm, a candidate's report trees come from
-// its evaluator's arena, the output check joins no paths, and only a
-// failed candidate formats its name; what is left is chip assembly,
-// perfsim and the sweep's own bookkeeping.
+// With every synthesis memo warm, a candidate compiles its chip's report
+// once and scores it into its evaluator's slab, building no tree, the
+// output check joins no paths, and only a failed candidate formats its
+// name; what is left is chip assembly, perfsim and the sweep's own
+// bookkeeping.
 func TestWarmCandidateAllocBudget(t *testing.T) {
 	const budget = 40
 	p := Params{NM: 22, ClockHz: 2.5e9, Threads: 4, MemBW: 200e9} // the three default workloads

@@ -152,3 +152,53 @@ func TestInvalidClusterIsRejectedNotFatal(t *testing.T) {
 		t.Error("non-dividing cluster must be rejected with a reason")
 	}
 }
+
+// TestAreaGrowsWithCores: at 22 nm, a chip's area never falls as its
+// core count rises, at every L2 capacity per core and every fabric
+// shape (mesh with clusters of 1, 2 and 4, ring, bus, crossbar): 936
+// adjacent steps over 14 core counts and 12 capacities.
+func TestAreaGrowsWithCores(t *testing.T) {
+	p := Params{NM: 22, ClockHz: 2.5e9, Threads: 4, MemBW: 200e9}
+	if err := p.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	var cores, kbs []int
+	for c := 8; c <= 60; c += 4 {
+		cores = append(cores, c)
+	}
+	for kb := 128; kb <= 480; kb += 32 {
+		kbs = append(kbs, kb)
+	}
+	shapes := []struct {
+		fabric  chip.InterconnectKind
+		cluster int
+	}{{chip.Mesh, 1}, {chip.Mesh, 2}, {chip.Mesh, 4}, {chip.Ring, 1}, {chip.Bus, 1}, {chip.Crossbar, 1}}
+	steps := 0
+	for _, kb := range kbs {
+		for _, sh := range shapes {
+			prev, prevCores := 0.0, 0
+			for _, n := range cores {
+				cfg, err := buildConfig(p, Candidate{Cores: n, L2PerCoreKB: kb, Fabric: sh.fabric, ClusterSize: sh.cluster})
+				if err != nil {
+					t.Fatal(err)
+				}
+				proc, err := chip.New(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", cfg.Name, err)
+				}
+				area := proc.Area()
+				if prevCores > 0 {
+					steps++
+					if area < prev {
+						t.Errorf("%v cl%d, %d KB/core: area falls from %.6g mm2 at %d cores to %.6g mm2 at %d",
+							sh.fabric, sh.cluster, kb, prev*1e6, prevCores, area*1e6, n)
+					}
+				}
+				prev, prevCores = area, n
+			}
+		}
+	}
+	if steps != 936 {
+		t.Fatalf("checked %d steps, want 936", steps)
+	}
+}

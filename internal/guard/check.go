@@ -77,25 +77,89 @@ func (o *CheckOptions) defaults() CheckOptions {
 // to no more than their parents (within tolerance), power-gating savings
 // never exceed the leakage they gate, and runtime power stays within a
 // sane multiple of TDP. It returns every violation found rather than
-// stopping at the first, so a caller can log the full picture. A clean
-// tree is checked without allocating: node paths are joined only for a
-// diagnostic.
+// stopping at the first, so a caller can log the full picture. The tree
+// is laid out as rows on the stack and checked by CheckScore, so a clean
+// report is checked without allocating.
 func CheckReport(rep *power.Item, opts *CheckOptions) Diagnostics {
 	if rep == nil {
 		return Diagnostics{{Path: "", Field: "report", Msg: "nil report"}}
 	}
+	var rows [flatRows]power.Row
+	var names [flatRows]string
+	var cols [2 * flatRows]float64
+	return CheckScore(power.Flatten(rep, rows[:], names[:], cols[:]), opts)
+}
+
+// flatRows is the size of a report CheckReport lays out without a heap
+// buffer; a larger tree is still checked.
+const flatRows = 96
+
+// CheckScore is CheckReport over the rows of a scored report: the
+// per-node checks, the children-sum check and the root runtime-vs-TDP
+// bound in one pass, with findings in the order a depth-first walk of
+// the tree meets them. A row that passes is checked with a few compares
+// per column; node paths are found and joined only for a diagnostic.
+func CheckScore(s power.Score, opts *CheckOptions) Diagnostics {
 	o := opts.defaults()
+	tol := 1 + o.SumTolerance
 	var ds Diagnostics
-	var names [pathDepth]string
-	checkItem(rep, append(names[:0], rep.Name), o, &ds)
+	for r := 0; r < s.Len(); r++ {
+		area, peak, run := s.Area(r), s.PeakDynamic(r), s.RuntimeDynamic(r)
+		sub, gate, saved := s.SubLeak(r), s.GateLeak(r), s.LeakSaved(r)
+		if !(nonNegative(area) && nonNegative(peak) && nonNegative(run) &&
+			nonNegative(sub) && nonNegative(gate) && nonNegative(saved)) {
+			for i, x := range s.Values(r) {
+				switch {
+				case math.IsNaN(x):
+					ds.add(s, r, fieldNames[i], x, "NaN")
+				case math.IsInf(x, 0):
+					ds.add(s, r, fieldNames[i], x, "infinite")
+				case x < 0:
+					ds.add(s, r, fieldNames[i], x, "negative")
+				}
+			}
+		}
+		if saved > 0 {
+			if leak := sub + gate; saved > leak*tol {
+				ds.add(s, r, "LeakSaved", saved,
+					fmt.Sprintf("power-gating savings exceed total leakage %.3g W", leak))
+			}
+		}
+		end := s.End(r)
+		if end == r+1 {
+			continue
+		}
+		var sArea, sPeak, sRun, sSub, sGate, sSaved float64
+		for c := r + 1; c < end; c = s.End(c) {
+			sArea += s.Area(c)
+			sPeak += s.PeakDynamic(c)
+			sRun += s.RuntimeDynamic(c)
+			sSub += s.SubLeak(c)
+			sGate += s.GateLeak(c)
+			sSaved += s.LeakSaved(c)
+		}
+		// Absolute slack keeps near-zero quantities from tripping on
+		// float rounding.
+		if sArea > area*tol+1e-12 || sPeak > peak*tol+1e-12 || sRun > run*tol+1e-12 ||
+			sSub > sub*tol+1e-12 || sGate > gate*tol+1e-12 || sSaved > saved*tol+1e-12 {
+			sums := [6]float64{sArea, sPeak, sRun, sSub, sGate, sSaved}
+			for i, x := range s.Values(r) {
+				// A non-finite quantity was flagged above.
+				if sum := sums[i]; sum > x*tol+1e-12 && isFinite(sum) && isFinite(x) {
+					ds.add(s, r, fieldNames[i], x,
+						fmt.Sprintf("children sum to %.6g, exceeding the parent total", sum))
+				}
+			}
+		}
+	}
 
 	// Root-level runtime-vs-TDP bound; only meaningful when runtime
 	// statistics were applied.
-	if rep.RuntimeDynamic > 0 {
-		peak := rep.Peak()
-		if run := rep.Runtime(); peak > 0 && run > o.RuntimeTDPMult*peak {
+	if s.RuntimeDynamic(0) > 0 {
+		peak := s.Peak(0)
+		if run := s.Runtime(0); peak > 0 && run > o.RuntimeTDPMult*peak {
 			ds = append(ds, Diagnostic{
-				Path: rep.Name, Field: "Runtime", Value: run,
+				Path: s.Name(0), Field: "Runtime", Value: run,
 				Msg: fmt.Sprintf("runtime power %.3g W exceeds %g x TDP (%.3g W)",
 					run, o.RuntimeTDPMult, peak),
 			})
@@ -104,66 +168,27 @@ func CheckReport(rep *power.Item, opts *CheckOptions) Diagnostics {
 	return ds
 }
 
-// pathDepth is the node-name stack CheckReport keeps on its own frame;
-// a deeper tree spills the stack to the heap.
-const pathDepth = 16
+// nonNegative reports whether x is finite and not below zero.
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
-// fieldNames names the checked quantities of a node, in fieldsOf order.
+// fieldNames names the checked quantities of a node, in Score.Values
+// order.
 var fieldNames = [6]string{"Area", "PeakDynamic", "RuntimeDynamic", "SubLeak", "GateLeak", "LeakSaved"}
 
-// fieldsOf returns the checked quantities of one node.
-func fieldsOf(it *power.Item) [6]float64 {
-	return [6]float64{it.Area, it.PeakDynamic, it.RuntimeDynamic, it.SubLeak, it.GateLeak, it.LeakSaved}
-}
-
-// checkItem checks one node and its subtree. path holds the names from
-// the root down to it; a diagnostic joins them with dots.
-func checkItem(it *power.Item, path []string, o CheckOptions, ds *Diagnostics) {
-	vals := fieldsOf(it)
-	for i, v := range vals {
-		switch {
-		case math.IsNaN(v):
-			ds.add(path, fieldNames[i], v, "NaN")
-		case math.IsInf(v, 0):
-			ds.add(path, fieldNames[i], v, "infinite")
-		case v < 0:
-			ds.add(path, fieldNames[i], v, "negative")
+// add appends one diagnostic at row r, whose path is the names of the
+// rows from the root down to it, joined with dots.
+func (ds *Diagnostics) add(s power.Score, r int, field string, v float64, msg string) {
+	names := []string{s.Name(0)}
+	for a := 0; a != r; {
+		// Descend into the child of a whose subtree holds r.
+		c := a + 1
+		for s.End(c) <= r {
+			c = s.End(c)
 		}
+		a = c
+		names = append(names, s.Name(a))
 	}
-	if it.LeakSaved > 0 {
-		if leak := it.SubLeak + it.GateLeak; it.LeakSaved > leak*(1+o.SumTolerance) {
-			ds.add(path, "LeakSaved", it.LeakSaved,
-				fmt.Sprintf("power-gating savings exceed total leakage %.3g W", leak))
-		}
-	}
-	if len(it.Children) > 0 {
-		var sums [6]float64
-		for _, c := range it.Children {
-			for i, v := range fieldsOf(c) {
-				sums[i] += v
-			}
-		}
-		for i, v := range vals {
-			sum := sums[i]
-			if !isFinite(sum) || !isFinite(v) {
-				continue // the per-node checks above already flagged these
-			}
-			// Absolute slack keeps near-zero quantities from tripping on
-			// float rounding.
-			if sum > v*(1+o.SumTolerance)+1e-12 {
-				ds.add(path, fieldNames[i], v,
-					fmt.Sprintf("children sum to %.6g, exceeding the parent total", sum))
-			}
-		}
-	}
-	for _, c := range it.Children {
-		checkItem(c, append(path, c.Name), o, ds)
-	}
-}
-
-// add appends one diagnostic at the node the name stack path leads to.
-func (ds *Diagnostics) add(path []string, field string, v float64, msg string) {
-	*ds = append(*ds, Diagnostic{Path: strings.Join(path, "."), Field: field, Value: v, Msg: msg})
+	*ds = append(*ds, Diagnostic{Path: strings.Join(names, "."), Field: field, Value: v, Msg: msg})
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -50,10 +50,12 @@ var dumpDelimiterBytes = []byte(dumpDelimiter)
 //
 // Lines are scanned as bytes in place. A statistic name is allocated
 // once per stream and shared by every dump that carries it, and each
-// dump's map is sized from the previous one.
+// dump's map is sized from the previous one. The scanner's buffer starts
+// at 4 KiB, far above a statistics line (~110 bytes), and doubles up to
+// maxLine for a longer one.
 func Parse(r io.Reader) ([]Dump, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
+	sc.Buffer(make([]byte, 4<<10), maxLine)
 	names := make(map[string]string)
 	var dumps []Dump
 	var cur Dump

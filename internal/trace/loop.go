@@ -12,8 +12,8 @@ import (
 //	governor (frequency/voltage for this interval, from the hotspot
 //	        temperature entering it)
 //	  → Score-time retune (chip.SetScoreTemperature / SetScoreDVFS)
-//	  → one arena Score pass (no synthesis — the same single synthesized
-//	        chip serves the whole trace)
+//	  → one Score into the engine's slab (no synthesis — the same single
+//	        synthesized chip serves the whole trace)
 //	  → thermal step (per-block lumped RC network, floorplan-derived
 //	        spreading resistances) producing the hotspot that feeds the
 //	        next interval

@@ -351,7 +351,7 @@ func TestNDJSONThermalFields(t *testing.T) {
 }
 
 // TestLoopAllocBudget enforces the hot-path budgets: an open-loop
-// interval (arena score plus sample stamping) costs at most one
+// interval (score plus sample stamping) costs at most one
 // allocation, and the closed-loop per-interval path (governor, retune,
 // score, thermal step, sample stamping) at most two more than the
 // open-loop path.

@@ -3,10 +3,10 @@ package mcpat_test
 // Trace-path benchmarks: measure the per-interval cost of the time-series
 // power engine (internal/trace), the workload the synthesize/score split
 // was built for. BenchmarkTraceScore is the steady-state hot path a long
-// stats.txt replay pays per dump: one arena-backed Score pass over the
-// already-synthesized chip. The Heap variant drops the arena (every
-// report Item allocated individually) and the FullEvaluate variant
-// re-synthesizes the chip every interval — the naive pipeline a user
+// stats.txt replay pays per dump: one Score of the already-synthesized
+// chip's compiled report into the engine's slab. The Heap variant builds
+// the ReportE tree from a fresh slab instead, and the FullEvaluate
+// variant re-synthesizes the chip every interval — the naive pipeline a user
 // would write without the engine. BENCH_dse.json's trace_path section
 // records the reference numbers; the allocs/op gap between Score and
 // FullEvaluate is the acceptance metric.
@@ -47,9 +47,9 @@ func traceBenchFixture(b *testing.B) (*mcpat.TraceEngine, []mcpat.TraceInterval,
 	return eng, ivs, res.Config
 }
 
-// BenchmarkTraceScore is the engine's hot path: one arena-backed Score
-// pass per interval against the chip synthesized once up front. This is
-// the per-dump cost of replaying a long stats.txt stream.
+// BenchmarkTraceScore is the engine's hot path: one Score into the
+// engine's slab per interval against the chip synthesized once up front.
+// This is the per-dump cost of replaying a long stats.txt stream.
 func BenchmarkTraceScore(b *testing.B) {
 	eng, ivs, _ := traceBenchFixture(b)
 	b.ReportAllocs()
@@ -63,10 +63,10 @@ func BenchmarkTraceScore(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "intervals/s")
 }
 
-// BenchmarkTraceScoreHeap scores the same intervals through the plain
-// heap report path (no arena): the chip is still synthesized once, but
-// every report Item is an individual allocation. The gap to
-// BenchmarkTraceScore is the arena's contribution alone.
+// BenchmarkTraceScoreHeap scores the same intervals through ReportE: the
+// chip is still synthesized once, but every interval scores into a fresh
+// slab and builds the report tree from it. The gap to
+// BenchmarkTraceScore is the cost of the tree alone.
 func BenchmarkTraceScoreHeap(b *testing.B) {
 	eng, ivs, _ := traceBenchFixture(b)
 	proc := eng.Processor()
@@ -120,7 +120,7 @@ func BenchmarkTraceRun(b *testing.B) {
 }
 
 // BenchmarkTraceThermalLoop is the closed-loop hot path: the same
-// arena-backed Score per interval, plus the governor decision, the
+// slab Score per interval, plus the governor decision, the
 // Score-time temperature/DVFS retune, and one transient thermal-model
 // step over the floorplan-derived blocks. The acceptance bound for the
 // thermal/DVFS refactor is allocs/op within +2 of BenchmarkTraceScore
