@@ -99,32 +99,66 @@ func TestFindAndClone(t *testing.T) {
 	}
 }
 
+// TestScale replicates a compiled subtree: Builder.Scale multiplies the
+// TDP columns of every row under it now, and the runtime columns it
+// rolls up in every score.
 func TestScale(t *testing.T) {
-	root := buildTree().Rollup()
-	peak := root.PeakDynamic
-	root.Scale(3)
-	if math.Abs(root.PeakDynamic-3*peak) > 1e-12 {
-		t.Errorf("Scale: got %v want %v", root.PeakDynamic, 3*peak)
+	b := NewBuilder(nil)
+	b.Open("chip")
+	b.Open("core")
+	b.Leaf("ifu", 1, 2, 0.5, 0.1)
+	b.Leaf("exu", 2, 3, 0.7, 0.2)
+	b.Scale(b.Close(), 3)
+	b.Leaf("l2", 4, 1, 1.0, 0.3)
+	b.Close()
+	prog := b.Program()
+	slab := make([]float64, prog.SlabLen())
+	in := append(prog.InputBuf(slab), 0.25, 1.5, 0.5)
+	if len(in) != prog.Inputs {
+		t.Fatalf("%d inputs, program takes %d", len(in), prog.Inputs)
 	}
-	if got := root.Find("ifu").Area; got != 3 {
-		t.Errorf("Scale not recursive: ifu area %v", got)
+	sc := prog.Run(slab, 1, 1)
+
+	if got := sc.PeakDynamic(1); got != 15 {
+		t.Errorf("core PeakDynamic = %v, want 15", got)
+	}
+	if got := sc.Area(2); got != 3 {
+		t.Errorf("Scale not recursive: ifu area %v, want 3", got)
+	}
+	if got := sc.RuntimeDynamic(1); got != 5.25 {
+		t.Errorf("core RuntimeDynamic = %v, want 5.25", got)
+	}
+	if got := sc.RuntimeDynamic(0); got != 5.75 {
+		t.Errorf("chip RuntimeDynamic = %v, want 5.75 (the l2 is not scaled)", got)
+	}
+	if got := sc.Area(0); got != 13 {
+		t.Errorf("chip Area = %v, want 13", got)
 	}
 }
 
+// TestFromPAT builds a leaf from a component model's result: area and
+// leakage as they are, the TDP column at the peak activity, and the
+// runtime column as the score supplies it.
 func TestFromPAT(t *testing.T) {
 	p := PAT{
 		Energy: Energy{Read: 1e-12, Write: 2e-12},
 		Static: Static{Sub: 0.1, Gate: 0.05},
 		Area:   1e-6,
 	}
-	it := FromPAT("buf", p, Activity{Reads: 1e9}, Activity{Reads: 5e8})
+	b := NewBuilder(nil)
+	b.LeafPAT("buf", p, Activity{Reads: 1e9})
+	prog := b.Program()
+	slab := make([]float64, prog.SlabLen())
+	_ = append(prog.InputBuf(slab), p.Energy.DynamicPower(Activity{Reads: 5e8}))
+	sc := prog.Run(slab, 1, 1)
+	it := sc.Tree()
 	if math.Abs(it.PeakDynamic-1e-3) > 1e-15 {
 		t.Errorf("PeakDynamic = %v", it.PeakDynamic)
 	}
 	if math.Abs(it.RuntimeDynamic-0.5e-3) > 1e-15 {
 		t.Errorf("RuntimeDynamic = %v", it.RuntimeDynamic)
 	}
-	if it.SubLeak != 0.1 || it.GateLeak != 0.05 || it.Area != 1e-6 {
+	if it.Name != "buf" || it.SubLeak != 0.1 || it.GateLeak != 0.05 || it.Area != 1e-6 {
 		t.Errorf("leaf fields wrong: %+v", it)
 	}
 }
