@@ -5,9 +5,23 @@ import (
 
 	"mcpat/internal/array"
 	"mcpat/internal/component"
+	"mcpat/internal/power"
 	"mcpat/internal/tech"
 	"mcpat/internal/tech/techtest"
 )
+
+// report builds the cache's report tree through the program a chip
+// scores, at peakR/peakW reads and writes per second at TDP and
+// runR/runW at runtime.
+func report(c *Cache, peakR, peakW, runR, runW float64) *power.Item {
+	b := power.NewBuilder(nil)
+	c.Emit(&b, c.cfg.Name, peakR, peakW)
+	prog := b.Program()
+	slab := make([]float64, prog.SlabLen())
+	c.AppendRuntime(prog.InputBuf(slab), runR, runW)
+	sc := prog.Run(slab, 1, 1)
+	return sc.Tree()
+}
 
 func resetTiers() {
 	component.ResetCache()
@@ -110,7 +124,7 @@ func TestReportTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := c.Report(2e9, 1e9, 1e8, 5e7)
+	rep := report(c, 2e9, 1e9, 1e8, 5e7)
 	for _, name := range []string{"data", "mshr", "wbbuffer", "directory"} {
 		if rep.Find(name) == nil {
 			t.Errorf("report missing %s", name)

@@ -5,9 +5,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mcpat/internal/power"
 	"mcpat/internal/tech"
 	"mcpat/internal/tech/techtest"
 )
+
+// report builds the core's report tree through the program a chip
+// scores: peak gives the TDP activity, run the runtime activity (the
+// zero Activity for none).
+func report(c *Core, peak, run Activity) *power.Item {
+	b := power.NewBuilder(nil)
+	c.Emit(&b, c.Cfg.Name, peak)
+	prog := b.Program()
+	slab := make([]float64, prog.SlabLen())
+	c.AppendRuntime(prog.InputBuf(slab), run)
+	sc := prog.Run(slab, 1, 1)
+	return sc.Tree()
+}
 
 // niagaraCfg is a Sun Niagara (UltraSPARC T1) style in-order core: 4
 // threads, single issue, 16KB I$ / 8KB D$, shared FPU (not in the core).
@@ -58,7 +72,7 @@ func TestNiagaraCorePlausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := c.Report(PeakActivity(c.Cfg), Activity{})
+	rep := report(c, PeakActivity(c.Cfg), Activity{})
 	t.Logf("Niagara-like core @90nm 1.2GHz: area=%.2f mm^2 peakDyn=%.2f W leak=%.3f W total=%.2f W",
 		rep.Area*1e6, rep.PeakDynamic, rep.Leakage(), rep.Peak())
 	if mm2 := rep.Area * 1e6; mm2 < 3 || mm2 > 20 {
@@ -82,7 +96,7 @@ func TestAlphaCorePlausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := c.Report(PeakActivity(c.Cfg), Activity{})
+	rep := report(c, PeakActivity(c.Cfg), Activity{})
 	t.Logf("Alpha-like OoO core @180nm 1.2GHz: area=%.1f mm^2 peakDyn=%.1f W leak=%.2f W total=%.1f W",
 		rep.Area*1e6, rep.PeakDynamic, rep.Leakage(), rep.Peak())
 	// 21364's EV68 core was ~115 mm^2 at 180 nm including L1s; power
@@ -113,7 +127,7 @@ func TestOoOCostsMoreThanInOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Report(PeakActivity(c.Cfg), Activity{}).Peak()
+		return report(c, PeakActivity(c.Cfg), Activity{}).Peak()
 	}
 	inorder, ooo := mk(false), mk(true)
 	if ooo <= inorder*1.5 {
@@ -128,7 +142,7 @@ func TestRuntimeBelowPeak(t *testing.T) {
 	}
 	peak := PeakActivity(c.Cfg)
 	run := peak.Scale(0.5)
-	rep := c.Report(peak, run)
+	rep := report(c, peak, run)
 	if rep.RuntimeDynamic <= 0 {
 		t.Fatal("runtime dynamic power missing")
 	}
@@ -149,7 +163,7 @@ func TestMultithreadingGrowsCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Report(PeakActivity(c.Cfg), Activity{}).Area
+		return report(c, PeakActivity(c.Cfg), Activity{}).Area
 	}
 	if mk(4) <= mk(1) {
 		t.Error("4-thread core must be larger than 1-thread core")
@@ -218,7 +232,7 @@ func TestQuickCoreScalesWithWidth(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep := c.Report(PeakActivity(c.Cfg), Activity{})
+		rep := report(c, PeakActivity(c.Cfg), Activity{})
 		return rep.Area > 0 && rep.PeakDynamic > 0 && rep.Leakage() > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
@@ -238,8 +252,8 @@ func TestRenameCAMAlternative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := cr.Report(PeakActivity(ram), Activity{})
-	pc := cc.Report(PeakActivity(cam), Activity{})
+	pr := report(cr, PeakActivity(ram), Activity{})
+	pc := report(cc, PeakActivity(cam), Activity{})
 	ratRAM := pr.Find("rat.int")
 	ratCAM := pc.Find("rat.int")
 	if ratRAM == nil || ratCAM == nil {
@@ -262,7 +276,7 @@ func TestRenameCAMAlternative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Report(PeakActivity(cfg), Activity{}).Find("rat.int").PeakDynamic
+		return report(c, PeakActivity(cfg), Activity{}).Find("rat.int").PeakDynamic
 	}
 	camGrowth := grow(true) / ratCAM.PeakDynamic
 	ramGrowth := grow(false) / ratRAM.PeakDynamic
@@ -287,8 +301,8 @@ func TestPowerGating(t *testing.T) {
 	peak := PeakActivity(plain)
 	halfIdle := peak.Scale(0.5) // PipelineDuty 0.45
 
-	rp := cp.Report(peak, halfIdle)
-	rg := cg.Report(peak, halfIdle)
+	rp := report(cp, peak, halfIdle)
+	rg := report(cg, peak, halfIdle)
 
 	// Sleep transistors cost area.
 	if rg.Area <= rp.Area {
@@ -306,7 +320,7 @@ func TestPowerGating(t *testing.T) {
 		t.Error("gated core must report leakage savings")
 	}
 	// No savings reported without runtime statistics.
-	r0 := cg.Report(peak, Activity{})
+	r0 := report(cg, peak, Activity{})
 	if r0.LeakSaved != 0 {
 		t.Error("no runtime stats -> no gating savings to report")
 	}
