@@ -167,43 +167,20 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// dynamic appends the dynamic power (W) of every leaf of the cache's
-// report at r reads and w writes per second, in report order: the TDP
-// column at compile time and the runtime inputs of every score.
-func (c *Cache) dynamic(dst []float64, r, w float64) []float64 {
+// Walk adds the cache's report subtree, rooted at a node named name, to
+// b with every leaf's dynamic power at r reads and w writes per second,
+// and returns the root's row: run at the peak rates to compile the TDP
+// columns and at the runtime rates to score.
+func (c *Cache) Walk(b *power.Builder, name string, r, w float64) int {
 	const missFrac = 0.05
-	dst = append(dst,
-		c.Data.Energy.DynamicPower(power.Activity{Reads: r, Writes: w}),
-		c.MSHR.Energy.DynamicPower(power.Activity{Searches: r + w, Reads: (r + w) * missFrac, Writes: (r + w) * missFrac}),
-		c.WBBuffer.Energy.DynamicPower(power.Activity{Reads: w * 0.5, Writes: w * 0.5}))
-	if c.Directory != nil {
-		dst = append(dst, c.Directory.Energy.DynamicPower(power.Activity{Reads: r + w, Writes: (r + w) * 0.2}))
-	}
-	return dst
-}
-
-// Emit compiles the cache's report subtree, rooted at a node named name,
-// with its TDP columns at peakR reads and peakW writes per second, and
-// returns the root's row.
-func (c *Cache) Emit(b *power.Builder, name string, peakR, peakW float64) int {
-	var buf [4]float64
-	pk := c.dynamic(buf[:0], peakR, peakW)
 	b.Open(name)
-	for i, a := range [...]*array.Result{c.Data, c.MSHR, c.WBBuffer, c.Directory} {
-		if a != nil {
-			b.Leaf(leafNames[i], a.Area, pk[i], a.Static.Sub, a.Static.Gate)
-		}
+	b.Leaf("data", &c.Data.PAT, c.Data.Energy.DynamicPower(power.Activity{Reads: r, Writes: w}))
+	b.Leaf("mshr", &c.MSHR.PAT, c.MSHR.Energy.DynamicPower(power.Activity{Searches: r + w, Reads: (r + w) * missFrac, Writes: (r + w) * missFrac}))
+	b.Leaf("wbbuffer", &c.WBBuffer.PAT, c.WBBuffer.Energy.DynamicPower(power.Activity{Reads: w * 0.5, Writes: w * 0.5}))
+	if c.Directory != nil {
+		b.Leaf("directory", &c.Directory.PAT, c.Directory.Energy.DynamicPower(power.Activity{Reads: r + w, Writes: (r + w) * 0.2}))
 	}
 	return b.Close()
-}
-
-var leafNames = [...]string{"data", "mshr", "wbbuffer", "directory"}
-
-// AppendRuntime appends the cache's score inputs, every leaf's runtime
-// dynamic power at r reads and w writes per second, in the order Emit
-// assigned them.
-func (c *Cache) AppendRuntime(dst []float64, r, w float64) []float64 {
-	return c.dynamic(dst, r, w)
 }
 
 // AccessTime returns the data-array access latency.

@@ -15,10 +15,14 @@ import (
 // runR/runW at runtime.
 func report(c *Cache, peakR, peakW, runR, runW float64) *power.Item {
 	b := power.NewBuilder(nil)
-	c.Emit(&b, c.cfg.Name, peakR, peakW)
+	c.Walk(&b, c.cfg.Name, peakR, peakW)
 	prog := b.Program()
 	slab := make([]float64, prog.SlabLen())
-	c.AppendRuntime(prog.InputBuf(slab), runR, runW)
+	s := power.NewScoreBuilder(prog.InputBuf(slab))
+	c.Walk(&s, c.cfg.Name, runR, runW)
+	if len(s.Inputs()) != prog.Inputs {
+		panic("cache: the scoring walk's inputs do not match the compiled report")
+	}
 	sc := prog.Run(slab, 1, 1)
 	return sc.Tree()
 }

@@ -26,32 +26,34 @@ import (
 // floating-point accumulation order of that area, so it fixes every
 // downstream number.
 //
-// The report is compiled from the finished models (compile, in
-// report.go, once for every chip and score slab), and each subsystem
-// contributes to it through two functions defined next to its builder: an emit function adds its rows to the
-// program with their TDP columns, turning the chip configuration into
-// the subsystem's peak activity, and a score function appends its score
-// inputs, turning the chip-level Stats into the subsystem's runtime
-// activity. compile and inputs call them in report order, which differs
-// from build order (the fabric reports before the off-chip interfaces
-// it is sized after); a score whose inputs do not match the program's
-// count is an internal fault. Both read the synthesized models and never
-// mutate them, so one memoized model can back any number of chips
-// concurrently. Where a model was first synthesized under another name,
-// the emit function names the subtree's root after this chip's config
-// (child names are constants).
+// The report comes from one walk per subsystem, defined next to its
+// builder: it adds the subsystem's report nodes to a power.Builder and
+// gives each leaf its dynamic power under the chip-level Stats the
+// caller passes in. Processor.walk calls them in report order, which
+// differs from build order (the fabric reports before the off-chip
+// interfaces it is sized after). compile (in report.go, once for every
+// chip and score slab) runs the walk at peakStats, the chip's TDP
+// activity, so each leaf's dynamic power is its TDP column; Score runs
+// it at the runtime Stats through a scoring Builder that keeps only the
+// inputs, so a part's leaves, their conditions and their activity
+// formulas are written once. A score whose inputs do not match the
+// program's count is an internal fault. The walks read the synthesized
+// models and never mutate them, so one memoized model can back any
+// number of chips concurrently. Where a model was first synthesized
+// under another name, the walk names the subtree's root after this
+// chip's config (child names are constants).
 //
 // Chips are assembled serially: sweeps, shards and concurrent requests
 // already evaluate many chips at once, so parallelism comes from the
 // design points, not from inside one build.
 
 // subsystems is the assembly registry, in build order. Adding a
-// subsystem to the chip means adding a row here, and its emit and score
-// functions to compile and inputs, not editing New. Builders return
-// their component-area contribution. The fabric reads the area of the
-// rows above it and folds its router, link, and cluster-bus areas into
-// builder.base as separate terms, returning 0; the clock network reads
-// the area including the fabric.
+// subsystem to the chip means adding a row here, its walk to
+// Processor.walk and its TDP activity to peakStats, not editing New.
+// Builders return their component-area contribution. The fabric reads
+// the area of the rows above it and folds its router, link, and
+// cluster-bus areas into builder.base as separate terms, returning 0;
+// the clock network reads the area including the fabric.
 var subsystems = []struct {
 	name  string
 	build func(*builder) (float64, error)
@@ -88,15 +90,6 @@ func assemble(b *builder) error {
 	return nil
 }
 
-// Shared-cache TDP traffic mix: at saturation, roughly 70% of shared
-// cache accesses are reads (demand fetches and fills) and 30% writes
-// (write-backs and upgrades) — the traffic mix assumed when deriving
-// cache TDP from the per-bank duty factor.
-const (
-	cachePeakReadFrac  = 0.7
-	cachePeakWriteFrac = 0.3
-)
-
 // coreName is the name the cores' report subtree roots in.
 func coreName(cfg *Config) string {
 	if cfg.Core.Name == "" {
@@ -126,11 +119,11 @@ func buildCores(b *builder) (float64, error) {
 	return cm.Area() * float64(cfg.NumCores), nil
 }
 
-// emitCores adds one core's subtree, at the chip's core peak activity,
-// under a "Cores" group replicated NumCores times.
-func (p *Processor) emitCores(b *power.Builder) {
+// walkCores adds one core's subtree, at the per-core activity
+// s.CoreRun, under a "Cores" group replicated NumCores times.
+func (p *Processor) walkCores(b *power.Builder, s *Stats) {
 	b.Open("Cores")
-	p.CoreModel.Emit(b, coreName(&p.Cfg), p.corePeak)
+	p.CoreModel.Walk(b, coreName(&p.Cfg), &s.CoreRun)
 	b.Scale(b.Close(), float64(p.Cfg.NumCores))
 }
 
@@ -176,17 +169,6 @@ func buildL3(b *builder) (float64, error) {
 	return c.Area, nil
 }
 
-// emitCache adds a shared cache level (nil: none). Its TDP access rate
-// is limited both by the bank count and by the miss/traffic rate the
-// cores can generate (~2 accesses per core per cycle at saturation).
-func (p *Processor) emitCache(b *power.Builder, c *cache.Cache, cc *cache.Config, duty float64) {
-	if c == nil {
-		return
-	}
-	acc := duty * float64(minInt(c.Cfg().Banks, 2*p.Cfg.NumCores)) * p.Cfg.ClockHz
-	c.Emit(b, cc.Name, acc*cachePeakReadFrac, acc*cachePeakWriteFrac)
-}
-
 func buildFPU(b *builder) (float64, error) {
 	cfg := &b.p.Cfg
 	if cfg.SharedFPUs <= 0 {
@@ -196,27 +178,16 @@ func buildFPU(b *builder) (float64, error) {
 	if err != nil {
 		return 0, guard.At(err, b.path)
 	}
-	b.p.fpu = &pat
-	return pat.Area * float64(cfg.SharedFPUs), nil
+	units := pat.Units(cfg.SharedFPUs)
+	b.p.fpu = &units
+	return units.Area, nil
 }
 
-// emitFPU adds the shared FPUs as one leaf of SharedFPUs units, half of
-// them busy every cycle at TDP.
-func (p *Processor) emitFPU(b *power.Builder) {
-	pat := p.fpu
-	if pat == nil {
-		return
+// walkFPU adds the shared FPUs as one leaf of SharedFPUs units.
+func (p *Processor) walkFPU(b *power.Builder, s *Stats) {
+	if p.fpu != nil {
+		b.Leaf("SharedFPU", p.fpu, p.fpu.Energy.DynamicPower(power.Activity{Reads: s.FPOpsPerSec}))
 	}
-	n := float64(p.Cfg.SharedFPUs)
-	peak := power.Activity{Reads: 0.5 * n * p.Cfg.ClockHz}
-	b.Leaf("SharedFPU", pat.Area*n, pat.Energy.DynamicPower(peak), pat.Static.Sub*n, pat.Static.Gate*n)
-}
-
-func (p *Processor) scoreFPU(in []float64, s *Stats) []float64 {
-	if p.fpu == nil {
-		return in
-	}
-	return append(in, p.fpu.Energy.DynamicPower(power.Activity{Reads: s.FPOpsPerSec}))
 }
 
 func buildMC(b *builder) (float64, error) {
@@ -236,33 +207,20 @@ func buildMC(b *builder) (float64, error) {
 	return ctl.Area, nil
 }
 
-// emitMC adds the memory controller. Read/write transaction rates apply
-// uniformly to the front end, transaction engine, and PHY.
-func (p *Processor) emitMC(b *power.Builder) {
+// walkMC adds the memory controller. Its transactions split 60/40
+// between reads and writes and apply uniformly to the front end,
+// transaction engine, and PHY.
+func (p *Processor) walkMC(b *power.Builder, s *Stats) {
 	ctl := p.mcCtl
 	if ctl == nil {
 		return
 	}
-	peakTxn := 0.0
-	if p.Cfg.MC.PeakBandwidth > 0 {
-		peakTxn = p.Cfg.MCPeakUtil * p.Cfg.MC.PeakBandwidth / 64
-	}
-	peak := power.Activity{Reads: peakTxn * 0.6, Writes: peakTxn * 0.4}
+	txn := power.Activity{Reads: s.MCAccesses * 0.6, Writes: s.MCAccesses * 0.4}
 	b.Open("MemoryController")
-	b.LeafPAT("frontend", ctl.FrontEnd, peak)
-	b.LeafPAT("backend", ctl.Backend, peak)
-	b.LeafPAT("phy", ctl.PHY, peak)
+	b.Leaf("frontend", &ctl.FrontEnd, ctl.FrontEnd.Energy.DynamicPower(txn))
+	b.Leaf("backend", &ctl.Backend, ctl.Backend.Energy.DynamicPower(txn))
+	b.Leaf("phy", &ctl.PHY, ctl.PHY.Energy.DynamicPower(txn))
 	b.Close()
-}
-
-func (p *Processor) scoreMC(in []float64, s *Stats) []float64 {
-	ctl := p.mcCtl
-	if ctl == nil {
-		return in
-	}
-	run := power.Activity{Reads: s.MCAccesses * 0.6, Writes: s.MCAccesses * 0.4}
-	return append(in, ctl.FrontEnd.Energy.DynamicPower(run), ctl.Backend.Energy.DynamicPower(run),
-		ctl.PHY.Energy.DynamicPower(run))
 }
 
 func buildNIU(b *builder) (float64, error) {
@@ -299,30 +257,14 @@ func buildPCIe(b *builder) (float64, error) {
 	return pat.Area, nil
 }
 
-// emitIO adds the NIU and the PCIe controller, each running at its full
-// line rate at TDP.
-func (p *Processor) emitIO(b *power.Builder) {
-	if niu := p.Cfg.NIU; niu != nil {
-		b.LeafPAT("NIU", *p.niu, power.Activity{Reads: 2 * niu.Bandwidth * float64(maxInt(niu.Count, 1))})
-	}
-	if pcie := p.Cfg.PCIe; pcie != nil {
-		lanes := float64(maxInt(pcie.Lanes, 1))
-		gbps := pcie.GbpsPerLane
-		if gbps <= 0 {
-			gbps = 2.5
-		}
-		b.LeafPAT("PCIe", *p.pcie, power.Activity{Reads: lanes * gbps * 1e9})
-	}
-}
-
-func (p *Processor) scoreIO(in []float64, s *Stats) []float64 {
+// walkIO adds the NIU and the PCIe controller.
+func (p *Processor) walkIO(b *power.Builder, s *Stats) {
 	if p.niu != nil {
-		in = append(in, p.niu.Energy.DynamicPower(power.Activity{Reads: s.NIUBitsPerSec}))
+		b.Leaf("NIU", p.niu, p.niu.Energy.DynamicPower(power.Activity{Reads: s.NIUBitsPerSec}))
 	}
 	if p.pcie != nil {
-		in = append(in, p.pcie.Energy.DynamicPower(power.Activity{Reads: s.PCIeBitsPerSec}))
+		b.Leaf("PCIe", p.pcie, p.pcie.Energy.DynamicPower(power.Activity{Reads: s.PCIeBitsPerSec}))
 	}
-	return in
 }
 
 // buildFabric synthesizes the configured fabric; every failure is a
@@ -434,59 +376,37 @@ func synthFabric(b *builder) error {
 	return nil
 }
 
-// emitFabric adds the fabric. Its peak and runtime rates are flits (or
-// transfers) per second per router, link, or bus; a mesh or ring leaf
-// stands for all its routers or links.
-func (p *Processor) emitFabric(b *power.Builder) {
+// walkFabric adds the fabric. Its rates are flits (or transfers) per
+// second per router, link, or bus; a mesh or ring leaf stands for all
+// its routers or links.
+func (p *Processor) walkFabric(b *power.Builder, s *Stats) {
 	noc := &p.Cfg.NoC
-	hz := p.Cfg.ClockHz
+	flits := power.Activity{Reads: s.NoCFlits}
 	switch noc.Kind {
 	case Mesh:
 		nr, nl := float64(noc.MeshX*noc.MeshY), float64(linkCount(noc.MeshX, noc.MeshY))
-		const peakDuty = 0.4 // flits per router per cycle at TDP
-		peak := power.Activity{Reads: peakDuty * hz}
 		b.Open("NoC")
-		b.Scale(b.LeafPAT("routers", p.router.PAT, peak), nr)
-		b.Scale(b.LeafPAT("links", p.link.PAT, peak), nl)
+		b.Scale(b.Leaf("routers", &p.router.PAT, p.router.Energy.DynamicPower(flits)), nr)
+		b.Scale(b.Leaf("links", &p.link.PAT, p.link.Energy.DynamicPower(flits)), nl)
 		if p.clusterBus != nil {
-			b.Scale(b.LeafPAT("clusterbus", p.clusterBus.PAT, power.Activity{Reads: 0.6 * hz}), nr)
+			b.Scale(b.Leaf("clusterbus", &p.clusterBus.PAT, p.clusterBus.Energy.DynamicPower(power.Activity{Reads: s.ClusterBusTransfers})), nr)
 		}
 		b.Close()
 	case Ring:
-		// Every flit traverses ~stations/4 hops on average, so per-router
-		// forwarding duty runs high at TDP.
-		const peakDuty = 0.5
 		ns := float64(p.Cfg.NumCores + banksOf(p.Cfg.L2))
-		peak := power.Activity{Reads: peakDuty * hz}
 		b.Open("Ring")
-		b.Scale(b.LeafPAT("routers", p.router.PAT, peak), ns)
-		b.Scale(b.LeafPAT("links", p.link.PAT, peak), ns)
+		b.Scale(b.Leaf("routers", &p.router.PAT, p.router.Energy.DynamicPower(flits)), ns)
+		b.Scale(b.Leaf("links", &p.link.PAT, p.link.Energy.DynamicPower(flits)), ns)
 		b.Close()
 	case Bus:
-		const peakDuty = 0.8
 		b.Open("Bus")
-		b.LeafPAT("bus", p.link.PAT, power.Activity{Reads: peakDuty * hz})
+		b.Leaf("bus", &p.link.PAT, p.link.Energy.DynamicPower(flits))
 		b.Close()
 	case Crossbar:
-		peakDuty := 0.5 * float64(p.Cfg.NumCores) // port pairs busy at TDP
 		b.Open("Crossbar")
-		b.LeafPAT("crossbar", p.link.PAT, power.Activity{Reads: peakDuty * hz})
+		b.Leaf("crossbar", &p.link.PAT, p.link.Energy.DynamicPower(flits))
 		b.Close()
 	}
-}
-
-func (p *Processor) scoreFabric(in []float64, s *Stats) []float64 {
-	run := power.Activity{Reads: s.NoCFlits}
-	switch p.Cfg.NoC.Kind {
-	case Mesh, Ring:
-		in = append(in, p.router.Energy.DynamicPower(run), p.link.Energy.DynamicPower(run))
-		if p.clusterBus != nil {
-			in = append(in, p.clusterBus.Energy.DynamicPower(power.Activity{Reads: s.ClusterBusTransfers}))
-		}
-	case Bus, Crossbar:
-		in = append(in, p.link.Energy.DynamicPower(run))
-	}
-	return in
 }
 
 func buildClock(b *builder) (float64, error) {
@@ -507,30 +427,23 @@ func buildClock(b *builder) (float64, error) {
 	return 0, nil
 }
 
-func (p *Processor) emitClock(b *power.Builder) {
+// walkClock adds the clock network. Its TDP is the gated peak
+// PowerPeak; at runtime its power follows the pipeline duty, and
+// shared-cache or fabric traffic without one floors it at 0.5. With no
+// runtime statistics it is 0.
+func (p *Processor) walkClock(b *power.Builder, s *Stats) {
 	net := p.clk
-	b.Leaf("ClockNetwork", net.Area, net.PowerPeak, net.Static.Sub, net.Static.Gate)
-}
-
-// scoreClock: runtime clock power follows the pipeline duty; shared-cache
-// or fabric traffic without one floors it at 0.5. With no runtime
-// statistics it is 0.
-func (p *Processor) scoreClock(in []float64, s *Stats) []float64 {
-	util := s.CoreRun.PipelineDuty
-	if util <= 0 && (s.L2Reads > 0 || s.NoCFlits > 0) {
-		util = 0.5
+	rd := net.PowerPeak
+	if b.Scoring() {
+		util := s.CoreRun.PipelineDuty
+		if util <= 0 && (s.L2Reads > 0 || s.NoCFlits > 0) {
+			util = 0.5
+		}
+		rd = 0
+		if util > 0 {
+			// Same network, gated down with activity.
+			rd = net.PowerMax * (0.35 + 0.65*util) * p.Cfg.ClockGating
+		}
 	}
-	rd := 0.0
-	if util > 0 {
-		// Same network, gated down with activity.
-		rd = p.clk.PowerMax * (0.35 + 0.65*util) * p.Cfg.ClockGating
-	}
-	return append(in, rd)
-}
-
-// emitOther adds the known-but-unmodeled area, a row with no power.
-func (p *Processor) emitOther(b *power.Builder) {
-	if area := p.Cfg.OtherArea; area > 0 {
-		b.Fixed("Other(unmodeled)", area, 0, 0, 0)
-	}
+	b.Leaf("ClockNetwork", &net.PAT, rd)
 }

@@ -187,7 +187,8 @@ type Processor struct {
 	clusterBus *interconnect.Link // intra-cluster bus (clustered meshes)
 	mcCtl      *mc.Controller
 	clk        *clock.Network
-	// A shared FPU, the NIU and the PCIe controller (nil: none).
+	// The shared FPUs (one block of SharedFPUs units), the NIU and the
+	// PCIe controller (nil: none).
 	fpu, niu, pcie *power.PAT
 
 	corePeak core.Activity

@@ -254,15 +254,15 @@ type Core struct {
 	sel   power.PAT
 
 	// EXU
-	intRF     *array.Result
-	fpRF      *array.Result
-	alu       power.PAT
-	fpu       power.PAT
-	mul       power.PAT
-	bypassE   float64 // J per operand transported on the bypass/result bus
-	bypassPAT power.PAT
-	pipeline  pipelineRegs
-	glue      glueLogic
+	intRF *array.Result
+	fpRF  *array.Result
+	// The IntALUs, FPUs and MulDivs units, each kind as one block
+	// (power.PAT.Units).
+	alus, fpus, muls power.PAT
+	// The result/bypass bus; its read energy is one operand transported.
+	bypass   power.PAT
+	pipeline pipelineRegs
+	glue     glueLogic
 
 	// LSU
 	dcache    *array.Result
@@ -274,28 +274,25 @@ type Core struct {
 	dtlb *array.Result
 
 	// The report root's area (m^2, with layout overhead) and its rolled-up
-	// subthreshold leakage (W), fixed at synthesis: see Area and
-	// AppendRuntime.
+	// subthreshold leakage (W), fixed at synthesis: see Area and Walk.
 	area, subLeak float64
 }
 
 // glueLogic models the non-array, non-FU control and datapath logic of
 // the core as a synthesized standard-cell population.
 type glueLogic struct {
-	gates   float64
-	ePerCyc float64 // J per fully active cycle (10% of gates toggle)
-	leak    power.Static
-	area    float64
+	power.PAT // area and leakage
+	gates     float64
+	ePerCyc   float64 // J per fully active cycle (10% of gates toggle)
 }
 
 // pipelineRegs tracks the latch overhead of the core pipeline.
 type pipelineRegs struct {
-	bits     float64 // total pipeline register bits
-	ff       circuit.DFF
-	leak     power.Static
-	area     float64
-	ePerCyc  float64 // J per cycle at full activity (clk + data toggles)
-	ePerIdle float64 // J per cycle when stalled (clock only, gated fraction)
+	power.PAT         // area and leakage
+	bits      float64 // total pipeline register bits
+	ff        circuit.DFF
+	ePerCyc   float64 // J per cycle at full activity (clk + data toggles)
+	ePerIdle  float64 // J per cycle when stalled (clock only, gated fraction)
 }
 
 // New synthesizes the core.
@@ -494,18 +491,24 @@ func New(cfg Config) (*Core, error) {
 			return nil, err
 		}
 	}
-	if c.alu, err = logic.FunctionalUnit(n, cfg.Dev, cfg.LongChannel, logic.IntALU); err != nil {
+	alu, err := logic.FunctionalUnit(n, cfg.Dev, cfg.LongChannel, logic.IntALU)
+	if err != nil {
 		return nil, err
 	}
+	c.alus = alu.Units(cfg.IntALUs)
 	if cfg.FPUs > 0 {
-		if c.fpu, err = logic.FunctionalUnit(n, cfg.Dev, cfg.LongChannel, logic.FPU); err != nil {
+		fpu, err := logic.FunctionalUnit(n, cfg.Dev, cfg.LongChannel, logic.FPU)
+		if err != nil {
 			return nil, err
 		}
+		c.fpus = fpu.Units(cfg.FPUs)
 	}
 	if cfg.MulDivs > 0 {
-		if c.mul, err = logic.FunctionalUnit(n, cfg.Dev, cfg.LongChannel, logic.MulDiv); err != nil {
+		mul, err := logic.FunctionalUnit(n, cfg.Dev, cfg.LongChannel, logic.MulDiv)
+		if err != nil {
 			return nil, err
 		}
+		c.muls = mul.Units(cfg.MulDivs)
 	}
 
 	// ---------------- LSU -----------------------------------------------
@@ -552,7 +555,9 @@ func New(cfg Config) (*Core, error) {
 	// ---------------- Bypass network and pipeline registers -------------
 	c.buildBypassAndPipeline()
 	b := power.NewBuilder(nil)
-	root := b.Row(c.Emit(&b, cfg.Name, PeakActivity(cfg)))
+	peak := PeakActivity(cfg)
+	r := c.Walk(&b, cfg.Name, &peak)
+	root := b.Program().Rows[r]
 	c.area, c.subLeak = root.Area, root.SubLeak
 	return c, nil
 }
@@ -567,8 +572,7 @@ func (c *Core) buildBypassAndPipeline() {
 	cc := circuit.NewCtx(n, cfg.Dev, cfg.LongChannel)
 
 	// EXU span estimate: RFs + FUs laid out in a row.
-	exuArea := c.intRF.Area + float64(cfg.IntALUs)*c.alu.Area +
-		float64(cfg.FPUs)*c.fpu.Area + float64(cfg.MulDivs)*c.mul.Area
+	exuArea := c.intRF.Area + c.alus.Area + c.fpus.Area + c.muls.Area
 	if c.fpRF != nil {
 		exuArea += c.fpRF.Area
 	}
@@ -576,10 +580,10 @@ func (c *Core) buildBypassAndPipeline() {
 
 	wire := n.Wire(tech.Aggressive, tech.SemiGlobal)
 	res := cc.RepeatedWire(wire, span)
-	// One operand transported = DatapathBits wires toggling at 50%.
-	c.bypassE = float64(cfg.DatapathBits) * 0.5 * res.EnergyPerBit
 	busCount := float64(cfg.IssueWidth + cfg.IntALUs + cfg.FPUs + cfg.MulDivs)
-	c.bypassPAT = power.PAT{
+	c.bypass = power.PAT{
+		// One operand transported = DatapathBits wires toggling at 50%.
+		Energy: power.Energy{Read: float64(cfg.DatapathBits) * 0.5 * res.EnergyPerBit},
 		Static: power.Static{
 			Sub:  res.SubLeak * float64(cfg.DatapathBits) * busCount,
 			Gate: res.GateLeak * float64(cfg.DatapathBits) * busCount,
@@ -596,13 +600,15 @@ func (c *Core) buildBypassAndPipeline() {
 	backEndStages := float64(cfg.PipelineDepth) * 0.6
 	bits := bitsPerStage * (frontEndStages*float64(cfg.Threads)*0.5 + backEndStages)
 	c.pipeline = pipelineRegs{
-		bits: bits,
-		ff:   ff,
-		leak: power.Static{
-			Sub:  ff.SubLeak * bits,
-			Gate: ff.GateLeak * bits,
+		PAT: power.PAT{
+			Static: power.Static{
+				Sub:  ff.SubLeak * bits,
+				Gate: ff.GateLeak * bits,
+			},
+			Area: ff.Area * bits,
 		},
-		area:     ff.Area * bits,
+		bits:     bits,
+		ff:       ff,
 		ePerCyc:  bits * (ff.EnergyClk + 0.3*ff.EnergyData),
 		ePerIdle: bits * ff.EnergyClk * 0.3, // gated clock residue
 	}
@@ -615,13 +621,15 @@ func (c *Core) buildBypassAndPipeline() {
 	load := 4 * cc.InvCin(2*wmin)
 	glueW := gates * 6 * wmin
 	c.glue = glueLogic{
+		PAT: power.PAT{
+			Static: power.Static{
+				Sub:  cc.Dev.Ioff(glueW/2, glueW/2) * cc.Vdd(),
+				Gate: cc.Dev.Ig(glueW) * cc.Vdd(),
+			},
+			Area: gates * 600 * n.Feature * n.Feature,
+		},
 		gates:   gates,
 		ePerCyc: gates * cfg.GlueActivity * cc.SwitchE(load),
-		leak: power.Static{
-			Sub:  cc.Dev.Ioff(glueW/2, glueW/2) * cc.Vdd(),
-			Gate: cc.Dev.Ig(glueW) * cc.Vdd(),
-		},
-		area: gates * 600 * n.Feature * n.Feature,
 	}
 }
 

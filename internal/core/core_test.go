@@ -11,14 +11,18 @@ import (
 )
 
 // report builds the core's report tree through the program a chip
-// scores: peak gives the TDP activity, run the runtime activity (the
-// zero Activity for none).
+// scores: its walk compiled at peak, the TDP activity, and scored at
+// run, the runtime activity (the zero Activity for none).
 func report(c *Core, peak, run Activity) *power.Item {
 	b := power.NewBuilder(nil)
-	c.Emit(&b, c.Cfg.Name, peak)
+	c.Walk(&b, c.Cfg.Name, &peak)
 	prog := b.Program()
 	slab := make([]float64, prog.SlabLen())
-	c.AppendRuntime(prog.InputBuf(slab), run)
+	s := power.NewScoreBuilder(prog.InputBuf(slab))
+	c.Walk(&s, c.Cfg.Name, &run)
+	if len(s.Inputs()) != prog.Inputs {
+		panic("core: the scoring walk's inputs do not match the compiled report")
+	}
 	sc := prog.Run(slab, 1, 1)
 	return sc.Tree()
 }

@@ -110,213 +110,115 @@ func rw(reads, writes, searches float64) power.Activity {
 	return power.Activity{Reads: reads, Writes: writes, Searches: searches}
 }
 
-// dynamic appends the dynamic power (W) of every leaf of the core's
-// report under activity a, in report order: the one definition of how
-// activity drives each leaf, used for the TDP column at compile time
-// (with the peak activity) and for the runtime inputs of every score.
-// The pipeline leaf alone differs between the two: at runtime an idle
-// pipeline (no duty) draws nothing.
-func (c *Core) dynamic(dst []float64, a Activity, runtime bool) []float64 {
+// Walk adds the core's report subtree, rooted at a node named name, to
+// b with every leaf's dynamic power under activity a, and returns the
+// root's row: the one definition of the core's leaves and of how
+// activity drives each, run at the peak activity to compile the TDP
+// columns and at the runtime activity to score. The pipeline leaf
+// alone differs between the two: at runtime an idle pipeline (no duty)
+// draws nothing. The root takes the layout overhead after its rollup,
+// and a power-gated core's root takes as its LeakSaved ~70% of the
+// core's subthreshold leakage over the idle fraction of its cycles.
+func (c *Core) Walk(b *power.Builder, name string, a *Activity) int {
 	cfg := &c.Cfg
 	hz := cfg.ClockHz
-
-	// IFU
-	dst = append(dst,
-		c.icache.Energy.DynamicPower(rw(a.ICacheAccess*hz, a.CacheMiss*hz*0.3, 0)),
-		c.icacheMSH.Energy.DynamicPower(rw(a.CacheMiss*hz*0.3, a.CacheMiss*hz*0.3, a.CacheMiss*hz*0.3)))
-	if c.btb != nil {
-		dst = append(dst, c.btb.Energy.DynamicPower(rw(a.BTBAccess*hz, a.BTBAccess*hz*0.1, 0)))
-	}
-	for _, pr := range [...]*array.Result{c.localPred, c.globPred, c.chooser} {
-		if pr != nil {
-			dst = append(dst, pr.Energy.DynamicPower(rw(a.PredAccess*hz, a.PredAccess*hz, 0)))
-		}
-	}
-	if c.ras != nil {
-		dst = append(dst, c.ras.Energy.DynamicPower(rw(a.PredAccess*hz*0.3, a.PredAccess*hz*0.3, 0)))
-	}
-	dst = append(dst,
-		c.fetchBuf.Energy.DynamicPower(rw(a.Decode*hz, a.ICacheAccess*hz, 0)),
-		c.decoder.Energy.DynamicPower(rw(a.Decode*hz, 0, 0)))
-
-	// RNU and scheduler
-	if cfg.OoO {
-		if cfg.RenameCAM {
-			dst = append(dst,
-				c.intRAT.Energy.DynamicPower(rw(0, a.Rename*hz, 2*a.Rename*hz)),
-				c.fpRAT.Energy.DynamicPower(rw(0, 0.25*a.Rename*hz, 0.5*a.Rename*hz)))
-		} else {
-			dst = append(dst,
-				c.intRAT.Energy.DynamicPower(rw(2*a.Rename*hz, a.Rename*hz, 0)),
-				c.fpRAT.Energy.DynamicPower(rw(0.5*a.Rename*hz, 0.25*a.Rename*hz, 0)))
-		}
-		dst = append(dst,
-			c.freeList.Energy.DynamicPower(rw(a.Rename*hz, a.Rename*hz, 0)),
-			c.depCheck.Energy.DynamicPower(rw(a.Rename*hz/float64(maxInt(cfg.DecodeWidth, 1)), 0, 0)),
-			c.intIQ.Energy.DynamicPower(rw(a.IQIssue*hz, a.IQWrite*hz, a.IQWakeup*hz)),
-			c.fpIQ.Energy.DynamicPower(rw(a.FPOp*hz, a.FPOp*hz, a.FPOp*hz)),
-			c.rob.Energy.DynamicPower(rw(a.ROBAcc*hz*0.5, a.ROBAcc*hz*0.5, 0)),
-			c.sel.Energy.DynamicPower(rw(a.IQIssue*hz, 0, 0)))
-	} else {
-		dst = append(dst, c.intIQ.Energy.DynamicPower(rw(a.Decode*hz, a.Decode*hz, 0)))
-	}
-
-	// EXU
-	dst = append(dst, c.intRF.Energy.DynamicPower(rw(a.RFRead*hz, a.RFWrite*hz, 0)))
-	if c.fpRF != nil {
-		dst = append(dst, c.fpRF.Energy.DynamicPower(rw(a.FPRFRead*hz, a.FPRFWrite*hz, 0)))
-	}
-	dst = append(dst, c.alu.Energy.DynamicPower(rw(a.IntOp*hz, 0, 0)))
-	if cfg.FPUs > 0 {
-		dst = append(dst, c.fpu.Energy.DynamicPower(rw(a.FPOp*hz, 0, 0)))
-	}
-	if cfg.MulDivs > 0 {
-		dst = append(dst, c.mul.Energy.DynamicPower(rw(a.MulOp*hz, 0, 0)))
-	}
-	pl := 0.0
-	if !runtime || a.PipelineDuty > 0 {
-		pl = c.pipeline.ePerCyc*a.PipelineDuty + c.pipeline.ePerIdle*(1-a.PipelineDuty)
-	}
-	dst = append(dst,
-		power.Energy{Read: c.bypassE}.DynamicPower(rw(a.Bypass*hz, 0, 0)),
-		pl*hz,
-		c.glue.ePerCyc*a.PipelineDuty*hz)
-
-	// LSU and MMU
-	return append(dst,
-		c.dcache.Energy.DynamicPower(rw(a.DCacheRead*hz, a.DCacheWrite*hz, 0)),
-		c.dcacheMSH.Energy.DynamicPower(rw(a.CacheMiss*hz, a.CacheMiss*hz, a.CacheMiss*hz)),
-		c.lsq.Energy.DynamicPower(rw(a.LSQAccess*hz, a.LSQAccess*hz, a.LSQSearch*hz)),
-		c.itlb.Energy.DynamicPower(rw(0, a.CacheMiss*hz*0.01, a.ITLBAccess*hz)),
-		c.dtlb.Energy.DynamicPower(rw(0, a.CacheMiss*hz*0.01, a.DTLBAccess*hz)))
-}
-
-// maxLeaves sizes Emit's stack buffer for the leaves' peak dynamic
-// power (an out-of-order core with every optional unit has 30 leaves).
-const maxLeaves = 32
-
-// Emit compiles the core's report subtree, rooted at a node named name,
-// with its TDP columns at peak activity, and returns the root's row.
-// The root takes the layout overhead after its rollup, and a power-gated
-// core's root takes its LeakSaved as a score input (see AppendRuntime).
-func (c *Core) Emit(b *power.Builder, name string, peak Activity) int {
-	cfg := &c.Cfg
-	var buf [maxLeaves]float64
-	pk := c.dynamic(buf[:0], peak, false)
-	i := 0
-	leaf := func(name string, p power.PAT) {
-		b.Leaf(name, p.Area, pk[i], p.Static.Sub, p.Static.Gate)
-		i++
-	}
-	// units is a functional-unit leaf: n copies, one activity stream.
-	units := func(name string, p power.PAT, n int) {
-		b.Leaf(name, p.Area*float64(n), pk[i], p.Static.Sub*float64(n), p.Static.Gate*float64(n))
-		i++
-	}
-
 	b.Open(name)
 
 	b.Open("IFU")
-	leaf("icache", c.icache.PAT)
-	leaf("icache.mshr", c.icacheMSH.PAT)
+	b.Leaf("icache", &c.icache.PAT, c.icache.Energy.DynamicPower(rw(a.ICacheAccess*hz, a.CacheMiss*hz*0.3, 0)))
+	b.Leaf("icache.mshr", &c.icacheMSH.PAT, c.icacheMSH.Energy.DynamicPower(rw(a.CacheMiss*hz*0.3, a.CacheMiss*hz*0.3, a.CacheMiss*hz*0.3)))
 	if c.btb != nil {
-		leaf("btb", c.btb.PAT)
+		b.Leaf("btb", &c.btb.PAT, c.btb.Energy.DynamicPower(rw(a.BTBAccess*hz, a.BTBAccess*hz*0.1, 0)))
 	}
 	if c.localPred != nil || c.globPred != nil || c.chooser != nil || c.ras != nil {
 		b.Open("predictor")
 		for _, pr := range [...]struct {
 			name string
 			r    *array.Result
-		}{{"local", c.localPred}, {"global", c.globPred}, {"chooser", c.chooser}, {"ras", c.ras}} {
+		}{{"local", c.localPred}, {"global", c.globPred}, {"chooser", c.chooser}} {
 			if pr.r != nil {
-				leaf(pr.name, pr.r.PAT)
+				b.Leaf(pr.name, &pr.r.PAT, pr.r.Energy.DynamicPower(rw(a.PredAccess*hz, a.PredAccess*hz, 0)))
 			}
+		}
+		if c.ras != nil {
+			b.Leaf("ras", &c.ras.PAT, c.ras.Energy.DynamicPower(rw(a.PredAccess*hz*0.3, a.PredAccess*hz*0.3, 0)))
 		}
 		b.Close()
 	}
-	leaf("fetchbuffer", c.fetchBuf.PAT)
-	leaf("decoder", c.decoder)
+	b.Leaf("fetchbuffer", &c.fetchBuf.PAT, c.fetchBuf.Energy.DynamicPower(rw(a.Decode*hz, a.ICacheAccess*hz, 0)))
+	b.Leaf("decoder", &c.decoder, c.decoder.Energy.DynamicPower(rw(a.Decode*hz, 0, 0)))
 	b.Close()
 
 	if cfg.OoO {
 		b.Open("RenameUnit")
-		leaf("rat.int", c.intRAT.PAT)
-		leaf("rat.fp", c.fpRAT.PAT)
-		leaf("freelist", c.freeList.PAT)
-		leaf("depcheck", c.depCheck)
+		if cfg.RenameCAM {
+			b.Leaf("rat.int", &c.intRAT.PAT, c.intRAT.Energy.DynamicPower(rw(0, a.Rename*hz, 2*a.Rename*hz)))
+			b.Leaf("rat.fp", &c.fpRAT.PAT, c.fpRAT.Energy.DynamicPower(rw(0, 0.25*a.Rename*hz, 0.5*a.Rename*hz)))
+		} else {
+			b.Leaf("rat.int", &c.intRAT.PAT, c.intRAT.Energy.DynamicPower(rw(2*a.Rename*hz, a.Rename*hz, 0)))
+			b.Leaf("rat.fp", &c.fpRAT.PAT, c.fpRAT.Energy.DynamicPower(rw(0.5*a.Rename*hz, 0.25*a.Rename*hz, 0)))
+		}
+		b.Leaf("freelist", &c.freeList.PAT, c.freeList.Energy.DynamicPower(rw(a.Rename*hz, a.Rename*hz, 0)))
+		b.Leaf("depcheck", &c.depCheck, c.depCheck.Energy.DynamicPower(rw(a.Rename*hz/float64(maxInt(cfg.DecodeWidth, 1)), 0, 0)))
 		b.Close()
 		b.Open("Scheduler")
-		leaf("iq.int", c.intIQ.PAT)
-		leaf("iq.fp", c.fpIQ.PAT)
-		leaf("rob", c.rob.PAT)
-		leaf("select", c.sel)
+		b.Leaf("iq.int", &c.intIQ.PAT, c.intIQ.Energy.DynamicPower(rw(a.IQIssue*hz, a.IQWrite*hz, a.IQWakeup*hz)))
+		b.Leaf("iq.fp", &c.fpIQ.PAT, c.fpIQ.Energy.DynamicPower(rw(a.FPOp*hz, a.FPOp*hz, a.FPOp*hz)))
+		b.Leaf("rob", &c.rob.PAT, c.rob.Energy.DynamicPower(rw(a.ROBAcc*hz*0.5, a.ROBAcc*hz*0.5, 0)))
+		b.Leaf("select", &c.sel, c.sel.Energy.DynamicPower(rw(a.IQIssue*hz, 0, 0)))
 		b.Close()
 	} else {
 		b.Open("InstQueue")
-		leaf("instq", c.intIQ.PAT)
+		b.Leaf("instq", &c.intIQ.PAT, c.intIQ.Energy.DynamicPower(rw(a.Decode*hz, a.Decode*hz, 0)))
 		b.Close()
 	}
 
 	b.Open("EXU")
-	leaf("rf.int", c.intRF.PAT)
+	b.Leaf("rf.int", &c.intRF.PAT, c.intRF.Energy.DynamicPower(rw(a.RFRead*hz, a.RFWrite*hz, 0)))
 	if c.fpRF != nil {
-		leaf("rf.fp", c.fpRF.PAT)
+		b.Leaf("rf.fp", &c.fpRF.PAT, c.fpRF.Energy.DynamicPower(rw(a.FPRFRead*hz, a.FPRFWrite*hz, 0)))
 	}
-	units("alus", c.alu, cfg.IntALUs)
+	b.Leaf("alus", &c.alus, c.alus.Energy.DynamicPower(rw(a.IntOp*hz, 0, 0)))
 	if cfg.FPUs > 0 {
-		units("fpus", c.fpu, cfg.FPUs)
+		b.Leaf("fpus", &c.fpus, c.fpus.Energy.DynamicPower(rw(a.FPOp*hz, 0, 0)))
 	}
 	if cfg.MulDivs > 0 {
-		units("muldiv", c.mul, cfg.MulDivs)
+		b.Leaf("muldiv", &c.muls, c.muls.Energy.DynamicPower(rw(a.MulOp*hz, 0, 0)))
 	}
-	leaf("bypass", c.bypassPAT)
-	b.Leaf("pipeline", c.pipeline.area, pk[i], c.pipeline.leak.Sub, c.pipeline.leak.Gate)
-	b.Leaf("glue", c.glue.area, pk[i+1], c.glue.leak.Sub, c.glue.leak.Gate)
-	i += 2
+	b.Leaf("bypass", &c.bypass, c.bypass.Energy.DynamicPower(rw(a.Bypass*hz, 0, 0)))
+	pl := 0.0
+	if !b.Scoring() || a.PipelineDuty > 0 {
+		pl = c.pipeline.ePerCyc*a.PipelineDuty + c.pipeline.ePerIdle*(1-a.PipelineDuty)
+	}
+	b.Leaf("pipeline", &c.pipeline.PAT, pl*hz)
+	b.Leaf("glue", &c.glue.PAT, c.glue.ePerCyc*a.PipelineDuty*hz)
 	b.Close()
 
 	b.Open("LSU")
-	leaf("dcache", c.dcache.PAT)
-	leaf("dcache.mshr", c.dcacheMSH.PAT)
-	leaf("lsq", c.lsq.PAT)
+	b.Leaf("dcache", &c.dcache.PAT, c.dcache.Energy.DynamicPower(rw(a.DCacheRead*hz, a.DCacheWrite*hz, 0)))
+	b.Leaf("dcache.mshr", &c.dcacheMSH.PAT, c.dcacheMSH.Energy.DynamicPower(rw(a.CacheMiss*hz, a.CacheMiss*hz, a.CacheMiss*hz)))
+	b.Leaf("lsq", &c.lsq.PAT, c.lsq.Energy.DynamicPower(rw(a.LSQAccess*hz, a.LSQAccess*hz, a.LSQSearch*hz)))
 	b.Close()
 
 	b.Open("MMU")
-	leaf("itlb", c.itlb.PAT)
-	leaf("dtlb", c.dtlb.PAT)
+	b.Leaf("itlb", &c.itlb.PAT, c.itlb.Energy.DynamicPower(rw(0, a.CacheMiss*hz*0.01, a.ITLBAccess*hz)))
+	b.Leaf("dtlb", &c.dtlb.PAT, c.dtlb.Energy.DynamicPower(rw(0, a.CacheMiss*hz*0.01, a.DTLBAccess*hz)))
 	b.Close()
 
 	r := b.Close()
-	if i != len(pk) {
-		panic("core: report leaves and their dynamic powers differ in number")
-	}
 	// Layout overhead: routing channels and white space within the core.
-	root := b.Row(r)
-	root.Area *= 1.25
+	b.AreaOverhead(r, 1.25)
 	if cfg.PowerGating {
-		// Sleep transistors: ~5% area overhead; the leakage they save
-		// is a score input.
-		root.Area *= 1.05
-		b.InputLeakSaved(r)
-	}
-	return r
-}
-
-// AppendRuntime appends the core's score inputs under runtime activity
-// run, in the order Emit assigned them: every leaf's runtime dynamic
-// power, then for a power-gated core the leakage saved, ~70% of the
-// core's subthreshold leakage over the idle fraction of its cycles.
-func (c *Core) AppendRuntime(dst []float64, run Activity) []float64 {
-	dst = c.dynamic(dst, run, true)
-	if c.Cfg.PowerGating {
+		// Sleep transistors: ~5% area overhead.
+		b.AreaOverhead(r, 1.05)
 		saved := 0.0
-		if run.PipelineDuty > 0 {
-			idle := 1 - run.PipelineDuty
+		if a.PipelineDuty > 0 {
+			idle := 1 - a.PipelineDuty
 			saved = 0.7 * idle * c.subLeak
 		}
-		dst = append(dst, saved)
+		b.LeakSaved(r, saved)
 	}
-	return dst
+	return r
 }
 
 // Area returns the core area (m^2) including layout overhead: the root

@@ -32,14 +32,14 @@ func (c *Core) Timings() []Timing {
 		add("rob", c.rob.AccessTime, c.rob.CycleTime)
 		add("select", c.sel.Delay, c.sel.Delay)
 	}
-	add("alu", c.alu.Delay, c.alu.Delay)
+	add("alu", c.alus.Delay, c.alus.Delay)
 	if c.Cfg.FPUs > 0 {
-		add("fpu-stage", c.fpu.Delay, c.fpu.Delay)
+		add("fpu-stage", c.fpus.Delay, c.fpus.Delay)
 	}
 	if c.Cfg.MulDivs > 0 {
-		add("muldiv-stage", c.mul.Delay, c.mul.Delay)
+		add("muldiv-stage", c.muls.Delay, c.muls.Delay)
 	}
-	add("bypass", c.bypassPAT.Delay, c.bypassPAT.Delay)
+	add("bypass", c.bypass.Delay, c.bypass.Delay)
 	add("lsq", c.lsq.AccessTime, c.lsq.CycleTime)
 	add("itlb", c.itlb.AccessTime, c.itlb.CycleTime)
 	add("dtlb", c.dtlb.AccessTime, c.dtlb.CycleTime)
