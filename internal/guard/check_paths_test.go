@@ -13,20 +13,20 @@ import (
 
 // chain builds a healthy tree whose spine runs depth levels below the
 // root; every spine node also has a leaf sibling. spine[d] is the spine
-// node at depth d (spine[0] is the root).
+// node at depth d (spine[0] is the root). Every leaf carries the same
+// values, so a spine node carries them times its leaf count, exactly.
 func chain(depth int) (root *power.Item, spine []*power.Item) {
 	spine = make([]*power.Item, depth+1)
-	for d := range spine {
-		spine[d] = power.NewItem(fmt.Sprintf("n%d", d))
+	for d := depth; d >= 0; d-- {
+		k := float64(depth - d + 1)
+		spine[d] = &power.Item{Name: fmt.Sprintf("n%d", d), Area: k, PeakDynamic: 2 * k,
+			RuntimeDynamic: k, SubLeak: 0.5 * k, GateLeak: 0.25 * k}
+		if d < depth {
+			leaf := &power.Item{Name: fmt.Sprintf("leaf%d", d+1), Area: 1, PeakDynamic: 2,
+				RuntimeDynamic: 1, SubLeak: 0.5, GateLeak: 0.25}
+			spine[d].Children = []*power.Item{spine[d+1], leaf}
+		}
 	}
-	for d := 0; d < depth; d++ {
-		leaf := &power.Item{Name: fmt.Sprintf("leaf%d", d+1), Area: 1, PeakDynamic: 2,
-			RuntimeDynamic: 1, SubLeak: 0.5, GateLeak: 0.25}
-		spine[d].Add(spine[d+1], leaf)
-	}
-	*spine[depth] = power.Item{Name: spine[depth].Name, Area: 1, PeakDynamic: 2,
-		RuntimeDynamic: 1, SubLeak: 0.5, GateLeak: 0.25}
-	spine[0].Rollup()
 	return spine[0], spine
 }
 

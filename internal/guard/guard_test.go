@@ -157,12 +157,11 @@ func TestWireErrorStandsInForItsError(t *testing.T) {
 }
 
 func okTree() *power.Item {
-	root := power.NewItem("chip")
-	a := &power.Item{Name: "cores", Area: 2, PeakDynamic: 10, SubLeak: 1, GateLeak: 0.5}
-	b := &power.Item{Name: "l2", Area: 1, PeakDynamic: 3, SubLeak: 0.5, GateLeak: 0.25}
-	root.Add(a, b)
-	root.Rollup()
-	return root
+	return &power.Item{Name: "chip", Area: 3, PeakDynamic: 13, SubLeak: 1.5, GateLeak: 0.75,
+		Children: []*power.Item{
+			{Name: "cores", Area: 2, PeakDynamic: 10, SubLeak: 1, GateLeak: 0.5},
+			{Name: "l2", Area: 1, PeakDynamic: 3, SubLeak: 0.5, GateLeak: 0.25},
+		}}
 }
 
 func TestCheckReportAcceptsHealthyTree(t *testing.T) {

@@ -19,14 +19,14 @@ func fuzzTree(name string, vals [6]float64, shape []byte) *Item {
 		it.Area, it.PeakDynamic, it.RuntimeDynamic = v(0), v(1), v(2)
 		it.SubLeak, it.GateLeak, it.LeakSaved = v(3), v(4), v(5)
 	}
-	root := NewItem(name)
+	root := &Item{Name: name}
 	set(root, 0)
 	nodes := []*Item{root}
 	for i, s := range shape {
 		if i == 64 {
 			break
 		}
-		n := NewItem(name[int(s)%(len(name)+1):])
+		n := &Item{Name: name[int(s)%(len(name)+1):]}
 		set(n, int(s))
 		p := nodes[int(s>>3)%len(nodes)]
 		p.Children = append(p.Children, n)
