@@ -110,6 +110,7 @@ func VFScan(cfg Config, scales []float64) ([]VFPoint, error) {
 	}
 
 	var out []VFPoint
+	var slab Slab
 	for _, s := range scales {
 		v := v0 * s
 		sp := speed(v)
@@ -123,14 +124,17 @@ func VFScan(cfg Config, scales []float64) ([]VFPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep := proc.Report(nil)
+		sc, err := proc.Score(nil, &slab)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, VFPoint{
 			Vdd:            v,
 			ClockHz:        c.ClockHz,
-			TDP:            rep.Peak(),
-			Dynamic:        rep.PeakDynamic,
-			Leakage:        rep.Leakage(),
-			EnergyPerCycle: rep.Peak() / c.ClockHz,
+			TDP:            sc.Peak(0),
+			Dynamic:        sc.PeakDynamic(0),
+			Leakage:        sc.Leakage(0),
+			EnergyPerCycle: sc.Peak(0) / c.ClockHz,
 		})
 	}
 	return out, nil

@@ -138,8 +138,9 @@ func Solve(cfg chip.Config, pkg PackageSpec) (*Result, error) {
 // With nil stats the iteration balances TDP (peak) power against the
 // package — the classic Solve; with stats it balances runtime power,
 // which is the steady state a closed-loop trace converges to on a
-// constant workload. The processor's score temperature is left at the
-// final iterate.
+// constant workload. Every iteration scores the chip into one slab and
+// reads the root's totals. The processor's score temperature is left at
+// the final iterate.
 func SolveProcessor(proc *chip.Processor, stats *chip.Stats, pkg PackageSpec) (*Result, error) {
 	pkg, err := pkg.withDefaults()
 	if err != nil {
@@ -147,21 +148,22 @@ func SolveProcessor(proc *chip.Processor, stats *chip.Stats, pkg PackageSpec) (*
 	}
 	tj := pkg.AmbientK + pkg.InitialGuessOffsetK
 	res := &Result{}
+	var slab chip.Slab
 	for iter := 0; iter < pkg.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		proc.SetScoreTemperature(tj)
-		rep, err := proc.ReportE(stats)
+		sc, err := proc.Score(stats, &slab)
 		if err != nil {
 			return nil, err
 		}
-		power := rep.Peak()
+		power := sc.Peak(0)
 		if stats != nil {
-			power = rep.Runtime()
+			power = sc.Runtime(0)
 		}
 		next := pkg.AmbientK + power*pkg.RthetaJA
 
 		res.TDP = power
-		res.Leakage = rep.Leakage()
+		res.Leakage = sc.Leakage(0)
 		res.Residuals = append(res.Residuals, math.Abs(next-tj))
 		if math.Abs(next-tj) < pkg.ConvergenceTolK {
 			res.TjK = next

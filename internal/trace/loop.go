@@ -206,18 +206,20 @@ type loopState struct {
 	freqFrac float64   // fraction applied on the previous interval
 }
 
-// EnableLoop arms the closed loop for subsequent Run calls. It costs one
-// heap report (block geometry) and, with UseFloorplan, one floorplan —
-// no additional synthesis. Thermal state persists across Run calls on
-// the same engine (so a trace streamed in chunks stays continuous);
+// EnableLoop arms the closed loop for subsequent Run calls. With
+// UseFloorplan it takes the block names and areas from one TDP score
+// into the engine's slab and lays out one floorplan — no additional
+// synthesis and no report tree. Thermal state persists across Run calls
+// on the same engine (so a trace streamed in chunks stays continuous);
 // re-invoke EnableLoop to restart from the initial temperature.
 func (e *Engine) EnableLoop(opts LoopOptions) error {
-	rep, err := e.proc.ReportE(nil)
-	if err != nil {
-		return err
-	}
 	st := &loopState{gov: opts.Governor, maxTjK: opts.Package.MaxTjK}
+	var err error
 	if opts.UseFloorplan {
+		sc, err := e.proc.Score(nil, &e.slab)
+		if err != nil {
+			return err
+		}
 		plan, err := e.proc.Floorplan()
 		if err != nil {
 			return err
@@ -228,18 +230,20 @@ func (e *Engine) EnableLoop(opts LoopOptions) error {
 		// recovers the placed-area scale without reaching into chip
 		// internals.
 		var childSum float64
-		for _, c := range rep.Children {
-			childSum += c.Area
+		n := 0
+		for c := 1; c < sc.Len(); c = sc.End(c) {
+			childSum += sc.Area(c)
+			n++
 		}
 		scale := 1.0
 		if childSum > 0 {
-			scale = rep.Area / childSum
+			scale = sc.Area(0) / childSum
 		}
-		blocks := make([]thermal.Block, 0, len(rep.Children))
-		for _, c := range rep.Children {
+		blocks := make([]thermal.Block, 0, n)
+		for c := 1; c < sc.Len(); c = sc.End(c) {
 			blocks = append(blocks, thermal.Block{
-				Name:     c.Name,
-				RthetaJA: thermal.SpreadRtheta(opts.Package.RthetaJA, dieArea, c.Area*scale),
+				Name:     sc.Name(c),
+				RthetaJA: thermal.SpreadRtheta(opts.Package.RthetaJA, dieArea, sc.Area(c)*scale),
 			})
 		}
 		st.model, err = thermal.NewModel(opts.Package, blocks, opts.InitialTempK)
