@@ -84,6 +84,40 @@ func TestScoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPeakScoreMatchesTDP pins that compile and score run one walk:
+// scored at the chip's own peak activity at the nominal operating point,
+// every input leaf's RuntimeDynamic carries the bits of its PeakDynamic.
+// The clock network is the one leaf whose TDP (the gated peak) and
+// runtime (pipeline duty) formulas differ by design.
+func TestPeakScoreMatchesTDP(t *testing.T) {
+	var slab Slab
+	for _, c := range bitsChips() {
+		p, err := New(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		peak := p.peakStats()
+		sc, err := p.Score(&peak, &slab)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		leaves := 0
+		for r := 0; r < sc.Len(); r++ {
+			if sc.Rows[r].In < 0 || sc.End(r) != r+1 || sc.Name(r) == "ClockNetwork" {
+				continue
+			}
+			leaves++
+			if !sameBits(sc.RuntimeDynamic(r), sc.PeakDynamic(r)) {
+				t.Errorf("%s: %s: runtime dynamic %v at peak activity, TDP column %v",
+					c.name, sc.Name(r), sc.RuntimeDynamic(r), sc.PeakDynamic(r))
+			}
+		}
+		if leaves < 20 {
+			t.Errorf("%s: only %d input leaves compared", c.name, leaves)
+		}
+	}
+}
+
 // TestScoreSteadyStateAllocs: once a slab holds a chip's compiled
 // report, scoring the chip into it allocates nothing, at TDP, at runtime
 // and off the nominal point.
