@@ -13,11 +13,13 @@
 //     Synthesis results are memoized process-wide (see Synthesize), keyed
 //     by a canonical config value plus the technology node's fingerprint.
 //
-//   - Score: cheap and pure. chip.New registers one closure per chip
-//     part that maps the peak (TDP) and runtime activity to the part's
-//     report subtree; chip.Report is a fold over those closures. Scoring
-//     never mutates a synthesized model, so one memoized instance may be
-//     shared by any number of chips concurrently.
+//   - Score: cheap and pure. Every chip part has one walk that adds its
+//     report nodes and gives each leaf its dynamic power under an
+//     activity: a chip compiles its report by walking its parts at the
+//     peak (TDP) activity, and scores it by walking them again at the
+//     runtime activity. Walking never mutates a synthesized model, so
+//     one memoized instance may be shared by any number of chips
+//     concurrently.
 //
 // A DSE sweep that varies only one subsystem's knobs re-synthesizes only
 // that subsystem — delta re-evaluation falls out of the cache keying
