@@ -1,5 +1,26 @@
 package power
 
+import (
+	"math"
+	"strconv"
+)
+
+// appendJSONFloatRef is the reference for AppendJSONFloat on a finite f:
+// encoding/json's float64 encoder, strconv.AppendFloat's shortest 'f' or
+// 'e' form with e-07 rewritten e-7.
+func appendJSONFloatRef(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
 // jsonItem is the reference serialization of a report node: a struct
 // carrying the wire format in its tags, encoded by encoding/json's
 // reflection. Tests compare AppendJSON against json.Marshal(it.toJSON()).
