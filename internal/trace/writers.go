@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -146,46 +145,73 @@ func (t *Trace) WriteNDJSON(w io.Writer) error {
 // interval, fixed power/energy columns, then — only for closed-loop
 // traces — the thermal/DVFS columns (temperature_k, freq_hz, throttled),
 // then one total-watts column per top-level subsystem (taken from the
-// first sample's breakdown). Open-loop traces keep the original column
-// set exactly, so existing consumers see no change.
+// first sample's breakdown; a row without that subsystem reads 0, and of
+// a name listed twice the last counts). Open-loop traces keep the
+// original column set exactly, so existing consumers see no change.
+// Numbers are written as %g writes them. Each row is appended into one
+// reused buffer and written with one Write call.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	cols := []string{"index", "start_s", "duration_s", "dynamic_w", "leakage_w", "total_w", "energy_j"}
+	b := []byte("index,start_s,duration_s,dynamic_w,leakage_w,total_w,energy_j")
 	thermal := t.hasThermal()
 	if thermal {
-		cols = append(cols, "temperature_k", "freq_hz", "throttled")
+		b = append(b, ",temperature_k,freq_hz,throttled"...)
 	}
 	var subs []string
 	if len(t.Samples) > 0 {
 		for _, sp := range t.Samples[0].Subsystems {
 			subs = append(subs, sp.Name)
-			cols = append(cols, csvName(sp.Name)+"_w")
+			b = append(append(append(b, ','), csvName(sp.Name)...), "_w"...)
 		}
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
+	b = append(b, '\n')
+	if _, err := w.Write(b); err != nil {
 		return err
 	}
-	for _, s := range t.Samples {
-		row := fmt.Sprintf("%d,%g,%g,%g,%g,%g,%g",
-			s.Index, s.StartS, s.DurationS, s.DynamicW, s.LeakageW, s.TotalW, s.EnergyJ)
+	// A row is an index and at most 10+len(subs) fields of up to 25
+	// bytes: a comma and %g's longest, -2.2250738585072014e-308. One
+	// buffer of that size holds every row.
+	b = make([]byte, 0, 20+25*(10+len(subs)))
+	num := func(v float64) {
+		b = strconv.AppendFloat(append(b, ','), v, 'g', -1, 64)
+	}
+	for i := range t.Samples {
+		s := &t.Samples[i]
+		b = strconv.AppendInt(b[:0], int64(s.Index), 10)
+		num(s.StartS)
+		num(s.DurationS)
+		num(s.DynamicW)
+		num(s.LeakageW)
+		num(s.TotalW)
+		num(s.EnergyJ)
 		if thermal {
-			throttled := 0
+			num(s.TemperatureK)
+			num(s.FreqHz)
 			if s.Throttled {
-				throttled = 1
+				b = append(b, ",1"...)
+			} else {
+				b = append(b, ",0"...)
 			}
-			row += fmt.Sprintf(",%g,%g,%d", s.TemperatureK, s.FreqHz, throttled)
-		}
-		byName := make(map[string]float64, len(s.Subsystems))
-		for _, sp := range s.Subsystems {
-			byName[sp.Name] = sp.TotalW
 		}
 		for _, name := range subs {
-			row += fmt.Sprintf(",%g", byName[name])
+			num(subsystemTotalW(s.Subsystems, name))
 		}
-		if _, err := fmt.Fprintln(w, row); err != nil {
+		b = append(b, '\n')
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// subsystemTotalW returns the total watts of the last subsystem named
+// name in ps, or 0 if none is.
+func subsystemTotalW(ps []SubsystemPower, name string) float64 {
+	for i := len(ps) - 1; i >= 0; i-- {
+		if ps[i].Name == name {
+			return ps[i].TotalW
+		}
+	}
+	return 0
 }
 
 // hasThermal reports whether the trace was produced by a closed-loop run
