@@ -346,7 +346,7 @@ func optimize(env *sramEnv, cfg Config, totalBits, wordBits int) (*Result, error
 	bankBits := (totalBits + cfg.Banks - 1) / cfg.Banks
 	// Data plus address bits ride the H-tree and the bank route (a word
 	// under one bit reaches no organization).
-	addrIn := float64(wordBits) + float64(ceilLog2(maxInt(2, bankBits/maxInt(wordBits, 1))))
+	addrIn := float64(wordBits) + float64(ceilLog2(max(2, bankBits/max(wordBits, 1))))
 	cur.Banks = cfg.Banks
 
 	for rows := 16; rows <= 1024; rows *= 2 {
@@ -437,7 +437,7 @@ func subWordChoices(env *sramEnv, wordBits int) (choices [6]subWord, n int) {
 	for i := range choices[:n] {
 		sw := &choices[i]
 		// A sub-word under one bit never reaches 16 columns.
-		sw.active = (wordBits + sw.bits - 1) / maxInt(sw.bits, 1)
+		sw.active = (wordBits + sw.bits - 1) / max(sw.bits, 1)
 		sw.eSense = float64(sw.bits) * env.eSense1
 	}
 	return choices, n
@@ -620,11 +620,4 @@ func ceilLog2(x int) int {
 		return 0
 	}
 	return bits.Len(uint(x - 1))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

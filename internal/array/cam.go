@@ -36,7 +36,7 @@ func newCAM(cfg Config, totalBits, wordBits int) (*Result, error) {
 	}
 	tagBits := cfg.TagBits
 	if tagBits == 0 {
-		tagBits = physAddrBits - ceilLog2(maxInt(entryBits/8, 1)) + tagStatusBits
+		tagBits = physAddrBits - ceilLog2(max(entryBits/8, 1)) + tagStatusBits
 	}
 
 	searchPorts := cfg.SearchPorts
@@ -134,7 +134,7 @@ func newDFFArray(cfg Config, totalBits, wordBits int) (*Result, error) {
 
 	entries := cfg.Entries
 	if entries == 0 {
-		entries = maxInt(totalBits/maxInt(wordBits, 1), 1)
+		entries = max(totalBits/max(wordBits, 1), 1)
 	}
 	ports := cfg.ports()
 
@@ -176,7 +176,7 @@ func newDFFArray(cfg Config, totalBits, wordBits int) (*Result, error) {
 		Height:     math.Sqrt(area),
 		Width:      math.Sqrt(area),
 		Rows:       entries,
-		Cols:       maxInt(totalBits/maxInt(entries, 1), 1),
+		Cols:       max(totalBits/max(entries, 1), 1),
 		Subarrays:  1,
 		ColMux:     1,
 		Banks:      1,

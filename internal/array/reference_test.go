@@ -196,7 +196,7 @@ func evalSRAM(env *sramEnv, row *rowEnv, cfg *Config, wordBits int, org *orgPlan
 
 	htreeLen := 0.5 * (bankW + bankH)
 	htreeIn := refRepeatedWire(per, env.n.Wire(tech.Aggressive, tech.SemiGlobal), htreeLen)
-	addrInBits := float64(ceilLog2(maxInt(2, bankBits/wordBits)))
+	addrInBits := float64(ceilLog2(max(2, bankBits/wordBits)))
 	eHtree := (float64(wordBits) + addrInBits) * htreeIn.EnergyPerBit
 	tHtree := htreeIn.Delay
 

@@ -356,7 +356,7 @@ func synthFabric(b *builder) error {
 		if p.link, err = interconnect.SynthesizeBus(interconnect.BusConfig{
 			Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
 			Bits: noc.FlitBits, Length: chipSide,
-			Agents: cfg.NumCores + maxInt(1, banksOf(cfg.L2)), Clock: cfg.ClockHz,
+			Agents: cfg.NumCores + max(1, banksOf(cfg.L2)), Clock: cfg.ClockHz,
 		}); err != nil {
 			return err
 		}
@@ -364,7 +364,7 @@ func synthFabric(b *builder) error {
 	case Crossbar:
 		if p.link, err = interconnect.SynthesizeCrossbar(interconnect.CrossbarConfig{
 			Tech: node, Dev: cfg.Dev, LongChannel: cfg.LongChannel,
-			InPorts: cfg.NumCores + 1, OutPorts: maxInt(1, banksOf(cfg.L2)) + 1,
+			InPorts: cfg.NumCores + 1, OutPorts: max(1, banksOf(cfg.L2)) + 1,
 			Bits: noc.FlitBits, SpanLength: 0.35 * chipSide,
 		}); err != nil {
 			return err

@@ -302,10 +302,3 @@ func linkCount(x, y int) int {
 	}
 	return x*(y-1) + y*(x-1)
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -65,11 +65,11 @@ func (p *Processor) peakStats() Stats {
 	// by the miss/traffic rate the cores can generate (~2 accesses per
 	// core per cycle at saturation).
 	if p.L2 != nil {
-		acc := cfg.L2PeakDuty * float64(minInt(p.L2.Cfg().Banks, 2*cfg.NumCores)) * hz
+		acc := cfg.L2PeakDuty * float64(min(p.L2.Cfg().Banks, 2*cfg.NumCores)) * hz
 		s.L2Reads, s.L2Writes = acc*cachePeakReadFrac, acc*cachePeakWriteFrac
 	}
 	if p.L3 != nil {
-		acc := cfg.L3PeakDuty * float64(minInt(p.L3.Cfg().Banks, 2*cfg.NumCores)) * hz
+		acc := cfg.L3PeakDuty * float64(min(p.L3.Cfg().Banks, 2*cfg.NumCores)) * hz
 		s.L3Reads, s.L3Writes = acc*cachePeakReadFrac, acc*cachePeakWriteFrac
 	}
 	// Flits per router, link or bus per cycle.
@@ -91,10 +91,10 @@ func (p *Processor) peakStats() Stats {
 	}
 	// The I/O controllers run at their full line rate.
 	if niu := cfg.NIU; niu != nil {
-		s.NIUBitsPerSec = 2 * niu.Bandwidth * float64(maxInt(niu.Count, 1))
+		s.NIUBitsPerSec = 2 * niu.Bandwidth * float64(max(niu.Count, 1))
 	}
 	if pcie := cfg.PCIe; pcie != nil {
-		lanes := float64(maxInt(pcie.Lanes, 1))
+		lanes := float64(max(pcie.Lanes, 1))
 		gbps := pcie.GbpsPerLane
 		if gbps <= 0 {
 			gbps = 2.5
@@ -291,13 +291,6 @@ func (p *Processor) Leakage() float64 {
 		return 0
 	}
 	return sc.Leakage(0)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // CorePeakActivity exposes the TDP activity vector in use for the cores.

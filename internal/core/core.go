@@ -486,7 +486,7 @@ func New(cfg Config) (*Core, error) {
 		if c.fpRF, err = mk(array.Config{
 			Name:    cfg.Name + ".rf.fp",
 			Entries: fpRFEntries, EntryBits: cfg.DatapathBits,
-			RdPorts: 2 * maxInt(cfg.FPUs, 1), WrPorts: maxInt(cfg.FPUs, 1),
+			RdPorts: 2 * max(cfg.FPUs, 1), WrPorts: max(cfg.FPUs, 1),
 		}); err != nil {
 			return nil, err
 		}
@@ -638,11 +638,4 @@ func ceilLog2(x int) int {
 		return 0
 	}
 	return int(math.Ceil(math.Log2(float64(x))))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

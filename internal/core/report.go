@@ -159,7 +159,7 @@ func (c *Core) Walk(b *power.Builder, name string, a *Activity) int {
 			b.Leaf("rat.fp", &c.fpRAT.PAT, c.fpRAT.Energy.DynamicPower(rw(0.5*a.Rename*hz, 0.25*a.Rename*hz, 0)))
 		}
 		b.Leaf("freelist", &c.freeList.PAT, c.freeList.Energy.DynamicPower(rw(a.Rename*hz, a.Rename*hz, 0)))
-		b.Leaf("depcheck", &c.depCheck, c.depCheck.Energy.DynamicPower(rw(a.Rename*hz/float64(maxInt(cfg.DecodeWidth, 1)), 0, 0)))
+		b.Leaf("depcheck", &c.depCheck, c.depCheck.Energy.DynamicPower(rw(a.Rename*hz/float64(max(cfg.DecodeWidth, 1)), 0, 0)))
 		b.Close()
 		b.Open("Scheduler")
 		b.Leaf("iq.int", &c.intIQ.PAT, c.intIQ.Energy.DynamicPower(rw(a.IQIssue*hz, a.IQWrite*hz, a.IQWakeup*hz)))

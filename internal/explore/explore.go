@@ -1015,15 +1015,7 @@ func evaluate(p Params, cons Constraints, obj Objective, cand *Candidate, slab *
 	}
 
 	// Performance + runtime power over the workloads.
-	dim, _ := chip.MeshDims(maxInt(cand.Cores/maxInt(cand.ClusterSize, 1), 1))
-	m := perfsim.Machine{
-		Cores: cand.Cores, ThreadsPerCore: p.Threads, IssueWidth: 1,
-		ClockHz:      p.ClockHz,
-		ClusterSize:  cand.ClusterSize,
-		L2Latency:    math.Ceil(proc.L2.AccessTime()*p.ClockHz) + 4,
-		FabricHopLat: 4, MemLatency: 60e-9 * p.ClockHz,
-		MeshDim: dim, MemBandwidth: p.MemBW, BusBytes: 16,
-	}
+	m := perfsim.MachineFor(proc)
 	var sumPerf, logW float64
 	var stats chip.Stats
 	for _, w := range p.Workloads {
@@ -1069,11 +1061,4 @@ func evaluate(p Params, cons Constraints, obj Objective, cand *Candidate, slab *
 
 func isFinitePositive(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 
+	"mcpat/internal/chip"
 	"mcpat/internal/core"
 )
 
@@ -115,6 +116,39 @@ type Machine struct {
 	// 64-byte line transfer occupies the bus for BytesPerMiss/BusBytes
 	// beats plus request overhead.
 	BusBytes int
+}
+
+// MachineFor derives the machine of a synthesized chip from its
+// configuration and models: cores, threads, cluster size and clock as
+// configured; the L2 latency from the cache model's access time plus the
+// controller (12 cycles without an L2); the hop latency from the router
+// pipeline; the memory bandwidth from the MC config; and a cluster bus as
+// wide as a flit.
+func MachineFor(proc *chip.Processor) Machine {
+	cfg := &proc.Cfg
+	l2Lat := 12.0
+	if proc.L2 != nil {
+		l2Lat = math.Ceil(proc.L2.AccessTime()*cfg.ClockHz) + 4 // +controller
+	}
+	var memBW float64
+	if cfg.MC != nil {
+		memBW = cfg.MC.PeakBandwidth
+	}
+	cluster := max(cfg.NoC.ClusterSize, 1)
+	dim, _ := chip.MeshDims(max(cfg.NumCores/cluster, 1))
+	return Machine{
+		Cores:          cfg.NumCores,
+		ThreadsPerCore: cfg.Core.Threads,
+		IssueWidth:     1,
+		ClockHz:        cfg.ClockHz,
+		ClusterSize:    cluster,
+		L2Latency:      l2Lat,
+		FabricHopLat:   4, // 3-stage router + link
+		MemLatency:     60e-9 * cfg.ClockHz,
+		MeshDim:        dim,
+		MemBandwidth:   memBW,
+		BusBytes:       cfg.NoC.FlitBits / 8,
+	}
 }
 
 // Result is a completed simulation.

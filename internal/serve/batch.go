@@ -8,9 +8,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 
 	"mcpat/internal/guard"
@@ -47,35 +47,31 @@ type BatchResponse struct {
 
 // handleBatch serves POST /v1/batch. Admission takes one synchronous
 // evaluation slot up front (shed with 429 when saturated, like
-// /v1/evaluate), and the first worker's first evaluation takes it
-// over. Every item's evaluation frees its slot when it really stops, as
-// on the evaluate path, so intra-batch workers acquire a slot before
-// each further item: a batch can use idle capacity but never push total
-// evaluation concurrency past MaxInFlight, abandoned items included.
+// /v1/evaluate). The handler then walks the items in order, and each
+// evaluation holds one of workers batch tokens and one server slot
+// until it really stops, as on the evaluate path: the first item that
+// names a chip inherits the admission slot, and every later one waits
+// for a slot of its own. An item that has not started when the request
+// ends reads "batch canceled". A batch can use idle capacity but never
+// push total evaluation concurrency past MaxInFlight, abandoned items
+// included.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	handedOff := false // to the first worker, once the batch is valid
-	defer func() {
-		if !handedOff {
-			<-s.evalSem
-		}
-	}()
-
 	var req BatchRequest
-	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest,
-			&APIError{Kind: kindBadRequest, Message: fmt.Sprintf("parse JSON: %v", err)})
+	if !decodeJSON(w, r, maxBodyBytes, &req) {
+		<-s.evalSem
 		return
 	}
 	if len(req.Items) == 0 {
+		<-s.evalSem
 		writeError(w, http.StatusBadRequest,
 			&APIError{Kind: kindBadRequest, Message: "items is required and must be non-empty"})
 		return
 	}
 	if len(req.Items) > maxBatchItems {
+		<-s.evalSem
 		writeError(w, http.StatusBadRequest,
 			&APIError{Kind: kindBadRequest,
 				Message: fmt.Sprintf("batch of %d exceeds the %d-item limit", len(req.Items), maxBatchItems)})
@@ -86,63 +82,39 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > s.cfg.MaxInFlight {
 		workers = s.cfg.MaxInFlight
 	}
-	if workers > len(req.Items) {
-		workers = len(req.Items)
+	// The first item with a chip inherits the admission slot and the
+	// token put here; a batch without one frees the slot now.
+	tokens := make(chan struct{}, workers)
+	tokens <- struct{}{}
+	first := slices.IndexFunc(req.Items, namesChip)
+	if first < 0 {
+		<-s.evalSem
 	}
 
 	resp := &BatchResponse{Items: make([]BatchItemResult, len(req.Items))}
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
 	ctx := r.Context()
-	handedOff = true
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(holdsSlot bool) { // worker 0 starts with the admission slot
-			defer wg.Done()
-			defer func() {
-				if holdsSlot {
-					<-s.evalSem
-				}
-			}()
-			for i := range idxCh {
-				item := &req.Items[i]
-				if item.Preset == "" && item.Config == nil {
-					resp.Items[i] = BatchItemResult{Index: i,
-						Error: &APIError{Kind: kindBadRequest, Message: "one of preset or config is required"}}
-					continue
-				}
-				if !holdsSlot {
-					select {
-					case s.evalSem <- struct{}{}:
-					case <-ctx.Done():
-						resp.Items[i] = batchCanceled(i)
-						continue
-					}
-				}
-				holdsSlot = false // the item's evaluation frees it
-				resp.Items[i] = s.evalBatchItem(ctx, i, item)
-			}
-		}(w == 0)
-	}
+	var wg sync.WaitGroup
 	for i := range req.Items {
-		select {
-		case idxCh <- i:
-		case <-ctx.Done():
-			// Mark the rest canceled; workers finish what they hold.
-			for j := i; j < len(req.Items); j++ {
-				select {
-				case idxCh <- j:
-				default:
-					resp.Items[j] = batchCanceled(j)
-				}
-			}
-			close(idxCh)
-			wg.Wait()
-			writeModelError(w, ctx.Err())
-			return
+		item := &req.Items[i]
+		if !namesChip(*item) {
+			resp.Items[i] = BatchItemResult{Index: i,
+				Error: &APIError{Kind: kindBadRequest, Message: "one of preset or config is required"}}
+			continue
 		}
+		if i != first {
+			select {
+			case tokens <- struct{}{}:
+			case <-ctx.Done():
+				resp.Items[i] = batchCanceled(i)
+				continue
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp.Items[i] = s.evalBatchItem(ctx, i, item, i == first, tokens)
+		}()
 	}
-	close(idxCh)
 	wg.Wait()
 
 	for i := range resp.Items {
@@ -159,28 +131,28 @@ func batchCanceled(i int) BatchItemResult {
 	return BatchItemResult{Index: i, Error: &APIError{Kind: guard.KindCanceled, Message: "batch canceled"}}
 }
 
-// evalBatchItem runs one item under the per-request timeout with the
-// evaluate path's hand-off: the item's evaluation takes over the slot
-// the caller holds and frees it when it really stops.
-func (s *Server) evalBatchItem(ctx context.Context, i int, item *EvaluateRequest) BatchItemResult {
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
+// namesChip reports whether an evaluation request names its chip.
+func namesChip(req EvaluateRequest) bool { return req.Preset != "" || req.Config != nil }
+
+// evalBatchItem runs one item through handOff once it holds a server
+// slot: the inherited admission slot, or one it waits for here. The
+// evaluation frees the item's batch token when it returns; handOff
+// frees the slot.
+func (s *Server) evalBatchItem(ctx context.Context, i int, item *EvaluateRequest, inherited bool, tokens chan struct{}) BatchItemResult {
+	if !inherited {
+		select {
+		case s.evalSem <- struct{}{}:
+		case <-ctx.Done():
+			<-tokens
+			return batchCanceled(i)
+		}
 	}
-	type out struct {
-		resp *EvaluateResponse
-		err  error
-	}
-	o, err := handOff(ctx, s.evalSem, func() out {
-		resp, err := evaluateOnce(item)
-		return out{resp, err}
+	resp, err := handOff(ctx, s, func() (*EvaluateResponse, error) {
+		defer func() { <-tokens }()
+		return evaluateOnce(item)
 	})
-	if err == nil {
-		err = o.err
-	}
 	if err != nil {
 		return BatchItemResult{Index: i, Error: guard.Classify(err)}
 	}
-	return BatchItemResult{Index: i, Result: o.resp}
+	return BatchItemResult{Index: i, Result: resp}
 }

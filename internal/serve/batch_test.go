@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -120,4 +124,79 @@ func TestAbandonedBatchItemKeepsSlot(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("after the slot is freed: want 200, got %d: %s", resp.StatusCode, body)
 	}
+}
+
+// TestCanceledBatchFreesItsSlots ends a batch's request while one item
+// evaluates on the admission slot and the other cannot start, because a
+// stalled evaluation holds the server's other slot: the batch answers
+// 200 with the running item's cancellation and the other as "batch
+// canceled", and both slots come back once the stalled evaluations stop.
+func TestCanceledBatchFreesItsSlots(t *testing.T) {
+	entered := make(chan struct{}, 4)
+	release := make(chan struct{})
+	var once sync.Once
+	unstall := func() { once.Do(func() { close(release) }) }
+	withServeEvalHook(t, func(cfg *chip.Config) error {
+		entered <- struct{}{}
+		<-release
+		return nil
+	})
+	s, _ := newTestServer(t, Config{MaxInFlight: 2})
+	t.Cleanup(unstall) // before the server's drain, which waits for them
+	h := s.Handler()
+	cfg := tinyChip()
+	body := func(v any) *bytes.Reader {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.NewReader(b)
+	}
+
+	go h.ServeHTTP(httptest.NewRecorder(),
+		httptest.NewRequest("POST", "/v1/evaluate", body(EvaluateRequest{Config: &cfg})))
+	<-entered // the stalled evaluation holds one slot
+
+	ctx, cancel := context.WithCancel(context.Background())
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, httptest.NewRequestWithContext(ctx, "POST", "/v1/batch",
+			body(BatchRequest{Items: []EvaluateRequest{{Config: &cfg}, {Config: &cfg}}})))
+	}()
+	<-entered // one item runs on the admission slot
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the canceled batch never returned")
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("canceled batch: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	br := decode[BatchResponse](t, rec.Body.Bytes())
+	waited := 0
+	for _, it := range br.Items {
+		if it.Error == nil || it.Error.Kind != guard.KindCanceled {
+			t.Fatalf("every item must be canceled, got %s", rec.Body.Bytes())
+		}
+		if it.Error.Message == "batch canceled" {
+			waited++
+		}
+	}
+	if len(br.Items) != 2 || waited != 1 {
+		t.Fatalf("want one running item canceled and one waiting item \"batch canceled\", got %s", rec.Body.Bytes())
+	}
+
+	unstall()
+	for i := 0; i < 2; i++ {
+		select {
+		case s.evalSem <- struct{}{}:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("slot %d never came back", i+1)
+		}
+	}
+	<-s.evalSem
+	<-s.evalSem
 }

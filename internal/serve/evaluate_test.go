@@ -106,9 +106,10 @@ func TestEvaluateBodyIsCompactReference(t *testing.T) {
 	var batch BatchRequest
 	var sent [][]byte
 	for _, e := range bodies {
-		req, aerr := decodeEvaluateRequest(e.request())
-		if aerr != nil {
-			t.Fatalf("%s: %v", e.label(), aerr)
+		rec := httptest.NewRecorder()
+		req := decodeEvaluateRequest(rec, e.request())
+		if req == nil {
+			t.Fatalf("%s: %s", e.label(), rec.Body.Bytes())
 		}
 		batch.Items = append(batch.Items, *req)
 		resp, err := evaluateOnce(req)

@@ -41,72 +41,58 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	// The handler holds the slot until the evaluation goroutine takes it
-	// over; from then on the goroutine releases it, so an evaluation
-	// abandoned on deadline keeps its slot until it really stops.
-	handedOff := false
-	defer func() {
-		if !handedOff {
-			<-s.evalSem
-		}
-	}()
-
-	req, aerr := decodeEvaluateRequest(r)
-	if aerr != nil {
-		writeError(w, http.StatusBadRequest, aerr)
+	req := decodeEvaluateRequest(w, r)
+	if req == nil {
+		<-s.evalSem
 		return
 	}
+	// The evaluation goroutine also encodes the reply, so the slot is
+	// free before the bytes go out: a closed-loop client's next request
+	// must not find its own previous slot still taken.
+	body, err := handOff(r.Context(), s, func() (*[]byte, error) {
+		body := replyBufs.Get().(*[]byte)
+		b, err := evaluateReply(req, (*body)[:0])
+		*body = b
+		return body, err
+	})
+	if err != nil {
+		writeModelError(w, err)
+	} else {
+		writeBody(w, http.StatusOK, *body)
+	}
+	if body != nil { // nil when abandoned: the evaluation still owns it
+		replyBufs.Put(body)
+	}
+}
 
-	ctx := r.Context()
+// handOff is the one path of an admitted evaluation. It runs eval, under
+// Config.RequestTimeout, in a child goroutine that takes over the
+// caller's evaluation slot and frees it when eval returns, then waits
+// for eval or the deadline, whichever ends first, and returns eval's
+// value and error (the value even with an error) or the deadline's
+// error. The models are CPU-bound and cannot observe a context, so on
+// deadline the evaluation is abandoned - the same containment the DSE
+// engine uses per candidate - and keeps its slot until it really stops:
+// MaxInFlight bounds running evaluations, not waiting handlers.
+func handOff[T any](ctx context.Context, s *Server, eval func() (T, error)) (T, error) {
 	if s.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-
-	// The evaluation goroutine also encodes the reply, and frees the
-	// slot before it hands the bytes over: a closed-loop client's next
-	// request must not find its own previous slot still taken.
 	type out struct {
-		body *[]byte
-		err  error
+		v   T
+		err error
 	}
-	handedOff = true
-	o, err := handOff(ctx, s.evalSem, func() out {
-		body := replyBufs.Get().(*[]byte)
-		b, err := evaluateReply(req, (*body)[:0])
-		*body = b
-		return out{body, err}
-	})
-	if err != nil {
-		writeModelError(w, err)
-		return
-	}
-	if o.err != nil {
-		writeModelError(w, o.err)
-	} else {
-		writeBody(w, http.StatusOK, *o.body)
-	}
-	replyBufs.Put(o.body)
-}
-
-// handOff runs eval in a child goroutine that takes over the caller's
-// evaluation slot and frees it when eval returns, then waits for eval
-// or ctx, whichever ends first. The models are CPU-bound and cannot
-// observe a context, so on deadline the evaluation is abandoned - the
-// same containment the DSE engine uses per candidate - and keeps its
-// slot until it really stops: MaxInFlight bounds running evaluations,
-// not waiting handlers.
-func handOff[T any](ctx context.Context, sem chan struct{}, eval func() T) (T, error) {
-	ch := make(chan T, 1)
+	ch := make(chan out, 1)
 	go func() {
-		v := eval()
-		<-sem
-		ch <- v
+		v, err := eval()
+		<-s.evalSem
+		ch <- out{v, err}
 	}()
 	select {
-	case v := <-ch:
-		return v, nil
+	case o := <-ch:
+		return o.v, o.err
 	case <-ctx.Done():
 		var zero T
 		return zero, ctx.Err()
@@ -128,29 +114,46 @@ func evaluateReply(req *EvaluateRequest, dst []byte) ([]byte, error) {
 }
 
 // decodeEvaluateRequest parses the request body in either accepted
-// representation.
-func decodeEvaluateRequest(r *http.Request) (*EvaluateRequest, *APIError) {
-	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
-	ct := r.Header.Get("Content-Type")
-	if strings.Contains(ct, "xml") {
-		root, err := config.Parse(body)
+// representation. A body it rejects gets the 400 here, and the result is
+// nil.
+func decodeEvaluateRequest(w http.ResponseWriter, r *http.Request) *EvaluateRequest {
+	if strings.Contains(r.Header.Get("Content-Type"), "xml") {
+		root, err := config.Parse(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 		if err != nil {
-			return nil, &APIError{Kind: kindBadRequest, Message: fmt.Sprintf("parse XML: %v", err)}
+			writeError(w, http.StatusBadRequest,
+				&APIError{Kind: kindBadRequest, Message: fmt.Sprintf("parse XML: %v", err)})
+			return nil
 		}
 		cfg, err := config.ToChipConfig(root)
 		if err != nil {
-			return nil, &APIError{Kind: kindBadRequest, Message: fmt.Sprintf("map XML: %v", err)}
+			writeError(w, http.StatusBadRequest,
+				&APIError{Kind: kindBadRequest, Message: fmt.Sprintf("map XML: %v", err)})
+			return nil
 		}
-		return &EvaluateRequest{Config: &cfg, Stats: config.ToStats(root)}, nil
+		return &EvaluateRequest{Config: &cfg, Stats: config.ToStats(root)}
 	}
 	var req EvaluateRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return nil, &APIError{Kind: kindBadRequest, Message: fmt.Sprintf("parse JSON: %v", err)}
+	if !decodeJSON(w, r, maxBodyBytes, &req) {
+		return nil
 	}
-	if req.Preset == "" && req.Config == nil {
-		return nil, &APIError{Kind: kindBadRequest, Message: "one of preset or config is required"}
+	if !namesChip(req) {
+		writeError(w, http.StatusBadRequest,
+			&APIError{Kind: kindBadRequest, Message: "one of preset or config is required"})
+		return nil
 	}
-	return &req, nil
+	return &req
+}
+
+// decodeJSON decodes a JSON request body of at most limit bytes into v.
+// A body that does not parse gets the 400 here, and decodeJSON reports
+// false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, limit)).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest,
+			&APIError{Kind: kindBadRequest, Message: fmt.Sprintf("parse JSON: %v", err)})
+		return false
+	}
+	return true
 }
 
 // evaluateOnce resolves the chip configuration, synthesizes it, and
@@ -197,10 +200,7 @@ func evaluateOnce(req *EvaluateRequest) (*EvaluateResponse, error) {
 // handleDSESubmit serves POST /v1/dse: validate, enqueue, 202.
 func (s *Server) handleDSESubmit(w http.ResponseWriter, r *http.Request) {
 	var req DSERequest
-	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest,
-			&APIError{Kind: kindBadRequest, Message: fmt.Sprintf("parse JSON: %v", err)})
+	if !decodeJSON(w, r, maxBodyBytes, &req) {
 		return
 	}
 	st, err := s.jobs.submit(&req)

@@ -335,6 +335,60 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestRejectedRequestsFreeTheirSlot sends, one at a time at
+// MaxInFlight 1, each kind of request a handler turns away after
+// admission (and a batch whose every item is turned away), and checks
+// that an evaluation still gets the one slot after each: a leaked slot
+// would shed it with 429.
+func TestRejectedRequestsFreeTheirSlot(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxInFlight: 1, WorkerMode: true})
+	h := s.Handler()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	tooMany := BatchRequest{Items: make([]EvaluateRequest, maxBatchItems+1)}
+	for i := range tooMany.Items {
+		tooMany.Items[i].Preset = "niagara"
+	}
+	badRange := shardTestRequest()
+	badRange.End = 1000 // out of range for a 6-point space
+
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"evaluate: malformed JSON", "/v1/evaluate", "{not json", 400},
+		{"evaluate: no chip", "/v1/evaluate", "{}", 400},
+		{"evaluate: unknown preset", "/v1/evaluate", `{"preset":"pentium-9"}`, 400},
+		{"batch: malformed JSON", "/v1/batch", "{not json", 400},
+		{"batch: no items", "/v1/batch", `{"items":[]}`, 400},
+		{"batch: over the item limit", "/v1/batch", marshal(tooMany), 400},
+		{"batch: no item names a chip", "/v1/batch", `{"items":[{},{}]}`, 200},
+		{"trace: malformed JSON", "/v1/trace", "{not json", 400},
+		{"trace: no stats_txt", "/v1/trace", `{"preset":"niagara"}`, 400},
+		{"shard: malformed JSON", "/v1/dse/shard", "{not json", 400},
+		{"shard: range out of bounds", "/v1/dse/shard", marshal(badRange), 400},
+	} {
+		if rec := post(tc.path, tc.body); rec.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.status, rec.Body.Bytes())
+		}
+		if rec := post("/v1/evaluate", `{"preset":"niagara"}`); rec.Code != http.StatusOK {
+			t.Fatalf("after %s: evaluation status %d, want 200: %s", tc.name, rec.Code, rec.Body.Bytes())
+		}
+	}
+}
+
 // TestJobLifecycle runs a real one-candidate sweep through submit ->
 // poll -> result.
 func TestJobLifecycle(t *testing.T) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"mcpat/internal/distrib"
@@ -42,10 +41,7 @@ func (s *Server) handleDSEShard(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.evalSem }()
 
 	var req distrib.ShardRequest
-	body := http.MaxBytesReader(nil, r.Body, maxShardBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest,
-			&APIError{Kind: kindBadRequest, Message: fmt.Sprintf("parse JSON: %v", err)})
+	if !decodeJSON(w, r, maxShardBodyBytes, &req) {
 		return
 	}
 	spec, err := req.Spec()

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -107,44 +105,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
-	handedOff := false // to the setup goroutine, once the body parses
-	defer func() {
-		if !handedOff {
-			<-s.evalSem
-		}
-	}()
-
 	var req TraceRequest
-	body := http.MaxBytesReader(nil, r.Body, maxTraceBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest,
-			&APIError{Kind: kindBadRequest, Message: fmt.Sprintf("parse JSON: %v", err)})
+	if !decodeJSON(w, r, maxTraceBodyBytes, &req) {
+		<-s.evalSem
 		return
 	}
-
-	// Setup (mapping + the one synthesis) honors the request deadline
-	// with the same goroutine containment as /v1/evaluate, slot
-	// included; the streaming phase afterwards is bounded by the client
-	// connection instead.
-	setupCtx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		setupCtx, cancel = context.WithTimeout(setupCtx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	type out struct {
+	// Setup (mapping + the one synthesis) runs through handOff like an
+	// evaluation, deadline and slot included; the streaming phase
+	// afterwards is bounded by the client connection instead.
+	type setup struct {
 		eng *trace.Engine
 		ivs []trace.Interval
-		err error
 	}
-	handedOff = true
-	o, err := handOff(setupCtx, s.evalSem, func() out {
+	st, err := handOff(r.Context(), s, func() (setup, error) {
 		eng, ivs, err := traceSetup(&req)
-		return out{eng, ivs, err}
+		return setup{eng, ivs}, err
 	})
-	if err == nil {
-		err = o.err
-	}
 	if err != nil {
 		writeModelError(w, err)
 		return
@@ -159,13 +135,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	// A failed flush means the client is gone; the next write says so.
 	flush := func() { _ = rc.Flush() }
-	h := o.eng.Header(len(o.ivs))
+	h := st.eng.Header(len(st.ivs))
 	if err := trace.WriteRecord(w, trace.Record{Type: "chip", Chip: &h}); err != nil {
 		return // client went away before the header flushed
 	}
 	flush()
 
-	tr, err := o.eng.Run(r.Context(), o.ivs, func(smp trace.Sample) error {
+	tr, err := st.eng.Run(r.Context(), st.ivs, func(smp trace.Sample) error {
 		if err := trace.WriteRecord(w, trace.Record{Type: "sample", Sample: &smp}); err != nil {
 			return err
 		}

@@ -170,7 +170,7 @@ func RunClusterSweep(p Params, workloads []perfsim.Workload) ([]ClusterResult, e
 			}
 		}
 
-		m := machineFor(p, cs, proc)
+		m := perfsim.MachineFor(proc)
 		var sumThroughput float64
 		logPower, logEnergy := 0.0, 0.0
 		for _, w := range workloads {
@@ -213,31 +213,6 @@ func RunClusterSweep(p Params, workloads []perfsim.Workload) ([]ClusterResult, e
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-// machineFor derives the performance-model parameters from the
-// synthesized chip: L2 latency from the cache model's access time, hop
-// latency from the router pipeline, memory parameters from the MC config.
-func machineFor(p Params, clusterSize int, proc *chip.Processor) perfsim.Machine {
-	l2CycleLat := 12.0
-	if proc.L2 != nil {
-		l2CycleLat = math.Ceil(proc.L2.AccessTime()*p.ClockHz) + 4 // +controller
-	}
-	clusters := p.Cores / clusterSize
-	dim, _ := chip.MeshDims(clusters)
-	return perfsim.Machine{
-		Cores:          p.Cores,
-		ThreadsPerCore: p.Threads,
-		IssueWidth:     1,
-		ClockHz:        p.ClockHz,
-		ClusterSize:    clusterSize,
-		L2Latency:      l2CycleLat,
-		FabricHopLat:   4, // 3-stage router + link
-		MemLatency:     60e-9 * p.ClockHz,
-		MeshDim:        dim,
-		MemBandwidth:   p.MemBW,
-		BusBytes:       p.FlitBits / 8,
-	}
 }
 
 // statsFrom converts a simulation result into the chip statistics vector.

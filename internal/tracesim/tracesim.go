@@ -393,8 +393,8 @@ func Simulate(h Hierarchy, tc TraceConfig) (*Result, error) {
 		windowBytes = 4 << 10
 		phaseLen    = 2000 // accesses per window position
 	)
-	warmWindows := maxI(tc.WarmSetBytes/windowBytes, 1)
-	sharedWindows := maxI(tc.SharedBytes/windowBytes, 1)
+	warmWindows := max(tc.WarmSetBytes/windowBytes, 1)
+	sharedWindows := max(tc.SharedBytes/windowBytes, 1)
 
 	for i := 0; i < tc.AccessesPerThread; i++ {
 		phase := i / phaseLen
@@ -440,13 +440,6 @@ func Simulate(h Hierarchy, tc TraceConfig) (*Result, error) {
 		res.ShareRate = float64(res.Invalidations+res.C2CTransfers) / float64(l2Acc)
 	}
 	return res, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ToWorkload converts measured rates into the analytical performance
